@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .field import FieldTower, format_element
+from .field import FieldTower, RealcohError, format_element
 from .h2nab import ScCoverData, chevalley_cover
 from .linalg import mat_from_ints, meye, mzeros
 from .nonconnected import NonConnectedGroup, build_nonconnected
@@ -40,10 +40,8 @@ from .torus import TorusPresentation, build_presentation
 import json
 
 
-class CatalogError(Exception):
-    def __init__(self, code: str, message: str = ""):
-        super().__init__(message or code)
-        self.code = code
+class CatalogError(RealcohError):
+    pass
 
 
 @dataclass
@@ -55,6 +53,7 @@ class CatalogEntry:
     nsigma: list
     k_mats: list = field(default_factory=list)
     p_mats: list = field(default_factory=list)
+    cartan_k_mats: list | None = None   # Cartan subalgebra of k, reductive
     component_reps: list | None = None
     pi0_table: list | None = None
     pi0_gamma: list | None = None
@@ -77,6 +76,8 @@ class CatalogEntry:
         if self.kind in ("reductive", "nonreductive"):
             data["k_mats"] = [fmt(m) for m in self.k_mats]
             data["p_mats"] = [fmt(m) for m in self.p_mats]
+        if self.cartan_k_mats is not None:
+            data["cartan_k_mats"] = [fmt(m) for m in self.cartan_k_mats]
         if self.kind == "nonconnected":
             data["component_reps"] = [fmt(m) for m in self.component_reps]
             data["pi0_table"] = self.pi0_table
@@ -95,12 +96,6 @@ def _block_embed(tower, blocks_sizes, index, mat):
     for i, row in enumerate(mat):
         for j, x in enumerate(row):
             out[off + i][off + j] = x
-    return out
-
-
-def _eij(tower, n, i, j, val=1):
-    out = mzeros(tower, n, n)
-    out[i][j] = tower.from_rational(val)
     return out
 
 
@@ -185,7 +180,7 @@ def _sopq_entry(p: int, q: int, tower: FieldTower) -> CatalogEntry:
     expected = {"h1_order": -(-(p + q) // 2)}
     return CatalogEntry(name=f"so({p},{q})", kind="reductive", tower=tower,
                         lie_basis=basis, nsigma=meye(tower, p + q),
-                        k_mats=k_mats, p_mats=p_mats,
+                        k_mats=k_mats, p_mats=p_mats, cartan_k_mats=cartan,
                         expected=expected, group=group)
 
 
@@ -222,8 +217,8 @@ def _slnr_entry(n: int, tower: FieldTower) -> CatalogEntry:
     cover = chevalley_cover(group, f"sl({n},r)")
     return CatalogEntry(name=f"sl({n},r)", kind="reductive", tower=tower,
                         lie_basis=basis, nsigma=meye(tower, n),
-                        k_mats=k_mats, p_mats=p_mats, cover=cover,
-                        expected={"h1_order": 1}, group=group)
+                        k_mats=k_mats, p_mats=p_mats, cartan_k_mats=cartan,
+                        cover=cover, expected={"h1_order": 1}, group=group)
 
 
 def _su_basis(p: int, q: int, tower: FieldTower):
@@ -284,16 +279,17 @@ def _su_entry(p: int, q: int, tower: FieldTower) -> CatalogEntry:
         nsig[i][n + i] = tower.from_rational(sign[i])
         nsig[n + i][i] = tower.from_rational(sign[i])
     # the embedded diagonal matrices span a Cartan subalgebra of k
+    cartan = k_mats[:n - 1]
     group = build_reductive(basis, nsig, k_mats, p_mats, tower,
-                            cartan_k_mats=k_mats[:n - 1])
+                            cartan_k_mats=cartan)
     cover = chevalley_cover(group, f"su({p},{q})")
     # hermitian forms of rank n with the discriminant of the standard one
     expected = {"h1_order": len([b for b in range(n + 1)
                                  if (b - q) % 2 == 0])}
     return CatalogEntry(name=f"su({p},{q})", kind="reductive", tower=tower,
                         lie_basis=basis, nsigma=nsig,
-                        k_mats=k_mats, p_mats=p_mats, cover=cover,
-                        expected=expected, group=group)
+                        k_mats=k_mats, p_mats=p_mats, cartan_k_mats=cartan,
+                        cover=cover, expected=expected, group=group)
 
 
 def _sp4_entry(tower: FieldTower) -> CatalogEntry:
@@ -330,13 +326,14 @@ def _sp4_entry(tower: FieldTower) -> CatalogEntry:
     ]
     basis = k_mats + p_mats
     # the two diagonal rotation pairs span a Cartan subalgebra of k
+    cartan = [k_mats[1], k_mats[2]]
     group = build_reductive(basis, meye(tower, n), k_mats, p_mats, tower,
-                            cartan_k_mats=[k_mats[1], k_mats[2]])
+                            cartan_k_mats=cartan)
     cover = chevalley_cover(group, "sp(4,r)")
     return CatalogEntry(name="sp(4,r)", kind="reductive", tower=tower,
                         lie_basis=basis, nsigma=meye(tower, n),
-                        k_mats=k_mats, p_mats=p_mats, cover=cover,
-                        expected={"h1_order": 1}, group=group)
+                        k_mats=k_mats, p_mats=p_mats, cartan_k_mats=cartan,
+                        cover=cover, expected={"h1_order": 1}, group=group)
 
 
 # -- non-connected and non-reductive entries ----------------------------------------

@@ -27,31 +27,23 @@ import sys
 from dataclasses import dataclass
 
 from . import catalog as _catalog
-from .field import FieldError, FieldTower, format_element, parse_element
-from .gammacoh import CohomologyError
-from .h2nab import H2Error
-from .lattice import LatticeError, gamma_decompose
-from .liealg import LieError
-from .linalg import meq, meye, minverse, mmul
-from .nonconnected import (NonConnectedError, build_nonconnected,
-                           h1_nonconnected, solve_problem2_nonconnected)
-from .nonreductive import (NonReductiveError, build_levi_split, h1_connected,
+from .field import (FieldError, FieldTower, RealcohError, format_element,
+                    parse_element)
+from .lattice import gamma_decompose
+from .linalg import RealStructure, meq
+from .nonconnected import (build_nonconnected, h1_nonconnected,
+                           solve_problem2_nonconnected)
+from .nonreductive import (build_levi_split, h1_connected,
                            solve_problem2_connected)
-from .reductive import (ReductiveError, build_reductive,
-                        h1_connected_reductive, solve_problem2_reductive)
-from .torus import (QuasiTorusDatum, TorusError, build_presentation,
+from .reductive import (build_reductive, h1_connected_reductive,
+                        solve_problem2_reductive)
+from .torus import (QuasiTorusDatum, build_presentation,
                     characters_to_lattice_map, h1_torus, h2_quasitorus,
                     trivialize_cocycle)
 
-_ERRORS = (FieldError, CohomologyError, H2Error, LatticeError, LieError,
-           NonConnectedError, NonReductiveError, ReductiveError, TorusError,
-           _catalog.CatalogError)
 
-
-class CliError(Exception):
-    def __init__(self, code: str, message: str = ""):
-        self.code = code
-        super().__init__(message or code)
+class CliError(RealcohError):
+    pass
 
 
 class GaussianTower(FieldTower):
@@ -90,7 +82,7 @@ class Job:
     name: str
     kind: str
     tower: FieldTower
-    nsigma: list
+    real: RealStructure
     group: object
     conjugator_hint: list = None
 
@@ -140,7 +132,8 @@ def _build_from_data(data: dict, tower: FieldTower, seed: int,
                                    data["pi0_gamma"], tower,
                                    k_mats=k_mats, p_mats=p_mats,
                                    conjugator_hint=hint, seed=seed)
-    return Job(name=name, kind=kind, tower=tower, nsigma=nsig,
+    return Job(name=name, kind=kind, tower=tower,
+               real=RealStructure(nsig, tower),
                group=group, conjugator_hint=hint)
 
 
@@ -149,27 +142,10 @@ def load_job(spec: str, tower: FieldTower, seed: int,
     if spec.startswith("catalog:"):
         entry = _catalog.get(spec[len("catalog:"):], tower)
         return Job(name=entry.name, kind=entry.kind, tower=tower,
-                   nsigma=entry.nsigma, group=entry.group,
+                   real=RealStructure(entry.nsigma, tower),
+                   group=entry.group,
                    conjugator_hint=entry.conjugator_hint)
     return _build_from_data(_load_json(spec), tower, seed, weyl_guard)
-
-
-# -- independent verification ------------------------------------------------------
-
-
-def _gamma_of(job: Job):
-    nsinv = minverse(job.nsigma, job.tower)
-
-    def gamma(mat):
-        return mmul(mmul(job.nsigma,
-                         [[x.conj() for x in row] for row in mat]), nsinv)
-
-    return gamma
-
-
-def _is_cocycle(job: Job, z: list) -> bool:
-    gamma = _gamma_of(job)
-    return meq(mmul(z, gamma(z)), meye(job.tower, len(job.nsigma)))
 
 
 # -- h1 ----------------------------------------------------------------------------
@@ -207,8 +183,7 @@ def _h1_report(job: Job, seed: int) -> tuple:
         non_lifting = list(res.non_lifting)
         blocked = [{"component": c, "code": code} for c, code in res.blocked]
 
-    verified = all(_is_cocycle(job, r)
-                   for r in getattr(res, "representatives"))
+    verified = all(job.real.is_cocycle(r) for r in res.representatives)
     report = {
         "command": "h1",
         "group": job.name,
@@ -261,7 +236,7 @@ def _load_cocycle(path: str, tower: FieldTower) -> list:
 
 
 def _equiv_report(job: Job, z: list, seed: int) -> dict:
-    if not _is_cocycle(job, z):
+    if not job.real.is_cocycle(z):
         raise CliError("not-cocycle", "z * gamma(z) != 1")
     if job.kind == "torus":
         res = h1_torus(job.group)
@@ -285,9 +260,7 @@ def _equiv_report(job: Job, z: list, seed: int) -> dict:
         index, s = solve_problem2_nonconnected(job.group, z, classes=res)
         listed = res.representatives[index]
 
-    gamma = _gamma_of(job)
-    out = mmul(mmul(minverse(s, job.tower), z), gamma(s))
-    if not meq(out, listed):
+    if not meq(job.real.twist(s, z), listed):
         raise CliError("verification-failed",
                        "witness does not carry z to the listed class")
     return {
@@ -322,9 +295,7 @@ def _h2_report(spec: str, tower: FieldTower) -> dict:
     # killed by every defining character
     verified = True
     for rep in res.representatives:
-        gamma = mmul(mmul(nsig, [[x.conj() for x in row] for row in rep]),
-                     minverse(nsig, tower))
-        if not meq(gamma, rep):
+        if not pres.real.fixes(rep):
             verified = False
         coords = pres.lambda_inverse(rep)
         if coords is None:
@@ -468,14 +439,9 @@ def main(argv=None) -> int:
     args = _make_parser().parse_args(argv)
     try:
         return _run(args)
-    except CliError as exc:
+    except RealcohError as exc:
         print(json.dumps({"error": {"code": exc.code,
                                     "message": str(exc)}},
-                         separators=(",", ":")))
-        return 1
-    except _ERRORS as exc:
-        code = getattr(exc, "code", type(exc).__name__)
-        print(json.dumps({"error": {"code": code, "message": str(exc)}},
                          separators=(",", ":")))
         return 1
 

@@ -24,12 +24,17 @@ Rational = Union[int, Fraction]
 _SQRT_CACHE_LIMIT = 4096
 
 
-class FieldError(Exception):
-    """Error with a stable machine-readable code."""
+class RealcohError(Exception):
+    """Error with a stable machine-readable code; every module's error type
+    derives from it."""
 
     def __init__(self, code: str, message: str = ""):
         self.code = code
         super().__init__(message or code)
+
+
+class FieldError(RealcohError):
+    pass
 
 
 def _rat_sqrt(q: Fraction) -> Optional[Fraction]:
@@ -660,13 +665,6 @@ def poly_gcd(p: list, q: list, tower: FieldTower) -> list:
 
 def poly_derivative(p: list, tower: FieldTower) -> list:
     return poly_normalize([p[k] * k for k in range(1, len(p))])
-
-
-def poly_eval(p: list, x: FieldElement, tower: FieldTower) -> FieldElement:
-    acc = tower.zero()
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def _factor_gaussian(p: list, tower: FieldTower) -> list:

@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass
 from itertools import product
 
+from .field import RealcohError
 from .lattice import (
     _hnf_allow_rank,
     identity,
@@ -30,10 +31,8 @@ from .lattice import (
 )
 
 
-class CohomologyError(Exception):
-    def __init__(self, code: str, message: str = ""):
-        self.code = code
-        super().__init__(message or code)
+class CohomologyError(RealcohError):
+    pass
 
 
 def _lattice_rows(rows: list, n: int) -> list:

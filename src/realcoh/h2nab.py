@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .field import FieldTower, format_element
+from .field import FieldTower, RealcohError, format_element
 from .lattice import identity as int_identity, solve_integer, transpose
 from .liealg import (
     LieError,
@@ -46,7 +46,8 @@ from .liealg import (
     reductive_projection,
     rref_rows,
 )
-from .linalg import mconj, meq, meye, minverse, mmul, mscale, mzeros
+from .linalg import (RealStructure, mconj, meq, meye, minverse, mmul, mscale,
+                     mzeros)
 from .nonreductive import LeviSplitGroup
 from .reductive import ReductiveRealGroup
 from .torus import (
@@ -60,10 +61,8 @@ from .torus import (
 )
 
 
-class H2Error(Exception):
-    def __init__(self, code: str, message: str = ""):
-        super().__init__(message or code)
-        self.code = code
+class H2Error(RealcohError):
+    pass
 
 
 # -- the cocycle type ------------------------------------------------------------
@@ -107,9 +106,9 @@ def make_cocycle2(tower: FieldTower, lie_basis: list, a: list, m_f: list,
 def delta(b: list, nsigma: list, lie_basis: list,
           tower: FieldTower) -> NonabCocycle2:
     """The 2-cocycle (b.gamma(b), inn(b) o gamma) attached to a lift b."""
-    gb = mmul(mmul(nsigma, mconj(b)), minverse(nsigma, tower))
-    a = mmul(b, gb)
-    return make_cocycle2(tower, lie_basis, a, mmul(b, nsigma))
+    real = RealStructure(nsigma, tower)
+    return make_cocycle2(tower, lie_basis, mmul(b, real.gamma(b)),
+                         real.inner(b).nsigma)
 
 
 def act(s: list, c: NonabCocycle2) -> NonabCocycle2:
@@ -126,8 +125,7 @@ def lift_cocycle(c: NonabCocycle2, b: list, s: list, nsigma: list) -> list:
     if not meq(mmul(mmul(s, c.f(s)), c.a), meye(tower, n)):
         raise H2Error("not-neutralizing", "s.f(s).a != 1")
     out = mmul(s, b)
-    gout = mmul(mmul(nsigma, mconj(out)), minverse(nsigma, tower))
-    if not meq(mmul(out, gout), meye(tower, n)):
+    if not RealStructure(nsigma, tower).is_cocycle(out):
         raise H2Error("lift-failed")
     return out
 
@@ -709,8 +707,8 @@ def _center_quasitorus(group: ReductiveRealGroup, pres_f: TorusPresentation,
     component_torus = None
     if z_rows:
         z_mats = group.datum.rows_to_mats(z_rows)
-        component_torus = build_presentation(z_mats, pres_f.nsigma, tower,
-                                             allow_defect=True)
+        component_torus = build_presentation(z_mats, pres_f.real.nsigma,
+                                             tower, allow_defect=True)
     return QuasiTorusDatum(
         torus=pres_f,
         lattice_map=lattice_map,

@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .field import RealcohError
 
-class LatticeError(Exception):
-    def __init__(self, code: str, message: str = ""):
-        self.code = code
-        super().__init__(message or code)
+
+class LatticeError(RealcohError):
+    pass
 
 
 # -- plain integer matrix helpers ----------------------------------------------
@@ -41,20 +41,12 @@ def mat_mul(a: list, b: list) -> list:
                     oi[j] += c * bk[j]
     return out
 
-def mat_vec(a: list, v: list) -> list:
-    return [sum(r[j] * v[j] for j in range(len(v))) for r in a]
-
-
 def vec_mat(v: list, a: list) -> list:
     return [sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0]))]
 
 
 def transpose(a: list) -> list:
     return [list(col) for col in zip(*a)]
-
-
-def mat_eq(a: list, b: list) -> bool:
-    return a == b
 
 
 def mat_inverse(a: list) -> list:

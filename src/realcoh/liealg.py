@@ -17,6 +17,7 @@ from fractions import Fraction
 from .field import (
     FieldError,
     FieldTower,
+    RealcohError,
     poly_divmod,
     poly_mul,
     poly_normalize,
@@ -39,10 +40,8 @@ from .linalg import (
 )
 
 
-class LieError(Exception):
-    def __init__(self, code: str, message: str = ""):
-        self.code = code
-        super().__init__(message or code)
+class LieError(RealcohError):
+    pass
 
 
 # -- coordinate subspaces --------------------------------------------------------

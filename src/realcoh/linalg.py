@@ -9,6 +9,7 @@ by exact zero tests.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .field import FieldError, FieldTower
 
@@ -26,10 +27,6 @@ def meye(tower: FieldTower, n: int) -> list:
 
 def mat_from_ints(tower: FieldTower, rows: list) -> list:
     return [[tower.from_rational(Fraction(x)) for x in row] for row in rows]
-
-
-def madd(a: list, b: list) -> list:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def msub(a: list, b: list) -> list:
@@ -134,13 +131,6 @@ def row_reduce(a: list, tower: FieldTower) -> tuple:
     return rows, trans, pivots
 
 
-def mrank(a: list, tower: FieldTower) -> int:
-    if not a:
-        return 0
-    _, _, pivots = row_reduce(a, tower)
-    return len(pivots)
-
-
 def minverse(a: list, tower: FieldTower) -> list:
     n = len(a)
     rref, trans, pivots = row_reduce(a, tower)
@@ -200,3 +190,43 @@ def charpoly(a: list, tower: FieldTower) -> list:
         for i in range(n):
             m[i][i] = m[i][i] + c
     return coeffs
+
+
+class RealStructure:
+    """The anti-regular map gamma(g) = N * conj(g) * N^-1 given by N = N_sigma.
+
+    Holds N and its inverse, computed once on first use.  N * conj(N) may
+    differ from 1 (see defect), as for structures twisted by a component
+    representative; the identities below are exact."""
+
+    def __init__(self, nsigma: list, tower: FieldTower):
+        self.nsigma = nsigma
+        self.tower = tower
+
+    @cached_property
+    def _inverse(self) -> list:
+        return minverse(self.nsigma, self.tower)
+
+    def gamma(self, g: list) -> list:
+        return mmul(mmul(self.nsigma, mconj(g)), self._inverse)
+
+    def is_cocycle(self, z: list) -> bool:
+        """z * gamma(z) = 1."""
+        return meq(mmul(z, self.gamma(z)), meye(self.tower, len(z)))
+
+    def twist(self, s: list, z: list) -> list:
+        """s^-1 * z * gamma(s), the cocycle z moved by s."""
+        return mmul(mmul(minverse(s, self.tower), z), self.gamma(s))
+
+    def fixes(self, m: list) -> bool:
+        """gamma(m) = m, e.g. m is a real Lie algebra basis element."""
+        return meq(self.gamma(m), m)
+
+    def defect(self) -> list:
+        """N * conj(N): gamma^2 is conjugation by it, so it is 1 for a
+        real-structure matrix."""
+        return mmul(self.nsigma, mconj(self.nsigma))
+
+    def inner(self, g: list) -> "RealStructure":
+        """The structure inn(g) o gamma, given by g * N."""
+        return RealStructure(mmul(g, self.nsigma), self.tower)

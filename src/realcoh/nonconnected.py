@@ -30,11 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .field import FieldTower
+from .field import FieldTower, RealcohError
 from .gammacoh import FiniteGammaGroup, h1_finite
 from .h2nab import H2Error, ScCoverData, delta, neutralize_reductive
 from .liealg import rref_rows
-from .linalg import mconj, meq, meye, minverse, mmul
+from .linalg import RealStructure, meq, meye, minverse, mmul
 from .reductive import (
     ReductiveError,
     ReductiveRealGroup,
@@ -53,10 +53,8 @@ from .torus import (
 )
 
 
-class NonConnectedError(Exception):
-    def __init__(self, code: str, message: str = ""):
-        super().__init__(message or code)
-        self.code = code
+class NonConnectedError(RealcohError):
+    pass
 
 
 def _full_torus_qdatum(pres: TorusPresentation) -> QuasiTorusDatum:
@@ -75,7 +73,7 @@ class NonConnectedGroup:
     tower: FieldTower
     n: int
     lie_basis: list          # identity component; may be empty
-    nsigma: list
+    real: RealStructure
     component_reps: list     # one matrix per pi0 element
     pi0: FiniteGammaGroup
     mode: str                # "finite" | "torus" | "reductive"
@@ -86,10 +84,6 @@ class NonConnectedGroup:
     cover: ScCoverData | None = None
     conjugator_hint: list | None = None
     basis_rows: list = field(default_factory=list)
-
-    def gamma(self, mat: list) -> list:
-        nsig_inv = minverse(self.nsigma, self.tower)
-        return mmul(mmul(self.nsigma, mconj(mat)), nsig_inv)
 
     def in_identity_component(self, mat: list):
         """True/False when decidable, None when not."""
@@ -117,14 +111,15 @@ def build_nonconnected(lie_basis: list, nsigma: list, component_reps: list,
         raise NonConnectedError("component-count-mismatch")
 
     # the real structure must be an involution: N.conj(N) central
-    defect = mmul(nsigma, mconj(nsigma))
+    real = RealStructure(nsigma, tower)
+    defect = real.defect()
     for mat in lie_basis + component_reps:
         if not meq(mmul(defect, mat), mmul(mat, defect)):
             raise NonConnectedError("invalid-real-structure",
                                     "N conj(N) is not central")
 
     if not lie_basis:
-        group = NonConnectedGroup(tower, n, [], nsigma, component_reps, pi0,
+        group = NonConnectedGroup(tower, n, [], real, component_reps, pi0,
                                   "finite")
     else:
         abelian = all(
@@ -133,7 +128,7 @@ def build_nonconnected(lie_basis: list, nsigma: list, component_reps: list,
         if abelian and k_mats is None and p_mats is None:
             pres = build_presentation(lie_basis, nsigma, tower,
                                       allow_defect=True)
-            group = NonConnectedGroup(tower, n, lie_basis, nsigma,
+            group = NonConnectedGroup(tower, n, lie_basis, real,
                                       component_reps, pi0, "torus",
                                       torus=pres)
         else:
@@ -148,7 +143,7 @@ def build_nonconnected(lie_basis: list, nsigma: list, component_reps: list,
                                       seed=seed)
             except ReductiveError as err:
                 raise NonConnectedError("cartan-data-required", str(err))
-            group = NonConnectedGroup(tower, n, lie_basis, nsigma,
+            group = NonConnectedGroup(tower, n, lie_basis, real,
                                       component_reps, pi0, "reductive",
                                       reductive=red, k_mats=km, p_mats=pm,
                                       cover=cover,
@@ -179,7 +174,7 @@ def build_nonconnected(lie_basis: list, nsigma: list, component_reps: list,
             u = mmul(prod,
                      minverse(component_reps[pi0.table[i][j]], tower))
             check_member(u, "multiplication table")
-        u = mmul(group.gamma(component_reps[i]),
+        u = mmul(real.gamma(component_reps[i]),
                  minverse(component_reps[pi0.gamma[i]], tower))
         check_member(u, "gamma action")
     return group
@@ -196,9 +191,9 @@ def torus_shortcut(lie_basis: list, nsigma: list, g: list,
     h = g.gamma(g) is not a coboundary of the twisted torus (the class has
     no real points over it).
     """
-    nsig_inv = minverse(nsigma, tower)
-    h = mmul(g, mmul(mmul(nsigma, mconj(g)), nsig_inv))
-    pres_tw = build_presentation(lie_basis, mmul(g, nsigma), tower,
+    real = RealStructure(nsigma, tower)
+    h = mmul(g, real.gamma(g))
+    pres_tw = build_presentation(lie_basis, real.inner(g).nsigma, tower,
                                  allow_defect=True)
     if pres_tw.lambda_inverse(h) is None:
         raise NonConnectedError("pi0-data-inconsistent",
@@ -207,8 +202,7 @@ def torus_shortcut(lie_basis: list, nsigma: list, g: list,
     if s is None:
         return None
     ghat = mmul(s, g)
-    gg = mmul(ghat, mmul(mmul(nsigma, mconj(ghat)), nsig_inv))
-    if not meq(gg, meye(tower, len(nsigma))):
+    if not real.is_cocycle(ghat):
         raise NonConnectedError("lift-verification-failed")
     return ghat, s
 
@@ -220,24 +214,20 @@ def torus_shortcut(lie_basis: list, nsigma: list, g: list,
 class _ComponentClass:
     c: int                   # pi0 class representative (component index)
     ghat: list
-    nsigma_hat: list
+    real: RealStructure      # inn(ghat) o gamma
     mode: str
     x_reps: list             # H^1 of the twisted identity component
     kept: list               # indices into x_reps surviving the quotient
     orbit_rep: list          # x index -> kept x index
-    transport: list          # x index -> u with u^-1 x gamma_hat(u) = rep
+    transport: list          # x index -> u with real.twist(u, x) = rep
     entry_offset: int
     pres_hat: TorusPresentation | None = None
     patterns: list | None = None
     tw_group: ReductiveRealGroup | None = None
     tw_classes: object = None
 
-    def gamma_hat(self, tower, mat):
-        return mmul(mmul(self.nsigma_hat, mconj(mat)),
-                    minverse(self.nsigma_hat, tower))
-
     def classify(self, tower, w):
-        """(x index, witness s) with s^-1 w gamma_hat(s) = x_reps[index]."""
+        """(x index, witness s) with real.twist(s, w) = x_reps[index]."""
         if self.mode == "finite":
             if not meq(w, meye(tower, len(w))):
                 raise NonConnectedError("not-in-identity-component")
@@ -268,13 +258,12 @@ def _lift_class(group: NonConnectedGroup, c: int):
     tower = group.tower
     g = group.component_reps[c]
     if group.mode == "finite":
-        a = mmul(g, group.gamma(g))
-        if meq(a, meye(tower, group.n)):
+        if group.real.is_cocycle(g):
             return g, meye(tower, group.n)
         return None
     if group.mode == "torus":
-        return torus_shortcut(group.lie_basis, group.nsigma, g, tower)
-    cocycle = delta(g, group.nsigma, group.lie_basis, tower)
+        return torus_shortcut(group.lie_basis, group.real.nsigma, g, tower)
+    cocycle = delta(g, group.real.nsigma, group.lie_basis, tower)
     try:
         res = neutralize_reductive(group.reductive, cocycle,
                                    cover=group.cover,
@@ -285,7 +274,7 @@ def _lift_class(group: NonConnectedGroup, c: int):
         return None
     s = res.witness
     ghat = mmul(s, g)
-    if not meq(mmul(ghat, group.gamma(ghat)), meye(tower, group.n)):
+    if not group.real.is_cocycle(ghat):
         raise NonConnectedError("lift-verification-failed")
     return ghat, s
 
@@ -294,32 +283,30 @@ def _twisted_x1(group: NonConnectedGroup, ghat: list):
     """H^1 data of the identity component with the real structure twisted
     by ghat."""
     tower = group.tower
-    nsigma_hat = mmul(ghat, group.nsigma)
+    real_hat = group.real.inner(ghat)
     if group.mode == "finite":
-        return nsigma_hat, {"mode": "finite", "x_reps": [meye(tower,
-                                                              group.n)]}
+        return real_hat, {"mode": "finite", "x_reps": [meye(tower, group.n)]}
     if group.mode == "torus":
-        pres_hat = build_presentation(group.lie_basis, nsigma_hat, tower,
+        pres_hat = build_presentation(group.lie_basis, real_hat.nsigma, tower,
                                       allow_defect=True)
         res = h1_torus(pres_hat)
-        return nsigma_hat, {"mode": "torus", "x_reps": res.representatives,
-                            "pres_hat": pres_hat,
-                            "patterns": res.sign_patterns}
+        return real_hat, {"mode": "torus", "x_reps": res.representatives,
+                          "pres_hat": pres_hat,
+                          "patterns": res.sign_patterns}
     try:
-        tw_group = build_reductive(group.lie_basis, nsigma_hat,
+        tw_group = build_reductive(group.lie_basis, real_hat.nsigma,
                                    group.k_mats, group.p_mats, tower)
     except (ReductiveError, TorusError) as err:
         raise NonConnectedError("twist-data-required", str(err))
     tw_classes = h1_connected_reductive(tw_group)
-    return nsigma_hat, {"mode": "reductive",
-                        "x_reps": tw_classes.representatives,
-                        "tw_group": tw_group, "tw_classes": tw_classes}
+    return real_hat, {"mode": "reductive",
+                      "x_reps": tw_classes.representatives,
+                      "tw_group": tw_group, "tw_classes": tw_classes}
 
 
 def h1_nonconnected(group: NonConnectedGroup,
                     pi0_bound: int = 10 ** 4) -> NonConnectedH1Result:
     tower = group.tower
-    ident = meye(tower, group.n)
     pi0_h1 = h1_finite(group.pi0, bound=pi0_bound)
     representatives = []
     provenance = []
@@ -337,12 +324,12 @@ def h1_nonconnected(group: NonConnectedGroup,
             continue
         ghat, _ = lifted
         try:
-            nsigma_hat, tw = _twisted_x1(group, ghat)
+            real_hat, tw = _twisted_x1(group, ghat)
         except NonConnectedError as err:
             blocked.append((c, err.code))
             continue
         cc = _ComponentClass(
-            c=c, ghat=ghat, nsigma_hat=nsigma_hat, mode=tw["mode"],
+            c=c, ghat=ghat, real=real_hat, mode=tw["mode"],
             x_reps=tw["x_reps"], kept=[], orbit_rep=[], transport=[],
             entry_offset=len(representatives),
             pres_hat=tw.get("pres_hat"), patterns=tw.get("patterns"),
@@ -351,7 +338,7 @@ def h1_nonconnected(group: NonConnectedGroup,
         _quotient_by_components(group, cc)
         for t in cc.kept:
             z = mmul(cc.x_reps[t], ghat)
-            if not meq(mmul(z, group.gamma(z)), ident):
+            if not group.real.is_cocycle(z):
                 raise NonConnectedError("cocycle-verification-failed")
             representatives.append(z)
             provenance.append((c, t))
@@ -386,10 +373,8 @@ def _quotient_by_components(group: NonConnectedGroup, cc: _ComponentClass):
             cur = queue.pop()
             for e in stab:
                 a_e = group.component_reps[e]
-                y = mmul(mmul(minverse(a_e, tower), cc.x_reps[cur]),
-                         cc.gamma_hat(tower, a_e))
-                if not meq(mmul(y, cc.gamma_hat(tower, y)),
-                           meye(tower, group.n)):
+                y = cc.real.twist(a_e, cc.x_reps[cur])
+                if not cc.real.is_cocycle(y):
                     raise NonConnectedError("orbit-action-failed")
                 tprime, s_conn = cc.classify(tower, y)
                 if cc.orbit_rep[tprime] is None:
@@ -408,8 +393,7 @@ def solve_problem2_nonconnected(group: NonConnectedGroup, g: list,
     """(index into the class list, witness b) with b^-1 g gamma(b) equal to
     the listed representative, verified exactly."""
     tower = group.tower
-    ident = meye(tower, group.n)
-    if not meq(mmul(g, group.gamma(g)), ident):
+    if not group.real.is_cocycle(g):
         raise NonConnectedError("not-cocycle")
     if classes is None:
         classes = h1_nonconnected(group)
@@ -417,9 +401,8 @@ def solve_problem2_nonconnected(group: NonConnectedGroup, g: list,
         ghat_inv = minverse(cc.ghat, tower)
         for e in range(group.pi0.size):
             s = group.component_reps[e]
-            w = mmul(mmul(mmul(minverse(s, tower), g), group.gamma(s)),
-                     ghat_inv)
-            if not meq(mmul(w, cc.gamma_hat(tower, w)), ident):
+            w = mmul(group.real.twist(s, g), ghat_inv)
+            if not cc.real.is_cocycle(w):
                 continue
             member = _in_twisted_component(group, cc, w)
             if member is False:
@@ -432,8 +415,7 @@ def solve_problem2_nonconnected(group: NonConnectedGroup, g: list,
             b = mmul(mmul(s, s_conn), cc.transport[t])
             idx = cc.entry_offset + cc.kept.index(rep_t)
             target = classes.representatives[idx]
-            out = mmul(mmul(minverse(b, tower), g), group.gamma(b))
-            if meq(out, target):
+            if meq(group.real.twist(b, g), target):
                 return idx, b
     if classes.blocked:
         raise NonConnectedError(

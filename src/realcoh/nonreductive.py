@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import FieldTower
+from .field import FieldTower, RealcohError
 from .liealg import (
     LeviDecomposition,
     LieAlgebraDatum,
@@ -33,7 +33,7 @@ from .liealg import (
     reductive_projection,
     rref_rows,
 )
-from .linalg import mconj, meq, meye, minverse, mmul, mscale
+from .linalg import RealStructure, meq, minverse, mmul, mscale
 from .reductive import (
     ReductiveError,
     ReductiveH1Result,
@@ -44,10 +44,8 @@ from .reductive import (
 )
 
 
-class NonReductiveError(Exception):
-    def __init__(self, code: str, message: str = ""):
-        super().__init__(message or code)
-        self.code = code
+class NonReductiveError(RealcohError):
+    pass
 
 
 @dataclass
@@ -58,10 +56,7 @@ class LeviSplitGroup:
     reductive: ReductiveRealGroup
     u_rows: list                # unipotent radical coordinates
     r_rows: list                # reductive complement coordinates
-    nsigma: list
-
-    def gamma(self, mat: list) -> list:
-        return self.reductive.gamma(mat)
+    real: RealStructure
 
     def project(self, g: list, seed: int = 0) -> list:
         """Image of a group element under the retraction onto G^(r)."""
@@ -77,10 +72,9 @@ def build_levi_split(lie_basis: list, nsigma: list, k_mats: list,
     reductive complement, as for build_reductive.
     """
     datum = LieAlgebraDatum(lie_basis, tower)
-    nsig_inv = minverse(nsigma, tower)
-    for m in lie_basis:
-        if not meq(mmul(mmul(nsigma, mconj(m)), nsig_inv), m):
-            raise NonReductiveError("not-real-basis")
+    real = RealStructure(nsigma, tower)
+    if not all(real.fixes(m) for m in lie_basis):
+        raise NonReductiveError("not-real-basis")
     levi = levi_decompose(datum)
     r_mats = levi.s_basis + levi.t_basis
     if not r_mats:
@@ -92,7 +86,7 @@ def build_levi_split(lie_basis: list, nsigma: list, k_mats: list,
     r_rows = rref_rows(datum.mats_to_rows(r_mats), tower)
     return LeviSplitGroup(tower=tower, datum=datum, levi=levi,
                           reductive=reductive, u_rows=u_rows, r_rows=r_rows,
-                          nsigma=nsigma)
+                          real=real)
 
 
 def _log_in_radical(g: LeviSplitGroup, u: list) -> list:
@@ -114,12 +108,12 @@ def sansuc_lift(g: LeviSplitGroup, elem: list) -> list:
     g' * gamma(g') = 1 exactly.
     """
     tower = g.tower
-    u = mmul(elem, g.gamma(elem))
+    u = mmul(elem, g.real.gamma(elem))
     lu = _log_in_radical(g, u)
     s = exp_nilpotent(mscale(tower.from_rational(Fraction(-1, 2)), lu),
                       tower)
     out = mmul(s, elem)
-    if not meq(mmul(out, g.gamma(out)), meye(tower, g.datum.n)):
+    if not g.real.is_cocycle(out):
         raise NonReductiveError("lift-failed")
     return out
 
@@ -132,14 +126,13 @@ def sansuc_transport(g: LeviSplitGroup, z: list, zprime: list,
     modulo G^u, returns s' with s'^-1 * z * gamma(s') = z' exactly.
     """
     tower = g.tower
-    z2 = mmul(mmul(minverse(sbar, tower), z), g.gamma(sbar))
+    z2 = g.real.twist(sbar, z)
     u = mmul(zprime, minverse(z2, tower))
     lu = _log_in_radical(g, u)
     t = exp_nilpotent(mscale(tower.from_rational(Fraction(-1, 2)), lu),
                       tower)
     sprime = mmul(sbar, t)
-    check = mmul(mmul(minverse(sprime, tower), z), g.gamma(sprime))
-    if not meq(check, zprime):
+    if not meq(g.real.twist(sprime, z), zprime):
         raise NonReductiveError("transport-failed")
     return sprime
 
@@ -159,32 +152,27 @@ def solve_problem2_connected(g: LeviSplitGroup, cocycle: list,
     representative, verified exactly.
     """
     tower = g.tower
-    n = g.datum.n
-    ident = meye(tower, n)
-    if not meq(mmul(cocycle, g.gamma(cocycle)), ident):
+    if not g.real.is_cocycle(cocycle):
         raise NonReductiveError("not-cocycle")
     if classes is None:
         classes = h1_connected(g)
 
     g_red = g.project(cocycle, seed=seed)
-    if not meq(mmul(g_red, g.gamma(g_red)), ident):
+    if not g.real.is_cocycle(g_red):
         raise NonReductiveError("projection-not-cocycle")
     idx, s_r = solve_problem2_reductive(g.reductive, g_red, classes=classes,
                                         conjugator_hint=conjugator_hint,
                                         seed=seed)
     g_i = classes.representatives[idx]
 
-    u = mmul(mmul(mmul(minverse(s_r, tower), cocycle), g.gamma(s_r)),
-             minverse(g_i, tower))
+    u = mmul(g.real.twist(s_r, cocycle), minverse(g_i, tower))
     lu = _log_in_radical(g, u)
     # u is a cocycle for the twisted real structure sigma_i = inn(g_i).sigma
-    sig_u = mmul(mmul(g_i, g.gamma(u)), minverse(g_i, tower))
-    if not meq(mmul(u, sig_u), ident):
+    if not g.real.inner(g_i).is_cocycle(u):
         raise NonReductiveError("twisted-cocycle-failed")
     s_i = exp_nilpotent(mscale(tower.from_rational(Fraction(1, 2)), lu),
                         tower)
     s = mmul(s_r, s_i)
-    out = mmul(mmul(minverse(s, tower), cocycle), g.gamma(s))
-    if not meq(out, g_i):
+    if not meq(g.real.twist(s, cocycle), g_i):
         raise NonReductiveError("witness-verification-failed")
     return idx, s

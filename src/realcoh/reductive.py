@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import FieldTower, format_element
+from .field import FieldTower, RealcohError, format_element
 from .liealg import (
     LieAlgebraDatum,
     LieError,
@@ -39,7 +39,7 @@ from .liealg import (
     span_sum,
 )
 from .linalg import (
-    mconj,
+    RealStructure,
     meq,
     meye,
     minverse,
@@ -59,10 +59,8 @@ from .torus import (
 from .linalg import left_kernel, solve_left
 
 
-class ReductiveError(Exception):
-    def __init__(self, code: str, message: str = ""):
-        super().__init__(message or code)
-        self.code = code
+class ReductiveError(RealcohError):
+    pass
 
 
 @dataclass
@@ -76,8 +74,7 @@ class WeylElement:
 class ReductiveRealGroup:
     tower: FieldTower
     datum: LieAlgebraDatum
-    nsigma: list
-    nsigma_inv: list
+    real: RealStructure
     k_rows: list
     p_rows: list
     zc_rows: list
@@ -89,9 +86,6 @@ class ReductiveRealGroup:
     root: object
     weyl: list         # all WeylElements
     w0: list           # elements stabilizing the Cartan subalgebra of k
-
-    def gamma(self, mat: list) -> list:
-        return mmul(mmul(self.nsigma, mconj(mat)), self.nsigma_inv)
 
     def t_mats(self) -> list:
         return self.datum.rows_to_mats(self.t_rows)
@@ -174,14 +168,9 @@ def build_reductive(lie_basis: list, nsigma: list, k_mats: list,
     tower for groups whose generic compact elements need larger extensions.
     """
     datum = LieAlgebraDatum(lie_basis, tower)
-    nsigma_inv = minverse(nsigma, tower)
-
-    def gamma(mat):
-        return mmul(mmul(nsigma, mconj(mat)), nsigma_inv)
-
-    for m in lie_basis:
-        if not meq(gamma(m), m):
-            raise ReductiveError("not-real-basis")
+    real = RealStructure(nsigma, tower)
+    if not all(real.fixes(m) for m in lie_basis):
+        raise ReductiveError("not-real-basis")
 
     alg = datum.sc
     full = alg.basis_rows()
@@ -191,10 +180,9 @@ def build_reductive(lie_basis: list, nsigma: list, k_mats: list,
             len(span_sum(s_rows, z_rows, tower)) != datum.dim:
         raise ReductiveError("not-reductive")
 
-    for m in k_mats + p_mats:
-        if not meq(gamma(m), m):
-            raise ReductiveError("not-cartan-decomposition",
-                                 "k/p matrices must be real")
+    if not all(real.fixes(m) for m in k_mats + p_mats):
+        raise ReductiveError("not-cartan-decomposition",
+                             "k/p matrices must be real")
     k_rows = rref_rows(datum.mats_to_rows(k_mats), tower)
     p_rows = rref_rows(datum.mats_to_rows(p_mats), tower)
     if len(k_rows) + len(p_rows) != len(s_rows) or \
@@ -296,14 +284,16 @@ def build_reductive(lie_basis: list, nsigma: list, k_mats: list,
             w0.append(e)
 
     return ReductiveRealGroup(
-        tower=tower, datum=datum, nsigma=nsigma, nsigma_inv=nsigma_inv,
+        tower=tower, datum=datum, real=real,
         k_rows=k_rows, p_rows=p_rows, zc_rows=zc_rows, zs_rows=zs_rows,
         that0_rows=that0_rows, t0_rows=t0_rows, t_rows=t_rows,
         torus=torus, root=root, weyl=elements, w0=w0)
 
 
 def _twist(g: ReductiveRealGroup, n: list, z: list) -> list:
-    return mmul(mmul(minverse(n, g.tower), z), g.gamma(n))
+    """One W_0 twist n^-1 z gamma(n); a module function so that the W_0
+    scans can be timed and counted per twist (perfbench traces it)."""
+    return g.real.twist(n, z)
 
 
 def weyl_action(g: ReductiveRealGroup) -> WeylOrbitTable:
@@ -371,7 +361,7 @@ def h1_connected_reductive(g: ReductiveRealGroup) -> ReductiveH1Result:
     reps = []
     for idx in class_indices:
         z = res.representatives[idx]
-        if not meq(mmul(z, g.gamma(z)), meye(g.tower, g.datum.n)):
+        if not g.real.is_cocycle(z):
             raise ReductiveError("not-cocycle")
         reps.append(z)
     return ReductiveH1Result(g, table, class_indices, reps)
@@ -386,7 +376,7 @@ def realify_torus_conjugator(g: ReductiveRealGroup, t0p_mats: list,
     gamma and induces the same conjugation on the torus, verified exactly.
     """
     tower = g.tower
-    z = mmul(minverse(conj, tower), g.gamma(conj))
+    z = mmul(minverse(conj, tower), g.real.gamma(conj))
     if not g.torus.membership(z):
         raise ReductiveError("realification-failed",
                              "gamma displacement is not in the torus")
@@ -400,7 +390,7 @@ def realify_torus_conjugator(g: ReductiveRealGroup, t0p_mats: list,
         if any(sg != 1 for sg in signs):
             continue
         g_r = mmul(conj, mmul(e.n, s))
-        if not meq(g.gamma(g_r), g_r):
+        if not g.real.fixes(g_r):
             continue
         ginv = minverse(g_r, tower)
         images = []
@@ -439,7 +429,7 @@ def solve_problem2_reductive(g: ReductiveRealGroup, cocycle: list,
     datum = g.datum
     n = datum.n
     ident = meye(tower, n)
-    if not meq(mmul(cocycle, g.gamma(cocycle)), ident):
+    if not g.real.is_cocycle(cocycle):
         raise ReductiveError("not-cocycle")
     if classes is None:
         classes = h1_connected_reductive(g)
@@ -454,8 +444,7 @@ def solve_problem2_reductive(g: ReductiveRealGroup, cocycle: list,
             raise ReductiveError("not-in-group")
         uhalf = exp_nilpotent(
             mscale(tower.from_rational(Fraction(1, 2)), lu), tower)
-    if not meq(mmul(mmul(minverse(uhalf, tower), cocycle), g.gamma(uhalf)),
-               s_part):
+    if not meq(g.real.twist(uhalf, cocycle), s_part):
         raise ReductiveError("jordan-twist-failed")
 
     if g.torus.membership(s_part):
@@ -472,7 +461,7 @@ def solve_problem2_reductive(g: ReductiveRealGroup, cocycle: list,
         h_sub = sub.cartan_subalgebra(seed)
         tprime_rows = rref_rows([embed(v) for v in h_sub], tower)
         tprime_mats = datum.rows_to_mats(tprime_rows)
-        tp = build_presentation(tprime_mats, g.nsigma, tower)
+        tp = build_presentation(tprime_mats, g.real.nsigma, tower)
 
         s1, _, t1 = trivialize_cocycle(tp, s_part)
 
@@ -510,8 +499,7 @@ def solve_problem2_reductive(g: ReductiveRealGroup, cocycle: list,
             continue
         pos = classes.class_indices.index(idx)
         h = mmul(mmul(mmul(mmul(uhalf, t1), v_conj), e.n), t2)
-        out = mmul(mmul(minverse(h, tower), cocycle), g.gamma(h))
-        if not meq(out, classes.representatives[pos]):
+        if not meq(g.real.twist(h, cocycle), classes.representatives[pos]):
             raise ReductiveError("witness-verification-failed")
         return pos, h
     raise ReductiveError("equivalence-search-failed")

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .field import FieldTower, format_element, parse_element, split_poly
+from .field import (FieldTower, RealcohError, format_element, parse_element,
+                    split_poly)
 from .gammacoh import CohomologyResult, GammaModule, ShortComplex, hyper
 from .lattice import (
     gamma_decompose,
@@ -35,6 +36,7 @@ from .lattice import (
     transpose,
 )
 from .linalg import (
+    RealStructure,
     charpoly,
     left_kernel,
     mconj,
@@ -48,10 +50,8 @@ from .linalg import (
 )
 
 
-class TorusError(Exception):
-    def __init__(self, code: str, message: str = ""):
-        self.code = code
-        super().__init__(message or code)
+class TorusError(RealcohError):
+    pass
 
 
 # -- multiplicative maps -------------------------------------------------------
@@ -163,7 +163,7 @@ class TorusPresentation:
     tower: FieldTower
     n: int
     lie_basis: list
-    nsigma: list
+    real: RealStructure
     c: list
     cinv: list
     d: int
@@ -217,10 +217,6 @@ class TorusPresentation:
     def lam_to_mu(self, coords: list) -> list:
         return mono_apply(coords, transpose(self.ainv))
 
-    def gamma_matrix(self, mat: list) -> list:
-        nsig_inv = minverse(self.nsigma, self.tower)
-        return mmul(mmul(self.nsigma, mconj(mat)), nsig_inv)
-
     def gamma_coords(self, coords: list) -> list:
         conj = [x.conj() for x in coords]
         return mono_apply(conj, transpose(self.tau))
@@ -240,7 +236,7 @@ class TorusPresentation:
                     for mat in self.lie_basis
                 ],
                 "N_sigma": [[format_element(x) for x in row]
-                            for row in self.nsigma],
+                            for row in self.real.nsigma],
             },
             separators=(",", ":"),
         )
@@ -415,7 +411,8 @@ def build_presentation(lie_basis: list, nsigma: list, tower: FieldTower,
     involution, even though N itself is not a real-structure matrix.
     """
     n = len(nsigma)
-    defect = mmul(nsigma, mconj(nsigma))
+    real = RealStructure(nsigma, tower)
+    defect = real.defect()
     if not meq(defect, meye(tower, n)):
         if not allow_defect:
             raise TorusError("invalid-real-structure", "N conj(N) != 1")
@@ -458,7 +455,7 @@ def build_presentation(lie_basis: list, nsigma: list, tower: FieldTower,
     else:
         a, ainv, nu, k, l, r = [], [], [], 0, 0, 0
     return TorusPresentation(
-        tower, n, lie_basis, nsigma, c, cinv, d, lam_lattice, m, p, tau,
+        tower, n, lie_basis, real, c, cinv, d, lam_lattice, m, p, tau,
         a, ainv, nu, k, l, r,
     )
 
@@ -532,9 +529,9 @@ def trivialize_cocycle(t: TorusPresentation, z) -> tuple:
     rep_u = [tower.from_rational(sg) for sg in signs] + \
         [tower.one()] * (t.d - t.k)
     rep = t.mu(rep_u)
-    sinv = minverse(s, tower)
-    check = mmul(mmul(sinv, t.lam(coords)), t.gamma_matrix(s))
-    assert meq(check, rep)
+    if not meq(t.real.twist(s, t.lam(coords)), rep):
+        raise TorusError("witness-verification-failed",
+                         "s^-1 * z * gamma(s) != rep")
     return rep, signs, s
 
 
@@ -641,10 +638,12 @@ def h2_quasitorus(q: QuasiTorusDatum) -> QuasiTorusH2Result:
         gpre = t.gamma_coords(pre)
         d1 = [x * y for x, y in zip(gpre, pre)]
         a_coords = [x * y for x, y in zip(nu_elt, d1)]
-        ga = t.gamma_coords(a_coords)
-        assert all(x == y for x, y in zip(ga, a_coords))
+        a_mat = t.lam(a_coords)
+        if not t.real.fixes(a_mat):
+            raise TorusError("cocycle-verification-failed",
+                             "gamma(a) != a")
         coords_list.append(a_coords)
-        mats.append(t.lam(a_coords))
+        mats.append(a_mat)
     return QuasiTorusH2Result(q, res, coords_list, mats)
 
 
@@ -657,16 +656,17 @@ def h2_is_coboundary(q: QuasiTorusDatum, c: list):
     """
     t = q.torus
     tower = t.tower
-    if not meq(t.gamma_matrix(c), c):
+    if not t.real.fixes(c):
         raise TorusError("not-cocycle")
     reps = q.component_reps or [meye(tower, t.n)]
     for r in reps:
-        norm_r = mmul(r, t.gamma_matrix(r))
+        norm_r = mmul(r, t.real.gamma(r))
         z = mmul(c, minverse(norm_r, tower))
         if q.component_torus is None:
             if meq(z, meye(tower, t.n)):
-                check = mmul(r, t.gamma_matrix(r))
-                assert meq(check, c)
+                if not meq(norm_r, c):
+                    raise TorusError("witness-verification-failed",
+                                     "s * gamma(s) != c")
                 return r
             continue
         ct = q.component_torus
@@ -701,6 +701,6 @@ def h2_is_coboundary(q: QuasiTorusDatum, c: list):
             w[pos] = u[pos]
         s0 = ct.mu(w)
         s = mmul(s0, r)
-        if meq(mmul(s, t.gamma_matrix(s)), c):
+        if meq(mmul(s, t.real.gamma(s)), c):
             return s
     return None

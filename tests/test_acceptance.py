@@ -263,8 +263,8 @@ def test_criterion_03_quasitorus_embedding_independence():
         reps2 = [t2.lam([zeta ** j, one]) for j in range(m)]
         q1.component_reps = reps1
         q2.component_reps = reps2
-        gamma1 = _gamma_fn(t1.nsigma, tower)
-        gamma2 = _gamma_fn(t2.nsigma, tower)
+        gamma1 = _gamma_fn(t1.real.nsigma, tower)
+        gamma2 = _gamma_fn(t2.real.nsigma, tower)
         for _ in range(5):
             j = rng.randrange(m)
             shift = rng.randrange(m)
@@ -373,7 +373,7 @@ def test_criterion_06_witness_soundness():
         word = _rand_word(rng, 4)
         tower = FieldTower()
         pres = catalog._torus_entry("".join(word), tower).group
-        gamma = _gamma_fn(pres.nsigma, tower)
+        gamma = _gamma_fn(pres.real.nsigma, tower)
         reps = h1_torus(pres).representatives
         for z in reps:
             coords = [tower.from_rational(rng.choice((1, 2, 3)))

@@ -81,7 +81,7 @@ def test_o2_three_classes():
     assert res.order() == 3
     assert not res.blocked and not res.non_lifting
     for z in res.representatives:
-        assert meq(mmul(z, res.group.gamma(z)), meye(tower, 2))
+        assert meq(mmul(z, res.group.real.gamma(z)), meye(tower, 2))
 
 
 def test_o3_four_classes():
@@ -90,7 +90,7 @@ def test_o3_four_classes():
     assert res.order() == 4
     assert not res.blocked and not res.non_lifting
     for z in res.representatives:
-        assert meq(mmul(z, res.group.gamma(z)), meye(tower, 3))
+        assert meq(mmul(z, res.group.real.gamma(z)), meye(tower, 3))
 
 
 def test_connected_group_reduces_to_torus_pipeline():
@@ -167,7 +167,7 @@ def test_problem2_self_classification():
         for j, z in enumerate(res.representatives):
             idx, b = solve_problem2_nonconnected(g, z, classes=res)
             assert idx == j
-            out = mmul(mmul(minverse(b, tower), z), g.gamma(b))
+            out = mmul(mmul(minverse(b, tower), z), g.real.gamma(b))
             assert meq(out, res.representatives[idx])
 
 
@@ -181,10 +181,10 @@ def test_problem2_twisted_o2():
     b = tower.i() * tower.from_rational(Fraction(3, 4))
     twist = [[a, b], [-b, a]]
     for j, z in enumerate(res.representatives):
-        zt = mmul(mmul(minverse(twist, tower), z), g.gamma(twist))
+        zt = mmul(mmul(minverse(twist, tower), z), g.real.gamma(twist))
         idx, wit = solve_problem2_nonconnected(g, zt, classes=res)
         assert idx == j
-        out = mmul(mmul(minverse(wit, tower), zt), g.gamma(wit))
+        out = mmul(mmul(minverse(wit, tower), zt), g.real.gamma(wit))
         assert meq(out, res.representatives[idx])
 
 
@@ -197,10 +197,10 @@ def test_problem2_twisted_across_component():
          [tower.zero(), tower.from_rational(Fraction(1, 3))]]
     for twist in (d, mmul(w, d)):
         for j, z in enumerate(res.representatives):
-            zt = mmul(mmul(minverse(twist, tower), z), g.gamma(twist))
+            zt = mmul(mmul(minverse(twist, tower), z), g.real.gamma(twist))
             idx, wit = solve_problem2_nonconnected(g, zt, classes=res)
             assert idx == j
-            out = mmul(mmul(minverse(wit, tower), zt), g.gamma(wit))
+            out = mmul(mmul(minverse(wit, tower), zt), g.real.gamma(wit))
             assert meq(out, res.representatives[idx])
 
 

@@ -158,7 +158,7 @@ def test_so23_three_classes():
     assert res.order() == 3
     ident = meye(tower, 5)
     for z in res.representatives:
-        assert meq(mmul(z, g.gamma(z)), ident)
+        assert meq(mmul(z, g.real.gamma(z)), ident)
 
 
 def test_so23_count_independent_of_cartan_choice():
@@ -177,8 +177,8 @@ def test_action_well_defined_under_representative_change():
     t = g.torus.lam([tower.from_rational(2) + tower.i()])
     n2 = mmul(e.n, t)
     for z in res.representatives:
-        z1 = mmul(mmul(minverse(e.n, tower), z), g.gamma(e.n))
-        z2 = mmul(mmul(minverse(n2, tower), z), g.gamma(n2))
+        z1 = mmul(mmul(minverse(e.n, tower), z), g.real.gamma(e.n))
+        z2 = mmul(mmul(minverse(n2, tower), z), g.real.gamma(n2))
         _, s1, _ = trivialize_cocycle(g.torus, z1)
         _, s2, _ = trivialize_cocycle(g.torus, z2)
         assert s1 == s2
@@ -220,7 +220,7 @@ def unimodular_diagonalizer(m2, tower):
 
 
 def check_witness(g, cocycle, res, idx, h):
-    out = mmul(mmul(minverse(h, g.tower), cocycle), g.gamma(h))
+    out = mmul(mmul(minverse(h, g.tower), cocycle), g.real.gamma(h))
     assert meq(out, res.representatives[idx])
 
 
@@ -229,7 +229,7 @@ def test_problem2_sl2r_torus_twist():
     g = sl2r(tower)
     res = h1_connected_reductive(g)
     s = g.torus.lam([tower.from_rational(2)])
-    cocycle = mmul(minverse(s, tower), g.gamma(s))
+    cocycle = mmul(minverse(s, tower), g.real.gamma(s))
     idx, h = solve_problem2_reductive(g, cocycle, classes=res)
     assert idx == 0
     check_witness(g, cocycle, res, idx, h)
@@ -266,7 +266,7 @@ def test_problem2_sl2r_unipotent_part():
     i = tower.i()
     one = tower.one()
     cocycle = [[-one, -i], [tower.zero(), -one]]
-    assert meq(mmul(cocycle, g.gamma(cocycle)), meye(tower, 2))
+    assert meq(mmul(cocycle, g.real.gamma(cocycle)), meye(tower, 2))
     idx, h = solve_problem2_reductive(g, cocycle, classes=res)
     assert idx == 0
     check_witness(g, cocycle, res, idx, h)
@@ -281,7 +281,7 @@ def test_problem2_su2_central_and_twisted():
     check_witness(g, minus, res, idx_minus, h)
     # twist by a non-real torus element: same class, nontrivial witness
     t = g.torus.lam([tower.from_rational(2)])
-    cocycle = mmul(mmul(minverse(t, tower), minus), g.gamma(t))
+    cocycle = mmul(mmul(minverse(t, tower), minus), g.real.gamma(t))
     idx, h = solve_problem2_reductive(g, cocycle, classes=res)
     assert idx == idx_minus
     check_witness(g, cocycle, res, idx, h)
@@ -296,7 +296,7 @@ def test_problem2_so23_roundtrip():
     t = g.torus.lam([u1, u2])
     tinv = minverse(t, tower)
     for want, z in enumerate(res.representatives):
-        cocycle = mmul(mmul(tinv, z), g.gamma(t))
+        cocycle = mmul(mmul(tinv, z), g.real.gamma(t))
         idx, h = solve_problem2_reductive(g, cocycle, classes=res)
         assert idx == want
         check_witness(g, cocycle, res, idx, h)
@@ -315,7 +315,7 @@ def test_problem2_su2_needs_conjugator():
     m = [[one, i], [zero, one]]
     r = iota(m, tower)
     minus = [[-x for x in row] for row in meye(tower, 4)]
-    cocycle = mmul(mmul(minverse(r, tower), minus), g.gamma(r))
+    cocycle = mmul(mmul(minverse(r, tower), minus), g.real.gamma(r))
     with pytest.raises(ReductiveError) as err:
         solve_problem2_reductive(g, cocycle, classes=res)
     assert err.value.code == "conjugator-unavailable"
@@ -342,4 +342,4 @@ def test_realify_torus_conjugator_su2():
     conj = g.torus.lam([tower.from_rational(2)])
     t0_mats = g.datum.rows_to_mats(g.t0_rows)
     g_r = realify_torus_conjugator(g, t0_mats, conj)
-    assert meq(g.gamma(g_r), g_r)
+    assert meq(g.real.gamma(g_r), g_r)

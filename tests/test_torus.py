@@ -165,6 +165,17 @@ def test_trivialize_rejects_non_cocycle():
     assert err.value.code == "not-cocycle"
 
 
+def test_trivialize_wrong_witness_is_coded_error(monkeypatch):
+    # a wrong square root gives a witness s with s^-1 z gamma(s) != rep;
+    # the exact check raises a coded error rather than an assert
+    tower = FieldTower()
+    t = compact_gm(tower)
+    monkeypatch.setattr(tower, "sqrt", lambda x: x)
+    with pytest.raises(TorusError) as err:
+        trivialize_cocycle(t, t.lam([tower.from_rational(4)]))
+    assert err.value.code == "witness-verification-failed"
+
+
 def test_mu2_in_split_gm():
     tower = FieldTower()
     t = split_gm(tower)
@@ -186,7 +197,7 @@ def test_mu2_in_compact_gm():
     assert res.order() == 2
     for m in res.representatives:
         # every representative is gamma-fixed and squares into the kernel
-        assert meq(t.gamma_matrix(m), m)
+        assert meq(t.real.gamma(m), m)
         assert meq(mmul(m, m), meye(tower, 2))
 
 
@@ -202,7 +213,7 @@ def test_h2_full_split_torus():
     four = t.lam([tower.from_rational(4)])
     s = h2_is_coboundary(q, four)
     assert s is not None
-    assert meq(mmul(s, t.gamma_matrix(s)), four)
+    assert meq(mmul(s, t.real.gamma(s)), four)
     minus = t.lam([tower.from_rational(-1)])
     assert h2_is_coboundary(q, minus) is None
 
@@ -219,7 +230,7 @@ def test_h2_full_compact_torus():
     minus = t.lam([tower.from_rational(-1)])
     s = h2_is_coboundary(q, minus)
     assert s is not None
-    assert meq(mmul(s, t.gamma_matrix(s)), minus)
+    assert meq(mmul(s, t.real.gamma(s)), minus)
 
 
 def test_h2_full_induced_torus():
@@ -232,7 +243,7 @@ def test_h2_full_induced_torus():
     c = t.lam([u, u.conj()])
     s = h2_is_coboundary(q, c)
     assert s is not None
-    assert meq(mmul(s, t.gamma_matrix(s)), c)
+    assert meq(mmul(s, t.real.gamma(s)), c)
 
 
 def test_finite_subgroup_coboundary_loop():
