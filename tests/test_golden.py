@@ -1,16 +1,24 @@
-"""Byte-for-byte regression net for `realcoh h1 catalog:NAME`.
+"""Byte-for-byte regression net for `realcoh h1` and `realcoh equiv`.
 
 `tests/golden/h1_catalog.json` maps every name of `catalog.list_names()` to
-the exact stdout of `realcoh h1 catalog:NAME`.  Regenerate it (only when an
-output change is intended) with
+the exact stdout of `realcoh h1 catalog:NAME`.
 
-    PYTHONPATH=src python tests/test_golden.py
+`tests/golden/equiv_catalog.json` maps every name to one
+`{"exit": CODE, "stdout": TEXT}` per class listed in that h1 output, in class
+order: the result of `realcoh equiv catalog:NAME --cocycle REP` with REP the
+class's representative written to a JSON file.  It pins the witnesses.
+
+Regenerate them (only when an output change is intended) with
+
+    PYTHONPATH=src python tests/test_golden.py [h1] [equiv]
 """
 
 import contextlib
 import io
 import json
 import pathlib
+import sys
+import tempfile
 
 import pytest
 
@@ -18,21 +26,43 @@ from realcoh import catalog
 from realcoh.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "h1_catalog.json"
+EQUIV_GOLDEN = pathlib.Path(__file__).parent / "golden" / "equiv_catalog.json"
+
+
+def cli_stdout(*argv) -> tuple:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    return code, buf.getvalue()
 
 
 def h1_stdout(name: str) -> str:
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        main(["h1", f"catalog:{name}"])
-    return buf.getvalue()
+    return cli_stdout("h1", f"catalog:{name}")[1]
+
+
+def equiv_results(name: str, h1_out: str, directory: pathlib.Path) -> list:
+    """`realcoh equiv` on each listed representative of an h1 report."""
+    out = []
+    for cls in json.loads(h1_out)["classes"]:
+        path = directory / f"rep{cls['index']}.json"
+        path.write_text(json.dumps(cls["representative"]), encoding="utf-8")
+        code, stdout = cli_stdout("equiv", f"catalog:{name}",
+                                  "--cocycle", str(path))
+        out.append({"exit": code, "stdout": stdout})
+    return out
 
 
 def _golden() -> dict:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
+def _equiv_golden() -> dict:
+    return json.loads(EQUIV_GOLDEN.read_text(encoding="utf-8"))
+
+
 def test_golden_covers_every_catalog_name():
     assert sorted(_golden()) == sorted(catalog.list_names())
+    assert sorted(_equiv_golden()) == sorted(catalog.list_names())
 
 
 @pytest.mark.parametrize("name", catalog.list_names())
@@ -40,8 +70,26 @@ def test_h1_catalog_matches_golden(name):
     assert h1_stdout(name) == _golden()[name]
 
 
+@pytest.mark.parametrize("name", catalog.list_names())
+def test_equiv_catalog_matches_golden(name, tmp_path):
+    assert equiv_results(name, _golden()[name], tmp_path) == \
+        _equiv_golden()[name]
+
+
+def _write(path: pathlib.Path, table: dict) -> None:
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(table, indent=1, ensure_ascii=False) + "\n",
+                    encoding="utf-8")
+
+
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
-    table = {name: h1_stdout(name) for name in catalog.list_names()}
-    GOLDEN.write_text(json.dumps(table, indent=1, ensure_ascii=False) + "\n",
-                      encoding="utf-8")
+    which = sys.argv[1:] or ["h1", "equiv"]
+    if "h1" in which:
+        _write(GOLDEN, {name: h1_stdout(name)
+                        for name in catalog.list_names()})
+    if "equiv" in which:
+        h1 = _golden()
+        with tempfile.TemporaryDirectory() as tmp:
+            _write(EQUIV_GOLDEN, {
+                name: equiv_results(name, h1[name], pathlib.Path(tmp))
+                for name in catalog.list_names()})
