@@ -32,10 +32,10 @@ from dataclasses import dataclass, field
 from .field import FieldTower, RealcohError, format_element
 from .h2nab import ScCoverData, chevalley_cover
 from .linalg import mat_from_ints, meye, mzeros
-from .nonconnected import NonConnectedGroup, build_nonconnected
-from .nonreductive import LeviSplitGroup, build_levi_split
-from .reductive import ReductiveRealGroup, build_reductive
-from .torus import TorusPresentation, build_presentation
+from .nonconnected import build_nonconnected
+from .nonreductive import build_levi_split
+from .reductive import build_reductive
+from .torus import build_presentation
 
 import json
 

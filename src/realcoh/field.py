@@ -15,7 +15,7 @@ complex elements factor through their modulus.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 import mpmath
 
@@ -122,7 +122,9 @@ class FieldTower:
         if hit is not None:
             return hit
         r = self._sqrt_inner(x)
-        assert (r * r - x).is_zero()
+        if not (r * r - x).is_zero():
+            raise FieldError("sqrt-verification-failed",
+                             "the computed root does not square to x")
         r = _canonical_sign(r)
         if len(self._sqrt_cache) < _SQRT_CACHE_LIMIT:
             self._sqrt_cache[key] = r
@@ -435,7 +437,9 @@ class FieldElement:
         with mpmath.workprec(prec):
             total = iv.mpf(0)
             for (ib, mask), c in self.coords.items():
-                assert ib == 0
+                if ib:
+                    raise FieldError("not-real",
+                                     "real enclosure of a non-real element")
                 term = iv.mpf(c.numerator) / iv.mpf(c.denominator)
                 k = 0
                 m = mask
@@ -752,5 +756,7 @@ def split_poly(p: list, tower: FieldTower) -> list:
         for factor in _split_squarefree(sqfree, tower):
             out.append(factor)
             rest, rem = poly_divmod(rest, factor, tower)
-            assert not rem
+            if rem:
+                raise FieldError("factor-verification-failed",
+                                 "split factor does not divide the polynomial")
     return out

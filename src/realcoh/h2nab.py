@@ -274,7 +274,9 @@ def root_of_unity(tower: FieldTower, n: int):
         for _ in range(a - 2):
             z2 = tower.sqrt(z2)
     z = z2 * zodd
-    assert z ** n == 1 and all(z ** k != 1 for k in range(1, n))
+    if z ** n != 1 or any(z ** k == 1 for k in range(1, n)):
+        raise H2Error("root-of-unity-verification-failed",
+                      f"not a primitive root of unity of order {n}")
     return z
 
 

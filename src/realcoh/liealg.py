@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import (
-    FieldError,
     FieldTower,
     RealcohError,
     poly_divmod,
@@ -35,6 +34,7 @@ from .linalg import (
     mtrace,
     mzeros,
     row_reduce,
+    row_reduce_transform,
     solve_left,
     vmat,
 )
@@ -52,7 +52,7 @@ def rref_rows(vectors: list, tower: FieldTower) -> list:
     vecs = [v for v in vectors if any(not x.is_zero() for x in v)]
     if not vecs:
         return []
-    rows, _, pivots = row_reduce(vecs, tower)
+    rows, pivots = row_reduce(vecs)
     return rows[: len(pivots)]
 
 
@@ -713,7 +713,8 @@ class LieAlgebraDatum:
         self.n = len(basis[0])
         self.dim = len(basis)
         flat = [_flatten(m) for m in basis]
-        self._rref, self._trans, self._pivots = row_reduce(flat, tower)
+        self._rref, self._trans, self._pivots = row_reduce_transform(flat,
+                                                                     tower)
         if len(self._pivots) != self.dim:
             raise LieError("dependent-basis")
         table = [[self.coords(self.bracket(basis[a], basis[b]))

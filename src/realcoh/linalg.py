@@ -101,12 +101,11 @@ def _sub_multiple(row: list, f, nonzero: list) -> list:
     return out
 
 
-def row_reduce(a: list, tower: FieldTower) -> tuple:
-    """Reduced row echelon form.  Returns (rref, transform, pivot columns)."""
+def row_reduce(a: list) -> tuple:
+    """Reduced row echelon form.  Returns (rref, pivot columns)."""
     rows = [list(r) for r in a]
     m = len(rows)
     n = len(rows[0]) if rows else 0
-    trans = meye(tower, m)
     pivots = []
     r = 0
     for c in range(n):
@@ -114,27 +113,34 @@ def row_reduce(a: list, tower: FieldTower) -> tuple:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        trans[r], trans[piv] = trans[piv], trans[r]
         inv = rows[r][c].inverse()
         rows[r] = [x * inv for x in rows[r]]
-        trans[r] = [x * inv for x in trans[r]]
-        piv_row, piv_trans = _nonzero(rows[r]), _nonzero(trans[r])
+        piv_row = _nonzero(rows[r])
         for i in range(m):
             if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = _sub_multiple(rows[i], f, piv_row)
-                trans[i] = _sub_multiple(trans[i], f, piv_trans)
+                rows[i] = _sub_multiple(rows[i], rows[i][c], piv_row)
         pivots.append(c)
         r += 1
         if r == m:
             break
-    return rows, trans, pivots
+    return rows, pivots
+
+
+def row_reduce_transform(a: list, tower: FieldTower) -> tuple:
+    """(rref, transform, pivot columns) with transform * a = rref, from one
+    reduction of the augmented matrix [a | 1].  A row of `a` that depends on
+    the others gets its pivot in the identity block, so fewer pivots than
+    rows come back exactly when the rows are dependent."""
+    n = len(a[0]) if a else 0
+    ident = meye(tower, len(a))
+    aug, pivots = row_reduce([list(r) + e for r, e in zip(a, ident)])
+    return ([r[:n] for r in aug], [r[n:] for r in aug],
+            [c for c in pivots if c < n])
 
 
 def minverse(a: list, tower: FieldTower) -> list:
-    n = len(a)
-    rref, trans, pivots = row_reduce(a, tower)
-    if len(pivots) < n:
+    _, trans, pivots = row_reduce_transform(a, tower)
+    if len(pivots) < len(a):
         raise FieldError("singular")
     return trans
 
@@ -145,7 +151,7 @@ def left_kernel(a: list, tower: FieldTower) -> list:
     if m == 0:
         return []
     at = mtranspose(a)
-    rref, _, pivots = row_reduce(at, tower)
+    rref, pivots = row_reduce(at)
     free = [j for j in range(m) if j not in pivots]
     basis = []
     for j in free:
@@ -165,7 +171,7 @@ def solve_left(a: list, target: list, tower: FieldTower):
     at = mtranspose(a)
     n = len(at)
     aug = [list(at[i]) + [target[i]] for i in range(n)]
-    rref, _, pivots = row_reduce(aug, tower)
+    rref, pivots = row_reduce(aug)
     if m in pivots:
         return None
     v = [tower.zero()] * m

@@ -35,7 +35,6 @@ from .liealg import (
 )
 from .linalg import RealStructure, meq, minverse, mmul, mscale
 from .reductive import (
-    ReductiveError,
     ReductiveH1Result,
     ReductiveRealGroup,
     build_reductive,

@@ -94,7 +94,7 @@ class ReductiveRealGroup:
 @dataclass
 class WeylOrbitTable:
     patterns: list   # H^1(T) sign patterns, canonical order
-    perms: list      # one permutation per W_0 element
+    perms: list      # one permutation per element of w0_generators
     orbits: list     # sorted index lists, ordered by smallest member
 
 
@@ -152,6 +152,11 @@ def _split_center(datum: LieAlgebraDatum, z_rows: list) -> tuple:
     if len(zs) + len(zc) != len(z_rows):
         raise ReductiveError("center-not-split")
     return zc, zs
+
+
+def _action_key(action: list) -> tuple:
+    """Exact key of a Weyl action matrix."""
+    return tuple(format_element(x) for row in action for x in row)
 
 
 def build_reductive(lie_basis: list, nsigma: list, k_mats: list,
@@ -253,19 +258,16 @@ def build_reductive(lie_basis: list, nsigma: list, k_mats: list,
     dim_t = len(t_rows)
     gen_actions = [action_of(n) for n in gens]
 
-    def key_of(r):
-        return tuple(format_element(x) for row in r for x in row)
-
     identity = WeylElement([], meye(tower, datum.n), meye(tower, dim_t))
     elements = [identity]
-    seen = {key_of(identity.action)}
+    seen = {_action_key(identity.action)}
     frontier = [identity]
     while frontier:
         nxt = []
         for e in frontier:
             for i, (gn, ga) in enumerate(zip(gens, gen_actions)):
                 act = mmul(ga, e.action)
-                k = key_of(act)
+                k = _action_key(act)
                 if k in seen:
                     continue
                 seen.add(k)
@@ -290,6 +292,36 @@ def build_reductive(lie_basis: list, nsigma: list, k_mats: list,
         torus=torus, root=root, weyl=elements, w0=w0)
 
 
+def w0_generators(g: ReductiveRealGroup) -> list:
+    """A generating set of W_0, taken greedily from g.w0 in its order.
+
+    An element is kept when its action lies outside the subgroup generated
+    by the elements kept so far; that subgroup is closed under products of
+    the action matrices.  The generators are elements of W_0 itself: when
+    t_0 != t the simple reflections of W need not lie in W_0."""
+    ident = meye(g.tower, len(g.t_rows))
+    closure = {_action_key(ident): ident}
+    gens = []
+    for e in g.w0:
+        if len(closure) == len(g.w0):
+            break
+        if _action_key(e.action) in closure:
+            continue
+        gens.append(e)
+        frontier = list(closure.values())
+        while frontier:
+            nxt = []
+            for a in frontier:
+                for s in gens:
+                    b = mmul(s.action, a)
+                    k = _action_key(b)
+                    if k not in closure:
+                        closure[k] = b
+                        nxt.append(b)
+            frontier = nxt
+    return gens
+
+
 def _twist(g: ReductiveRealGroup, n: list, z: list) -> list:
     """One W_0 twist n^-1 z gamma(n); a module function so that the W_0
     scans can be timed and counted per twist (perfbench traces it)."""
@@ -299,8 +331,10 @@ def _twist(g: ReductiveRealGroup, n: list, z: list) -> list:
 def weyl_action(g: ReductiveRealGroup) -> WeylOrbitTable:
     """Permutation action of W_0 on the H^1(T) sign-pattern classes.
 
-    The twist z -> n^-1 z gamma(n) is affine on the sign group: since T(C)
-    is abelian, phi(z z') phi(1) = phi(z) phi(z') holds exactly as matrices,
+    Orbits are fixed by a generating set, so only the elements of
+    w0_generators are evaluated, one permutation each.  The twist
+    z -> n^-1 z gamma(n) is affine on the sign group: since T(C) is
+    abelian, phi(z z') phi(1) = phi(z) phi(z') holds exactly as matrices,
     so the class map satisfies P(eps eps') = P(eps) P(eps') P(1)^-1.  Each
     element is therefore evaluated on the identity pattern and the k
     one-sign-flip patterns only; the rest of the permutation follows by
@@ -314,7 +348,7 @@ def weyl_action(g: ReductiveRealGroup) -> WeylOrbitTable:
     probe += [patterns.index([1] * j + [-1] + [1] * (k - 1 - j))
               for j in range(k)]
     perms = []
-    for e in g.w0:
+    for e in w0_generators(g):
         images = []
         for idx in probe:
             zp = _twist(g, e.n, res.representatives[idx])

@@ -90,7 +90,9 @@ def root_of_minus_one(tower: FieldTower, m: int):
         y = u  # (-1)^odd = -1 for odd exponents
     else:
         y = u ** _mod_inverse(odd, 2 ** (a + 1))
-    assert y ** m == -1
+    if y ** m != -1:
+        raise TorusError("root-verification-failed",
+                         f"the computed root does not satisfy y^{m} = -1")
     return y
 
 

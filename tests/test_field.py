@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from realcoh import field
 from realcoh.field import (
     FieldError,
     FieldTower,
@@ -215,3 +216,26 @@ def test_monomial_products(tower):
                        * b.complex_approx()) < 1e-9
     assert (i * r2) * (i * r2) == -2
     assert tower.zero() * r2 == 0 and r2 * tower.zero() == 0
+
+
+def test_sqrt_wrong_root_is_coded_error(tower, monkeypatch):
+    monkeypatch.setattr(FieldTower, "_sqrt_inner", lambda self, x: self.one())
+    with pytest.raises(FieldError) as err:
+        tower.sqrt(tower.from_rational(5))
+    assert err.value.code == "sqrt-verification-failed"
+
+
+def test_real_enclosure_of_non_real_is_coded_error(tower):
+    with pytest.raises(FieldError) as err:
+        (tower.i() + 1)._real_interval(53)
+    assert err.value.code == "not-real"
+
+
+def test_split_poly_wrong_factor_is_coded_error(tower, monkeypatch):
+    # x + 1 does not divide x^2 - 4
+    monkeypatch.setattr(field, "_split_squarefree",
+                        lambda p, tw: [[tw.one(), tw.one()]])
+    with pytest.raises(FieldError) as err:
+        split_poly([tower.from_rational(-4), tower.zero(), tower.one()],
+                   tower)
+    assert err.value.code == "factor-verification-failed"

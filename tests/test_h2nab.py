@@ -13,6 +13,7 @@ from realcoh.h2nab import (
     neutralize_nonreductive,
     neutralize_reductive,
     neutralize_unipotent,
+    root_of_unity,
     _mono_solve,
     _snf_any,
 )
@@ -253,3 +254,18 @@ def test_nonreductive_two_stage_witness():
     assert res.neutral
     d = res.witness
     assert meq(mmul(mmul(d, c.f(d)), c.a), meye(tower, 2))
+
+
+def test_root_of_unity():
+    tower = FieldTower()
+    for n in (1, 2, 3, 4, 6, 8, 12):
+        z = root_of_unity(tower, n)
+        assert z ** n == 1 and all(z ** k != 1 for k in range(1, n))
+
+
+def test_root_of_unity_wrong_root_is_coded_error(monkeypatch):
+    tower = FieldTower()
+    monkeypatch.setattr(tower, "sqrt", lambda x: tower.one())
+    with pytest.raises(H2Error) as err:
+        root_of_unity(tower, 8)
+    assert err.value.code == "root-of-unity-verification-failed"

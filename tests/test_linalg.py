@@ -5,8 +5,12 @@ from fractions import Fraction
 
 import sympy
 
-from realcoh.field import FieldTower
-from realcoh.linalg import mmul, row_reduce, vmat
+import pytest
+
+from realcoh.field import FieldError, FieldTower
+from realcoh.liealg import LieAlgebraDatum
+from realcoh.linalg import mat_from_ints, meq, meye, minverse, mmul, \
+    row_reduce, vmat
 
 
 def _dense_mmul(a, b):
@@ -31,6 +35,10 @@ def _to_sympy(x):
     a, b = x._rat_coeff(0, 0), x._rat_coeff(1, 0)
     return sympy.Rational(a.numerator, a.denominator) \
         + sympy.I * sympy.Rational(b.numerator, b.denominator)
+
+
+def _sympy_matrix(a):
+    return sympy.Matrix([[_to_sympy(x) for x in row] for row in a])
 
 
 def test_mmul_and_vmat_match_dense_product():
@@ -59,11 +67,65 @@ def test_row_reduce_matches_sympy_rref():
         for _ in range(8):
             m, n = rng.randint(1, 5), rng.randint(1, 6)
             a = _rand_matrix(rng, pool, m, n, density)
-            rref, trans, pivots = row_reduce(a, tower)
-            want, want_pivots = sympy.Matrix(
-                [[_to_sympy(x) for x in row] for row in a]).rref()
+            rref, pivots = row_reduce(a)
+            want, want_pivots = _sympy_matrix(a).rref()
             assert list(pivots) == list(want_pivots)
             assert all(sympy.simplify(_to_sympy(rref[i][j]) - want[i, j]) == 0
                        for i in range(m) for j in range(n))
-            assert all(x == y for rp, ra in zip(mmul(trans, a), rref)
-                       for x, y in zip(rp, ra))
+
+
+def test_minverse_of_random_gaussian_matrices():
+    rng = random.Random(13)
+    tower = FieldTower()
+    pool = _gaussian_pool(rng, tower)
+    inverted = 0
+    for n in range(1, 7):
+        for density in (0.5, 1.0):
+            for _ in range(4):
+                a = _rand_matrix(rng, pool, n, n, density)
+                if _sympy_matrix(a).det() == 0:
+                    with pytest.raises(FieldError) as err:
+                        minverse(a, tower)
+                    assert err.value.code == "singular"
+                    continue
+                inv = minverse(a, tower)
+                assert meq(mmul(inv, a), meye(tower, n))
+                assert meq(mmul(a, inv), meye(tower, n))
+                inverted += 1
+    assert inverted >= 30
+
+
+def test_minverse_rank_deficient_is_singular():
+    tower = FieldTower()
+    i = tower.i()
+    r1 = [tower.one(), i, tower.from_rational(Fraction(1, 2))]
+    r2 = [i + 1, tower.zero(), tower.from_rational(3)]
+    r3 = [x * 2 - i * y for x, y in zip(r1, r2)]
+    zero_row = mat_from_ints(tower, [[0, 0], [0, 1]])
+    for a in ([r1, r2, r3], [r3, r1, r2], zero_row):
+        with pytest.raises(FieldError) as err:
+            minverse(a, tower)
+        assert err.value.code == "singular"
+
+
+def test_lie_coords_round_trip_through_from_coords():
+    # a basis of sl(2) in general position, so that the coordinate
+    # transform of LieAlgebraDatum is far from the identity
+    rng = random.Random(14)
+    tower = FieldTower()
+    h = mat_from_ints(tower, [[1, 0], [0, -1]])
+    e = mat_from_ints(tower, [[0, 1], [0, 0]])
+    f = mat_from_ints(tower, [[0, 0], [1, 0]])
+    i = tower.i()
+    basis = [[[x + 2 * y for x, y in zip(ra, rb)] for ra, rb in zip(e, h)],
+             [[i * x - y for x, y in zip(ra, rb)] for ra, rb in zip(f, e)],
+             [[x + y + i * z for x, y, z in zip(ra, rb, rc)]
+              for ra, rb, rc in zip(h, e, f)]]
+    datum = LieAlgebraDatum(basis, tower)
+    for k, m in enumerate(basis):
+        assert datum.coords(m) == [tower.one() if j == k else tower.zero()
+                                   for j in range(3)]
+    pool = _gaussian_pool(rng, tower)
+    for _ in range(10):
+        v = [rng.choice(pool) for _ in range(3)]
+        assert datum.coords(datum.from_coords(v)) == v

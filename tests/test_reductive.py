@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from realcoh.field import FieldTower
+from realcoh import catalog
+from realcoh.field import FieldTower, format_element
 from realcoh.linalg import (
     mat_from_ints,
     meq,
@@ -18,6 +19,7 @@ from realcoh.reductive import (
     realify_torus_conjugator,
     solve_problem2_reductive,
     trivialize_cocycle,
+    w0_generators,
     weyl_action,
 )
 from realcoh.torus import h1_torus
@@ -192,6 +194,87 @@ def test_weyl_table_is_permutation_table():
         assert sorted(perm) == list(range(4))
     # (+,+) and (-,-) give the same real form, the mixed patterns do not
     assert table.orbits == [[0, 3], [1], [2]]
+
+
+# -- W_0 generating set -----------------------------------------------------------
+
+# every reductive catalog entry, and the non-connected or non-reductive
+# entries that carry a reductive part
+REDUCTIVE_NAMES = ["so(1,2)", "so(2,3)", "so(3,4)", "so(4,5)", "sl(2,r)",
+                   "sl(3,r)", "sl(4,r)", "su(2,0)", "su(1,1)", "su(3,0)",
+                   "su(2,1)", "sp(4,r)"]
+REDUCTIVE_PART_NAMES = ["o(3)", "gm-affine", "sl2-c2"]
+
+
+def catalog_reductive(name):
+    entry = catalog.get(name, FieldTower())
+    return entry.group if entry.kind == "reductive" else entry.group.reductive
+
+
+def _action_key(action):
+    return tuple(format_element(x) for row in action for x in row)
+
+
+def _closure(g, actions):
+    """Keys of the group generated by the given Weyl action matrices."""
+    ident = meye(g.tower, len(g.t_rows))
+    seen = {_action_key(ident)}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for s in actions:
+                b = mmul(a, s)
+                k = _action_key(b)
+                if k not in seen:
+                    seen.add(k)
+                    nxt.append(b)
+        frontier = nxt
+    return seen
+
+
+def _reference_orbits(g):
+    """W_0-orbits of the H^1(T) patterns, each orbit read off by twisting
+    one representative by every element of W_0."""
+    res = h1_torus(g.torus)
+    index_of = {tuple(p): i for i, p in enumerate(res.sign_patterns)}
+    orbits, done = [], set()
+    for i, z in enumerate(res.representatives):
+        if i in done:
+            continue
+        orbit = set()
+        for e in g.w0:
+            zt = mmul(mmul(minverse(e.n, g.tower), z), g.real.gamma(e.n))
+            orbit.add(index_of[tuple(trivialize_cocycle(g.torus, zt)[1])])
+        orbits.append(sorted(orbit))
+        done |= orbit
+    return orbits
+
+
+@pytest.mark.parametrize("name", REDUCTIVE_NAMES + REDUCTIVE_PART_NAMES)
+def test_w0_generators_give_the_w0_orbits(name):
+    g = catalog_reductive(name)
+    assert g is not None
+    gens = w0_generators(g)
+    w0_keys = {_action_key(e.action) for e in g.w0}
+    assert all(_action_key(e.action) in w0_keys for e in gens)
+    assert _closure(g, [e.action for e in gens]) == w0_keys
+    table = weyl_action(g)
+    assert len(table.perms) == len(gens)
+    assert table.orbits == _reference_orbits(g)
+
+
+@pytest.mark.parametrize("name,order_w", [("sl(3,r)", 6), ("sl(4,r)", 24)])
+def test_w0_generators_when_w0_is_not_w(name, order_w):
+    # t_0 != t: the simple reflections of W are not in W_0, so they are no
+    # substitute for a generating set of W_0
+    g = catalog_reductive(name)
+    assert len(g.weyl) == order_w
+    assert len(g.w0) < order_w
+    simple = [e for e in g.weyl if len(e.word) == 1]
+    w0_keys = {_action_key(e.action) for e in g.w0}
+    assert _closure(g, [e.action for e in simple]) != w0_keys
+    assert _closure(g, [e.action for e in w0_generators(g)]) == w0_keys
 
 
 # -- equivalence witnesses --------------------------------------------------------

@@ -302,6 +302,14 @@ def test_root_of_minus_one():
         assert y ** m == -1
 
 
+def test_root_of_minus_one_wrong_root_is_coded_error(monkeypatch):
+    tower = FieldTower()
+    monkeypatch.setattr(tower, "sqrt", lambda x: tower.one())
+    with pytest.raises(TorusError) as err:
+        root_of_minus_one(tower, 4)
+    assert err.value.code == "root-verification-failed"
+
+
 def test_presentation_json_roundtrip():
     tower = FieldTower()
     t = compact_gm(tower)
