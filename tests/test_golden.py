@@ -10,14 +10,13 @@ class's representative written to a JSON file.  It pins the witnesses.
 
 Regenerate them (only when an output change is intended) with
 
-    PYTHONPATH=src python tests/test_golden.py [h1] [equiv]
+    PYTHONPATH=src python tests/test_golden.py
 """
 
 import contextlib
 import io
 import json
 import pathlib
-import sys
 import tempfile
 
 import pytest
@@ -83,13 +82,9 @@ def _write(path: pathlib.Path, table: dict) -> None:
 
 
 if __name__ == "__main__":
-    which = sys.argv[1:] or ["h1", "equiv"]
-    if "h1" in which:
-        _write(GOLDEN, {name: h1_stdout(name)
-                        for name in catalog.list_names()})
-    if "equiv" in which:
-        h1 = _golden()
-        with tempfile.TemporaryDirectory() as tmp:
-            _write(EQUIV_GOLDEN, {
-                name: equiv_results(name, h1[name], pathlib.Path(tmp))
-                for name in catalog.list_names()})
+    _write(GOLDEN, {name: h1_stdout(name) for name in catalog.list_names()})
+    h1 = _golden()
+    with tempfile.TemporaryDirectory() as tmp:
+        _write(EQUIV_GOLDEN, {
+            name: equiv_results(name, h1[name], pathlib.Path(tmp))
+            for name in catalog.list_names()})

@@ -10,7 +10,7 @@ import pytest
 from realcoh.field import FieldError, FieldTower
 from realcoh.liealg import LieAlgebraDatum
 from realcoh.linalg import mat_from_ints, meq, meye, minverse, mmul, \
-    row_reduce, vmat
+    row_reduce, row_reduce_transform, vmat
 
 
 def _dense_mmul(a, b):
@@ -72,6 +72,9 @@ def test_row_reduce_matches_sympy_rref():
             assert list(pivots) == list(want_pivots)
             assert all(sympy.simplify(_to_sympy(rref[i][j]) - want[i, j]) == 0
                        for i in range(m) for j in range(n))
+            block, trans, block_pivots = row_reduce_transform(a, tower)
+            assert meq(block, rref) and block_pivots == pivots
+            assert meq(mmul(trans, a), rref)
 
 
 def test_minverse_of_random_gaussian_matrices():
