@@ -161,6 +161,11 @@ def _sopq_data(p: int, q: int, tower: FieldTower):
 def _sopq_entry(p: int, q: int, tower: FieldTower) -> CatalogEntry:
     if p + q > 9 or p + q < 2 or p < 0 or q < 0:
         raise CatalogError("unknown-name", f"so({p},{q}) out of range")
+    if p + q == 2:
+        raise CatalogError(
+            "unknown-name",
+            f"so({p},{q}) is a one-dimensional torus: use "
+            + ("catalog:torus:e" if p == q else "catalog:torus:f"))
     basis, k_mats, p_mats = _sopq_data(p, q, tower)
     # standard block rotations: a Cartan subalgebra of so(p) x so(q) whose
     # adjoint eigenvalues stay inside the square-root tower
@@ -177,7 +182,9 @@ def _sopq_entry(p: int, q: int, tower: FieldTower) -> CatalogEntry:
         cartan.append(m)
     group = build_reductive(basis, meye(tower, p + q), k_mats, p_mats,
                             tower, cartan_k_mats=cartan)
-    expected = {"h1_order": -(-(p + q) // 2)}
+    # quadratic forms of dimension p+q and the discriminant of (p, q): one
+    # for each q' = q (mod 2) with 0 <= q' <= p+q
+    expected = {"h1_order": len(range(q % 2, p + q + 1, 2))}
     return CatalogEntry(name=f"so({p},{q})", kind="reductive", tower=tower,
                         lie_basis=basis, nsigma=meye(tower, p + q),
                         k_mats=k_mats, p_mats=p_mats, cartan_k_mats=cartan,

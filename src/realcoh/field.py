@@ -15,6 +15,7 @@ complex elements factor through their modulus.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Union
 
 import mpmath
@@ -672,6 +673,102 @@ def poly_derivative(p: list, tower: FieldTower) -> list:
 
 
 def _factor_gaussian(p: list, tower: FieldTower) -> list:
+    """Monic irreducible factors over Q(i) of a monic square-free polynomial
+    with Gaussian-rational coefficients, in the order of sympy's factor_list.
+
+    The roots in Q(i) are split off exactly first; sympy factors only a
+    cofactor of degree >= 3, and finds there any root the first pass missed.
+    """
+    pieces, rest = _strip_gaussian_roots(p, tower)
+    if poly_degree(rest) >= 3:
+        pieces += _factor_sympy(rest, tower)
+    elif poly_degree(rest) >= 1:
+        pieces.append(rest)
+    return sorted(pieces, key=_sympy_order)
+
+
+def _sympy_order(f: list):
+    """sympy's sort key for square-free factors over QQ<I>: the degree, then
+    the coefficients from the top down, each as its ANP representation
+    [b, a] for a + b*i ([a] when b = 0, [] for 0)."""
+    def rep(c):
+        a, b = c._rat_coeff(0, 0), c._rat_coeff(1, 0)
+        return [b, a] if b else ([a] if a else [])
+
+    return len(f), [rep(c) for c in reversed(f)]
+
+
+def _strip_gaussian_roots(p: list, tower: FieldTower):
+    """Split the roots in Q(i) off a monic square-free Gaussian polynomial p
+    of degree n: (linear factors, cofactor).
+
+    With D the common denominator of the coefficients, g(y) = D^n p(y/D) is
+    monic over Z[i], so a root of p in Q(i) is y/D for a Gaussian integer
+    root y of g.  Rounded complex approximations of the roots of g propose
+    the y; exact division accepts them.  A quadratic cofactor that still
+    splits over Q(i) is split by its closed form.
+    """
+    n = poly_degree(p)
+    den = 1
+    for c in p:
+        den = lcm(den, c._rat_coeff(0, 0).denominator,
+                  c._rat_coeff(1, 0).denominator)
+    try:
+        g = [complex(c._rat_coeff(0, 0) * den ** (n - k),
+                     c._rat_coeff(1, 0) * den ** (n - k))
+             for k, c in enumerate(p)]
+        approx = _approx_roots(g)
+    except (OverflowError, ZeroDivisionError):
+        approx = []
+    one = tower.one()
+    linear, rest, tried = [], p, set()
+    for z in approx:
+        if not (abs(z.real) < 2 ** 52 and abs(z.imag) < 2 ** 52):
+            continue
+        y = (round(z.real), round(z.imag))
+        if y in tried:
+            continue
+        tried.add(y)
+        root = (tower.from_rational(Fraction(y[0], den))
+                + tower.from_rational(Fraction(y[1], den)) * tower.i())
+        quot, rem = poly_divmod(rest, [-root, one], tower)
+        if not rem:
+            linear.append([-root, one])
+            rest = quot
+    if poly_degree(rest) == 2:
+        b, c = rest[1], rest[0]
+        s = tower._sqrt_gaussian(b * b - c * 4)
+        if s is not None:
+            linear += [[(b - s) / 2, one], [(b + s) / 2, one]]
+            rest = [one]
+    return linear, rest
+
+
+def _approx_roots(g: list, iterations: int = 100) -> list:
+    """Complex approximations of the roots of a monic polynomial (complex
+    coefficients, low degree first) by Weierstrass iteration."""
+    n = len(g) - 1
+    radius = 2 * max(abs(c) ** (1 / (n - k)) for k, c in enumerate(g[:-1]))
+    z = [(radius or 1) * complex(0.4, 0.9) ** k for k in range(n)]
+    for _ in range(iterations):
+        moved = 0.0
+        for k in range(n):
+            value = 0j
+            for c in reversed(g):
+                value = value * z[k] + c
+            den = 1
+            for j in range(n):
+                if j != k:
+                    den *= z[k] - z[j]
+            step = value / den
+            z[k] -= step
+            moved = max(moved, abs(step))
+        if moved <= 1e-12 * (1 + max(abs(x) for x in z)):
+            break
+    return z
+
+
+def _factor_sympy(p: list, tower: FieldTower) -> list:
     """Factor a polynomial with Gaussian-rational coefficients via sympy."""
     import sympy
 

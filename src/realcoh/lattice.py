@@ -386,6 +386,13 @@ def _apply(tau_t: list, v: list) -> list:
     return vec_mat(v, tau_t)
 
 
+def _verify(holds: bool) -> None:
+    if not holds:
+        raise LatticeError("decomposition-verification-failed",
+                           "a canonical basis vector has the wrong image "
+                           "under tau")
+
+
 def gamma_decompose(tau: list) -> CanonicalGammaBasis:
     """Canonical basis of (Z^m, tau) with tau an involution.
 
@@ -402,11 +409,11 @@ def gamma_decompose(tau: list) -> CanonicalGammaBasis:
     inv = mat_inverse(change)  # raises if not unimodular
     # verify block shapes
     for v in e_list:
-        assert _apply(tau_t, v) == v
+        _verify(_apply(tau_t, v) == v)
     for v in f_list:
-        assert _apply(tau_t, v) == [-x for x in v]
+        _verify(_apply(tau_t, v) == [-x for x in v])
     for g, h in gh_list:
-        assert _apply(tau_t, g) == h and _apply(tau_t, h) == g
+        _verify(_apply(tau_t, g) == h and _apply(tau_t, h) == g)
     return CanonicalGammaBasis(e_list, f_list, gh_list, change)
 
 
@@ -428,7 +435,7 @@ def _decompose_rec(tau: list, tau_t: list):
     e = [x // c for x in e]
     if _apply(tau_t, e) != e:
         e = [-x for x in e]
-    assert _apply(tau_t, e) == e
+    _verify(_apply(tau_t, e) == e)
     # Smith form of the single row e
     a, p, q = snf([e])
     qinv = mat_inverse(q)
@@ -447,14 +454,14 @@ def _decompose_rec(tau: list, tau_t: list):
     gh_list = [(lift(g), lift(h)) for g, h in sub[2]]
     # step (5): lifted e_i are exactly fixed
     for v in e_list:
-        assert _apply(tau_t, v) == v
+        _verify(_apply(tau_t, v) == v)
     # step (6): correct the h of each pair by a multiple of e
     fixed_pairs = []
     for g, h in gh_list:
         diff = [x - y for x, y in zip(_apply(tau_t, g), h)]
         l = _multiple_of(diff, e)
         h2 = [x + l * y for x, y in zip(h, e)]
-        assert _apply(tau_t, g) == h2 and _apply(tau_t, h2) == g
+        _verify(_apply(tau_t, g) == h2 and _apply(tau_t, h2) == g)
         fixed_pairs.append((g, h2))
     gh_list = fixed_pairs
     # step (7): correct each f by a multiple of e, splitting on parity
@@ -465,10 +472,10 @@ def _decompose_rec(tau: list, tau_t: list):
         k, rem = divmod(l, 2)
         f2 = [x - k * y for x, y in zip(f, e)]
         if rem == 0:
-            assert _apply(tau_t, f2) == [-x for x in f2]
+            _verify(_apply(tau_t, f2) == [-x for x in f2])
             plain_f.append(f2)
         else:
-            assert _apply(tau_t, f2) == [-x + y for x, y in zip(f2, e)]
+            _verify(_apply(tau_t, f2) == [-x + y for x, y in zip(f2, e)])
             odd_f.append(f2)
     # step (8): pair one odd f with e, fold the rest
     if not odd_f:
@@ -476,7 +483,7 @@ def _decompose_rec(tau: list, tau_t: list):
     f1 = odd_f[0]
     for f in odd_f[1:]:
         f2 = [x - y for x, y in zip(f, f1)]
-        assert _apply(tau_t, f2) == [-x for x in f2]
+        _verify(_apply(tau_t, f2) == [-x for x in f2])
         plain_f.append(f2)
     g = f1
     h = [-x + y for x, y in zip(f1, e)]

@@ -103,6 +103,9 @@ class SCAlgebra:
         self.table = table  # table[a][b] = coords of [e_a, e_b]
         self.tower = tower
         self.dim = len(table)
+        # the nonzero (c, coefficient) pairs of each table[a][b]
+        self._terms = [[[(c, x) for c, x in enumerate(entry) if not x.is_zero()]
+                        for entry in row] for row in table]
         if check:
             self._check()
 
@@ -133,16 +136,21 @@ class SCAlgebra:
         return [self._e(i) for i in range(self.dim)]
 
     def bracket(self, u: list, v: list) -> list:
-        out = [self.tower.zero()] * self.dim
-        for a in range(self.dim):
-            if u[a].is_zero():
+        v_nz = [(b, y) for b, y in enumerate(v) if not y.is_zero()]
+        acc = {}
+        for a, x in enumerate(u):
+            if x.is_zero():
                 continue
-            for b in range(self.dim):
-                if v[b].is_zero():
+            row = self._terms[a]
+            for b, y in v_nz:
+                terms = row[b]
+                if not terms:
                     continue
-                f = u[a] * v[b]
-                out = [x + f * y for x, y in zip(out, self.table[a][b])]
-        return out
+                f = x * y
+                for c, s in terms:
+                    acc[c] = acc[c] + f * s if c in acc else f * s
+        zero = self.tower.zero()
+        return [acc.get(c, zero) for c in range(self.dim)]
 
     def ad(self, u: list) -> list:
         """Matrix of ad(u) acting on coordinate rows, v |-> coords([u, v])."""
@@ -210,9 +218,6 @@ class SCAlgebra:
 
     def center_of(self, a: list) -> list:
         return self.centralizer(a, a)
-
-    def normalizer_contains(self, h: list, x: list) -> bool:
-        return all(in_span(self.bracket(x, y), h) for y in h)
 
     # -- quotients and subalgebras ---------------------------------------------
 
@@ -717,8 +722,13 @@ class LieAlgebraDatum:
                                                                      tower)
         if len(self._pivots) != self.dim:
             raise LieError("dependent-basis")
-        table = [[self.coords(self.bracket(basis[a], basis[b]))
-                  for b in range(self.dim)] for a in range(self.dim)]
+        zero = [tower.zero()] * self.dim
+        table = [[zero] * self.dim for _ in range(self.dim)]
+        for a in range(self.dim):
+            for b in range(a + 1, self.dim):
+                ab = self.coords(self.bracket(basis[a], basis[b]))
+                table[a][b] = ab
+                table[b][a] = [-x for x in ab]
         self.sc = SCAlgebra(table, tower, check=check_jacobi)
         self.real_form = all(self.contains(mconj(m)) for m in basis)
 

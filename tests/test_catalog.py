@@ -94,3 +94,24 @@ def test_torus_expected_orders():
     assert get("torus:fe").expected["h1_order"] == 2
     assert get("torus:d").expected["h1_order"] == 1
     assert get("torus:fd").expected["h1_order"] == 2
+
+
+@pytest.mark.parametrize("p,q", [(n - q, q) for n in range(3, 8)
+                                 for q in range(n + 1)])
+def test_so_pq_matches_quadratic_form_count(p, q):
+    # H^1(R, SO(p,q)) lists the quadratic forms of dimension p+q with the
+    # discriminant of (p, q): signatures (p+q-q', q') with q' = q (mod 2)
+    want = sum(1 for qq in range(p + q + 1) if qq % 2 == q % 2)
+    entry = get(f"so({p},{q})")
+    assert entry.expected["h1_order"] == want
+    assert class_count(entry) == want
+
+
+@pytest.mark.parametrize("name,torus", [("so(1,1)", "torus:e"),
+                                        ("so(2,0)", "torus:f"),
+                                        ("so(0,2)", "torus:f")])
+def test_abelian_so_pq_points_to_torus(name, torus):
+    with pytest.raises(CatalogError) as err:
+        get(name)
+    assert err.value.code == "unknown-name"
+    assert torus in str(err.value)

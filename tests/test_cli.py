@@ -183,6 +183,14 @@ def test_unknown_catalog_name_is_error(capsys):
     assert json.loads(out)["error"]["code"] == "unknown-name"
 
 
+def test_abelian_so_pq_is_unknown_name(capsys):
+    code, out = run(capsys, "h1", "catalog:so(1,1)")
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["code"] == "unknown-name"
+    assert "catalog:torus:e" in error["message"]
+
+
 def test_gaussian_backend_rejects_nonconnected(capsys):
     code, out = run(capsys, "--field=gaussian", "h1", "catalog:mu2")
     assert code == 1

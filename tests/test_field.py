@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -239,3 +240,66 @@ def test_split_poly_wrong_factor_is_coded_error(tower, monkeypatch):
         split_poly([tower.from_rational(-4), tower.zero(), tower.one()],
                    tower)
     assert err.value.code == "factor-verification-failed"
+
+
+def _gaussian_products(seed, count):
+    """Seeded monic products of distinct Gaussian-rational linear factors,
+    some times a quadratic irreducible over Q(i); degree 3 to 6."""
+    rng = random.Random(seed)
+    tower = FieldTower()
+
+    def gauss(a, b):
+        return tower.from_rational(a) + tower.from_rational(b) * tower.i()
+
+    def rat():
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4)))
+
+    quadratics = [[gauss(-2, 0), gauss(0, 0), gauss(1, 0)],    # x^2 - 2
+                  [gauss(3, 0), gauss(1, 0), gauss(1, 0)],     # x^2 + x + 3
+                  [gauss(0, -3), gauss(0, 0), gauss(1, 0)]]    # x^2 - 3i
+    out = []
+    while len(out) < count:
+        quadratic = rng.random() < 0.5
+        roots = set()
+        while len(roots) < rng.randint(1 if quadratic else 3, 4):
+            roots.add((rat(), rat()))
+        p = [tower.one()]
+        for a, b in sorted(roots):
+            p = poly_mul(p, [-gauss(a, b), tower.one()], tower)
+        if quadratic:
+            p = poly_mul(p, rng.choice(quadratics), tower)
+        out.append((p, tower))
+    return out
+
+
+def _same_factors(got, want):
+    return [[c.coords for c in f] for f in got] == \
+        [[c.coords for c in f] for f in want]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_factor_gaussian_matches_sympy(seed):
+    for p, tower in _gaussian_products(seed, 10):
+        assert _same_factors(field._factor_gaussian(p, tower),
+                             field._factor_sympy(p, tower))
+
+
+def test_factor_gaussian_missed_roots_match_sympy(monkeypatch):
+    # approximations that find one root, or none: sympy or the quadratic
+    # closed form must still give the same factors in the same order
+    approx_roots = field._approx_roots
+    for keep in (0, 1):
+        monkeypatch.setattr(field, "_approx_roots",
+                            lambda g: approx_roots(g)[:keep])
+        for p, tower in _gaussian_products(10 + keep, 6):
+            assert _same_factors(field._factor_gaussian(p, tower),
+                                 field._factor_sympy(p, tower))
+
+
+def test_factor_gaussian_huge_coefficients(tower):
+    # (x - 10^400)(x - i)(x + 1): too large for a float
+    one = tower.one()
+    p = poly_mul(poly_mul([-tower.from_rational(10 ** 400), one],
+                          [-tower.i(), one], tower), [one, one], tower)
+    assert _same_factors(field._factor_gaussian(p, tower),
+                         field._factor_sympy(p, tower))

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from realcoh import lattice
 from realcoh.lattice import (
     LatticeError,
     det_sign,
@@ -123,6 +124,25 @@ def test_gamma_decompose_glued():
     res = gamma_decompose(tau)
     assert mat_mul(tau, tau) == identity(2)
     assert res.counts == (0, 0, 1)
+
+
+def test_gamma_decompose_wrong_basis_is_coded_error(monkeypatch):
+    # a unimodular "fixed" vector that tau negates
+    monkeypatch.setattr(lattice, "_decompose_rec", lambda tau, tau_t:
+                        ([[1]], [], []))
+    with pytest.raises(LatticeError) as err:
+        gamma_decompose([[-1]])
+    assert err.value.code == "decomposition-verification-failed"
+
+
+def test_gamma_decompose_wrong_correction_is_coded_error(monkeypatch):
+    # an off-by-one multiple of e in the correction of f
+    multiple_of = lattice._multiple_of
+    monkeypatch.setattr(lattice, "_multiple_of",
+                        lambda v, e: multiple_of(v, e) + 1)
+    with pytest.raises(LatticeError) as err:
+        gamma_decompose([[0, 1], [1, 0]])
+    assert err.value.code == "decomposition-verification-failed"
 
 
 def test_solve_integer():

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from realcoh import catalog
 from realcoh.field import FieldTower
 from realcoh.liealg import (
     JordanPair,
@@ -444,3 +446,45 @@ def test_cartan_subalgebra_sl2():
     datum = sl2(tw)
     h = cartan_subalgebra(datum)
     assert len(h) == 1
+
+
+@pytest.fixture(scope="module", params=["so(3,4)", "sl(4,r)", "su(2,1)"])
+def catalog_datum(request):
+    entry = catalog.get(request.param)
+    return LieAlgebraDatum(entry.lie_basis, entry.tower)
+
+
+def _dense_bracket(sc, u, v):
+    """[u, v] summed over every pair of coordinates and every entry of the
+    structure-constant table."""
+    out = [sc.tower.zero()] * sc.dim
+    for a in range(sc.dim):
+        for b in range(sc.dim):
+            f = u[a] * v[b]
+            out = [x + f * y for x, y in zip(out, sc.table[a][b])]
+    return out
+
+
+def test_sparse_bracket_matches_dense(catalog_datum):
+    sc = catalog_datum.sc
+    tower = sc.tower
+    rng = random.Random(11)
+
+    def coord():
+        if rng.random() < 0.4:
+            return tower.zero()
+        return (tower.from_rational(Fraction(rng.randint(-5, 5),
+                                             rng.randint(1, 3)))
+                + tower.from_rational(rng.randint(-2, 2)) * tower.i())
+
+    for _ in range(4):
+        u = [coord() for _ in range(sc.dim)]
+        v = [coord() for _ in range(sc.dim)]
+        assert sc.bracket(u, v) == _dense_bracket(sc, u, v)
+
+
+def test_antisymmetric_table_matches_full_table(catalog_datum):
+    basis = catalog_datum.basis
+    full = [[catalog_datum.coords(catalog_datum.bracket(x, y)) for y in basis]
+            for x in basis]
+    assert catalog_datum.sc.table == full
