@@ -706,7 +706,8 @@ def _strip_gaussian_roots(p: list, tower: FieldTower):
     monic over Z[i], so a root of p in Q(i) is y/D for a Gaussian integer
     root y of g.  Rounded complex approximations of the roots of g propose
     the y; exact division accepts them.  A quadratic cofactor that still
-    splits over Q(i) is split by its closed form.
+    splits over Q(i) (a root the approximations missed) is split here by its
+    closed form, so that its roots are sorted with the others as sympy's are.
     """
     n = poly_degree(p)
     den = 1
@@ -721,16 +722,13 @@ def _strip_gaussian_roots(p: list, tower: FieldTower):
     except (OverflowError, ZeroDivisionError):
         approx = []
     one = tower.one()
-    linear, rest, tried = [], p, set()
+    linear, rest = [], p
     for z in approx:
+        # past 2**52 a float no longer tells neighbouring integers apart
         if not (abs(z.real) < 2 ** 52 and abs(z.imag) < 2 ** 52):
             continue
-        y = (round(z.real), round(z.imag))
-        if y in tried:
-            continue
-        tried.add(y)
-        root = (tower.from_rational(Fraction(y[0], den))
-                + tower.from_rational(Fraction(y[1], den)) * tower.i())
+        re, im = Fraction(round(z.real), den), Fraction(round(z.imag), den)
+        root = tower.from_rational(re) + tower.from_rational(im) * tower.i()
         quot, rem = poly_divmod(rest, [-root, one], tower)
         if not rem:
             linear.append([-root, one])
@@ -744,13 +742,13 @@ def _strip_gaussian_roots(p: list, tower: FieldTower):
     return linear, rest
 
 
-def _approx_roots(g: list, iterations: int = 100) -> list:
+def _approx_roots(g: list) -> list:
     """Complex approximations of the roots of a monic polynomial (complex
     coefficients, low degree first) by Weierstrass iteration."""
     n = len(g) - 1
     radius = 2 * max(abs(c) ** (1 / (n - k)) for k, c in enumerate(g[:-1]))
     z = [(radius or 1) * complex(0.4, 0.9) ** k for k in range(n)]
-    for _ in range(iterations):
+    for _ in range(100):
         moved = 0.0
         for k in range(n):
             value = 0j
