@@ -70,11 +70,25 @@ def _fmt_mat(mat) -> list:
     return [[format_element(x) for x in row] for row in mat]
 
 
-def _parse_mat(data, tower: FieldTower) -> list:
+def _parse_mat(data, tower: FieldTower, n: int = None) -> list:
+    """A square matrix of element strings; n x n when n is given."""
     if not isinstance(data, list) or not data or \
             not all(isinstance(row, list) for row in data):
         raise CliError("bad-matrix", "expected a list of rows")
+    size = len(data) if n is None else n
+    if len(data) != size or any(len(row) != size for row in data):
+        raise CliError("bad-matrix", f"expected a {size}x{size} matrix")
     return [[parse_element(str(x), tower) for x in row] for row in data]
+
+
+def _parse_mats(data: dict, key: str, tower: FieldTower, n: int) -> list:
+    """The n x n matrices listed under key; none when the key is absent."""
+    mats = data.get(key)
+    if mats is None:
+        return []
+    if not isinstance(mats, list):
+        raise CliError("bad-input", f"{key} must be a list of matrices")
+    return [_parse_mat(m, tower, n) for m in mats]
 
 
 @dataclass
@@ -97,25 +111,37 @@ def _load_json(path: str) -> dict:
         raise CliError("input-not-json", str(exc))
 
 
+def _load_object(path: str) -> dict:
+    data = _load_json(path)
+    if not isinstance(data, dict):
+        raise CliError("bad-input", "expected a JSON object")
+    return data
+
+
+def _parse_nsigma(data: dict, tower: FieldTower) -> list:
+    if "N_sigma" not in data:
+        raise CliError("bad-input", "missing N_sigma")
+    return _parse_mat(data["N_sigma"], tower)
+
+
 def _build_from_data(data: dict, tower: FieldTower, seed: int,
                      weyl_guard: int) -> Job:
     kind = data.get("kind")
     if kind not in ("torus", "reductive", "nonreductive", "nonconnected"):
         raise CliError("bad-input", f"unknown kind {kind!r}")
     name = data.get("name", "<file>")
-    basis = [_parse_mat(m, tower) for m in data.get("lie_basis", [])]
-    nsig = _parse_mat(data["N_sigma"], tower) if "N_sigma" in data else None
-    if nsig is None:
-        raise CliError("bad-input", "missing N_sigma")
-    hint = (_parse_mat(data["conjugator_hint"], tower)
+    nsig = _parse_nsigma(data, tower)
+    n = len(nsig)
+    basis = _parse_mats(data, "lie_basis", tower, n)
+    hint = (_parse_mat(data["conjugator_hint"], tower, n)
             if data.get("conjugator_hint") else None)
     if kind == "torus":
         group = build_presentation(basis, nsig, tower)
     elif kind in ("reductive", "nonreductive"):
-        k_mats = [_parse_mat(m, tower) for m in data.get("k_mats", [])]
-        p_mats = [_parse_mat(m, tower) for m in data.get("p_mats", [])]
+        k_mats = _parse_mats(data, "k_mats", tower, n)
+        p_mats = _parse_mats(data, "p_mats", tower, n)
         if kind == "reductive":
-            cartan = ([_parse_mat(m, tower) for m in data["cartan_k_mats"]]
+            cartan = (_parse_mats(data, "cartan_k_mats", tower, n)
                       if data.get("cartan_k_mats") else None)
             group = build_reductive(basis, nsig, k_mats, p_mats, tower,
                                     seed=seed, weyl_guard=weyl_guard,
@@ -123,11 +149,14 @@ def _build_from_data(data: dict, tower: FieldTower, seed: int,
         else:
             group = build_levi_split(basis, nsig, k_mats, p_mats, tower)
     else:
-        reps = [_parse_mat(m, tower) for m in data.get("component_reps", [])]
-        k_mats = ([_parse_mat(m, tower) for m in data["k_mats"]]
+        reps = _parse_mats(data, "component_reps", tower, n)
+        k_mats = (_parse_mats(data, "k_mats", tower, n)
                   if data.get("k_mats") else None)
-        p_mats = ([_parse_mat(m, tower) for m in data["p_mats"]]
+        p_mats = (_parse_mats(data, "p_mats", tower, n)
                   if data.get("p_mats") is not None else None)
+        for key in ("pi0_table", "pi0_gamma"):
+            if not isinstance(data.get(key), list):
+                raise CliError("bad-input", f"{key} must be a list")
         group = build_nonconnected(basis, nsig, reps, data["pi0_table"],
                                    data["pi0_gamma"], tower,
                                    k_mats=k_mats, p_mats=p_mats,
@@ -145,7 +174,7 @@ def load_job(spec: str, tower: FieldTower, seed: int,
                    real=RealStructure(entry.nsigma, tower),
                    group=entry.group,
                    conjugator_hint=entry.conjugator_hint)
-    return _build_from_data(_load_json(spec), tower, seed, weyl_guard)
+    return _build_from_data(_load_object(spec), tower, seed, weyl_guard)
 
 
 # -- h1 ----------------------------------------------------------------------------
@@ -226,13 +255,13 @@ def _h1_text(report: dict) -> str:
 # -- equiv -------------------------------------------------------------------------
 
 
-def _load_cocycle(path: str, tower: FieldTower) -> list:
+def _load_cocycle(path: str, tower: FieldTower, n: int) -> list:
     data = _load_json(path)
     if isinstance(data, dict):
         data = data.get("matrix", data.get("cocycle"))
     if data is None:
         raise CliError("bad-input", "cocycle file must hold a matrix")
-    return _parse_mat(data, tower)
+    return _parse_mat(data, tower, n)
 
 
 def _equiv_report(job: Job, z: list, seed: int) -> dict:
@@ -278,11 +307,9 @@ def _equiv_report(job: Job, z: list, seed: int) -> dict:
 
 
 def _h2_report(spec: str, tower: FieldTower) -> dict:
-    data = _load_json(spec)
-    basis = [_parse_mat(m, tower) for m in data.get("lie_basis", [])]
-    if "N_sigma" not in data:
-        raise CliError("bad-input", "missing N_sigma")
-    nsig = _parse_mat(data["N_sigma"], tower)
+    data = _load_object(spec)
+    nsig = _parse_nsigma(data, tower)
+    basis = _parse_mats(data, "lie_basis", tower, len(nsig))
     chars = data.get("characters")
     if not isinstance(chars, list):
         raise CliError("bad-input", "missing character exponent rows")
@@ -324,8 +351,11 @@ def _h2_report(spec: str, tower: FieldTower) -> dict:
 def _lattice_report(spec: str) -> dict:
     data = _load_json(spec)
     tau = data.get("tau") if isinstance(data, dict) else data
-    if not isinstance(tau, list):
-        raise CliError("bad-input", "expected an integer matrix under 'tau'")
+    if not isinstance(tau, list) or not all(
+            isinstance(row, list) and len(row) == len(tau)
+            and all(type(x) is int for x in row) for row in tau):
+        raise CliError("bad-input",
+                       "expected a square integer matrix under 'tau'")
     res = gamma_decompose(tau)
     e, f, gh = res.counts
     return {
@@ -412,7 +442,7 @@ def _run(args) -> int:
                          "n-sl2-t-compact"):
                 kind = "nonconnected"
         else:
-            kind = _load_json(spec).get("kind")
+            kind = _load_object(spec).get("kind")
         if kind == "nonconnected":
             raise CliError("gaussian-backend-connected-only",
                            "non-connected groups need --field=sqrt-tower")
@@ -427,7 +457,7 @@ def _run(args) -> int:
         return code
 
     if args.command == "equiv":
-        z = _load_cocycle(args.cocycle, tower)
+        z = _load_cocycle(args.cocycle, tower, len(job.real.nsigma))
         report = _equiv_report(job, z, args.seed)
         _emit(report, args.format)
         return 0

@@ -483,19 +483,6 @@ class FieldElement:
         return f"<{format_element(self)}>"
 
 
-def arith(x: FieldElement, y, op: str) -> FieldElement:
-    """Dispatch wrapper matching the operation contract."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    raise FieldError("unknown-op", op)
-
-
 # -- textual element grammar --------------------------------------------------
 #
 # expr   := term (('+'|'-') term)*
@@ -609,7 +596,12 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             raise FieldError("parse-error", f"unexpected input at {self.pos}")
-        return self.tower.from_rational(Fraction(self.text[start:self.pos]))
+        try:
+            value = Fraction(self.text[start:self.pos])
+        except (ValueError, ZeroDivisionError):
+            raise FieldError("parse-error",
+                             f"bad rational literal at {start}")
+        return self.tower.from_rational(value)
 
 
 def parse_element(text: str, tower: FieldTower) -> FieldElement:

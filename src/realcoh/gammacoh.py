@@ -8,13 +8,12 @@ exact.  Conventions: elements are integer row vectors of generator
 coefficients; a homomorphism is a matrix whose i-th row is the image of the
 i-th generator, acting by v |-> v*M.
 
-Also provides brute-force H^1 of finite (possibly nonabelian) Gamma-groups
-and H^2 of finite abelian ones, with witness retrieval.
+Also provides brute-force H^1 of finite (possibly nonabelian) Gamma-groups,
+with witness retrieval.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import product
 
@@ -95,9 +94,6 @@ class GammaModule:
         rels = [[orders[i] if i == j else 0 for j in range(n)] for i in range(n)]
         return cls(tau, rels)
 
-    def act(self, v: list) -> list:
-        return vec_mat(v, self.gamma)
-
     def reduce(self, v: list) -> list:
         return _reduce_mod(v, self._rel_h)
 
@@ -108,19 +104,6 @@ class GammaModule:
             [self.gamma[i][j] + (s if i == j else 0) for j in range(self.n)]
             for i in range(self.n)
         ]
-
-    def zero(self) -> list:
-        return [0] * self.n
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"gamma": self.gamma, "rels": self.rels}, separators=(",", ":")
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "GammaModule":
-        data = json.loads(text)
-        return cls(data["gamma"], data.get("rels", []))
 
 
 @dataclass
@@ -180,28 +163,21 @@ class ShortComplex:
 
 
 class Subquotient:
-    """The finite group (Z-lattice)/(B-lattice) inside Z^n, with witnesses."""
+    """The finite group (Z-lattice)/(B-lattice) inside Z^n."""
 
-    def __init__(self, n: int, z_gens: list, b_gens: list, b_preimages=None):
+    def __init__(self, n: int, z_gens: list, b_gens: list):
         self.n = n
         self.z_rows = _lattice_rows(z_gens, n)
         self.b_rows = _lattice_rows(b_gens, n)
-        self._b_gens = [list(g) for g in b_gens]
-        self._b_preimages = b_preimages
         for b in self.b_rows:
             if not _in_lattice(b, self.z_rows):
                 raise CohomologyError("image-not-in-kernel")
         r = len(self.z_rows)
         # coordinates of the B generators in the Z basis
-        coords = []
-        for b in self.b_rows:
-            c = self._coords(b)
-            coords.append(c)
-        self.rel_coords = coords
+        coords = [self._coords(b) for b in self.b_rows]
         # structure via SNF of the relation matrix padded to full rank
         if r == 0:
             self.invariants = []
-            self._enum = [[]]
             self._q = []
             self._qinv = []
             return
@@ -213,7 +189,6 @@ class Subquotient:
         self._q = q
         self._qinv = mat_inverse(q)
         self._d = [a[i][i] for i in range(r)]
-        self._enum = None
 
     def _coords(self, v: list) -> list:
         """Exact coordinates of v in the Z basis (HNF back substitution)."""
@@ -235,13 +210,6 @@ class Subquotient:
         for d in self.invariants:
             out *= d
         return out
-
-    def contains(self, v: list) -> bool:
-        try:
-            self._coords(v)
-            return True
-        except CohomologyError:
-            return False
 
     def class_key(self, v: list) -> tuple:
         """Canonical label of the class of v (a cocycle)."""
@@ -269,20 +237,6 @@ class Subquotient:
             reps.append(v)
         return reps
 
-    def witness(self, v: list, rep: list):
-        """Coefficients expressing v - rep as a combination of B generators.
-
-        Returns the coefficient vector over the original b_gens, or None when
-        v and rep are inequivalent.
-        """
-        diff = [x - y for x, y in zip(v, rep)]
-        if not self._b_gens:
-            return [] if not any(diff) else None
-        sol = solve_integer(self._b_gens, diff)
-        if sol is None:
-            return None
-        return sol
-
 
 @dataclass
 class CohomologyResult:
@@ -293,13 +247,6 @@ class CohomologyResult:
 
     def order(self) -> int:
         return self.subquotient.order()
-
-    def class_index(self, v: list) -> int:
-        key = self.subquotient.class_key(v)
-        for idx, rep in enumerate(self.representatives):
-            if self.subquotient.class_key(rep) == key:
-                return idx
-        raise CohomologyError("class-not-found")
 
 
 def _kernel_gens(n: int, mat: list, target_rels: list) -> list:
@@ -316,24 +263,9 @@ def tate(module: GammaModule, k: int) -> CohomologyResult:
     dprev = module.d(k - 1)
     z = _kernel_gens(n, dk, module.rels) + module.rels
     b = list(dprev) + module.rels
-    preim = identity(n) + [[0] * n for _ in module.rels]
-    sq = Subquotient(n, z, b, b_preimages=preim)
+    sq = Subquotient(n, z, b)
     reps = [module.reduce(r) for r in sq.representatives()]
     return CohomologyResult(reps, sq.invariants, sq, k)
-
-
-def tate_witness(module: GammaModule, k: int, result: CohomologyResult,
-                 v: list, rep: list):
-    """Element a' with v = rep + d^{k-1}(a'), or None if inequivalent."""
-    coeffs = result.subquotient.witness(v, rep)
-    if coeffs is None:
-        return None
-    # b generators were the rows of d^{k-1} followed by the relations
-    a = [0] * module.n
-    for idx in range(module.n):
-        if coeffs[idx]:
-            a[idx] = coeffs[idx]
-    return a
 
 
 def hyper(complex_: ShortComplex, k: int) -> CohomologyResult:
@@ -347,11 +279,6 @@ def hyper(complex_: ShortComplex, k: int) -> CohomologyResult:
     sq = Subquotient(n, z, b)
     reps = [total.reduce(r) for r in sq.representatives()]
     return CohomologyResult(reps, sq.invariants, sq, k)
-
-
-def hyper_split(complex_: ShortComplex, v: list) -> tuple:
-    n1 = complex_.a1.n
-    return v[:n1], v[n1:]
 
 
 # -- connecting maps -----------------------------------------------------------
@@ -537,23 +464,6 @@ class FiniteGammaGroup:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def is_abelian(self) -> bool:
-        return all(
-            self.table[a][b] == self.table[b][a]
-            for a in range(self.size) for b in range(self.size)
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"table": self.table, "gamma": self.gamma, "names": self.names},
-            separators=(",", ":"),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "FiniteGammaGroup":
-        d = json.loads(text)
-        return cls(d["table"], d["gamma"], d.get("names"))
-
 
 @dataclass
 class FiniteH1Result:
@@ -602,32 +512,3 @@ def h1_finite(group: FiniteGammaGroup, bound: int = 10 ** 6) -> FiniteH1Result:
                     witness[nxt] = s_new
                     frontier.append((nxt, s_new))
     return FiniteH1Result(group, z1, reps, seen, witness)
-
-
-@dataclass
-class FiniteH2Result:
-    representatives: list
-    class_of: dict
-    norms: set
-
-    def order(self) -> int:
-        return len(self.representatives)
-
-
-def h2_finite_abelian(group: FiniteGammaGroup) -> FiniteH2Result:
-    if not group.is_abelian():
-        raise CohomologyError("not-abelian")
-    fixed = [a for a in range(group.size) if group.gamma[a] == a]
-    norms = {group.mul(group.gamma[a], a) for a in range(group.size)}
-    reps = []
-    class_of = {}
-    for a in fixed:
-        for idx, r in enumerate(reps):
-            # same class iff a - r is a norm (multiplicatively: a * r^{-1})
-            if group.mul(a, group.inv[r]) in norms:
-                class_of[a] = idx
-                break
-        else:
-            class_of[a] = len(reps)
-            reps.append(a)
-    return FiniteH2Result(reps, class_of, norms)

@@ -9,16 +9,13 @@ contains a pair with first component 1.  This module provides:
   * the cocycle type with verified invariants, the action, and the
     connecting map delta(b) = (b.gamma(b), inn(b) o gamma) attached to a
     component-group 1-cocycle,
-  * lifting: if s.f(s).a = 1 for (a, f) = delta(b), then s.b is an exact
-    1-cocycle of the ambient group,
   * neutralization for a connected reductive group: align the pinning,
     reduce to a central element h', decide neutrality through the center
     and the listed center of the simply connected cover, and assemble an
-    exact witness d with d.f(d).a = 1,
-  * neutralization for a connected group with unipotent radical: conjugate
-    the image of the reductive complement back in place, delegate to the
-    reductive stage, and remove the remaining unipotent discrepancy with a
-    single exp(-log/2) correction.
+    exact witness d with d.f(d).a = 1.
+
+When s.f(s).a = 1 for (a, f) = delta(b), s.b is a 1-cocycle of the ambient
+group; `nonconnected` forms that product and checks it itself.
 
 Cover data for the simply connected cover is only supported in the
 self-cover form (the derived subgroup is already simply connected, as for
@@ -30,25 +27,16 @@ carries the quasi-torus H^2 computation backing it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .field import FieldTower, RealcohError, format_element
-from .lattice import identity as int_identity, solve_integer, transpose
-from .liealg import (
-    LieError,
-    conj_levi_torus,
-    exp_nilpotent,
-    in_span,
-    log_unipotent,
-    reductive_projection,
-    rref_rows,
-)
+from .lattice import (LatticeError, det, diagonal_form, rational_inverse,
+                      solve_integer, transpose)
+from .liealg import exp_nilpotent, in_span, rref_rows
 from .linalg import (RealStructure, mconj, meq, meye, minverse, mmul, mscale,
                      mzeros)
-from .nonreductive import LeviSplitGroup
 from .reductive import ReductiveRealGroup
 from .torus import (
     QuasiTorusDatum,
@@ -117,91 +105,6 @@ def act(s: list, c: NonabCocycle2) -> NonabCocycle2:
     return make_cocycle2(c.tower, c.lie_basis, a, mmul(s, c.m_f), c.outer)
 
 
-def lift_cocycle(c: NonabCocycle2, b: list, s: list, nsigma: list) -> list:
-    """Given (a, f) = delta(b) and s with s.f(s).a = 1, return the exact
-    1-cocycle s.b."""
-    tower = c.tower
-    n = len(b)
-    if not meq(mmul(mmul(s, c.f(s)), c.a), meye(tower, n)):
-        raise H2Error("not-neutralizing", "s.f(s).a != 1")
-    out = mmul(s, b)
-    if not RealStructure(nsigma, tower).is_cocycle(out):
-        raise H2Error("lift-failed")
-    return out
-
-
-# -- integer normal form tolerant of rank deficiency ------------------------------
-
-
-def _snf_any(mat: list) -> tuple:
-    """(a, p, q) with p*mat*q = a diagonal (possibly zero entries); p, q
-    unimodular.  Accepts any integer matrix, including zero rows."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    a = [list(row) for row in mat]
-    p = int_identity(m)
-    q = int_identity(n)
-
-    def row_op(i, j, k):
-        a[i] = [x - k * y for x, y in zip(a[i], a[j])]
-        p[i] = [x - k * y for x, y in zip(p[i], p[j])]
-
-    def col_op(i, j, k):
-        for r in a:
-            r[i] -= k * r[j]
-        for r in q:
-            r[i] -= k * r[j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        p[i], p[j] = p[j], p[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in q:
-            r[i], r[j] = r[j], r[i]
-
-    t = 0
-    while t < m and t < n:
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0 and (piv is None or
-                                     abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t] % a[t][t]:
-                    dirty = True
-                row_op(i, t, a[i][t] // a[t][t])
-            for j in range(t + 1, n):
-                if a[t][j] % a[t][t]:
-                    dirty = True
-                col_op(j, t, a[t][j] // a[t][t])
-            if dirty:
-                # a remainder became the new, smaller pivot candidate
-                piv = None
-                for i in range(t, m):
-                    for j in range(t, n):
-                        if a[i][j] != 0 and (piv is None or abs(a[i][j]) <
-                                             abs(a[piv[0]][piv[1]])):
-                            piv = (i, j)
-                swap_rows(t, piv[0])
-                swap_cols(t, piv[1])
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            p[t] = [-x for x in p[t]]
-        t += 1
-    return a, p, q
-
-
 def _nth_root(tower: FieldTower, value, n: int):
     """A solution of y^n = value inside the tower, or None.
 
@@ -226,7 +129,7 @@ def _mono_solve(emat: list, target: list, tower: FieldTower):
         return [tower.one()] * d
     if d == 0:
         return [] if all(x == 1 for x in target) else None
-    a, p, q = _snf_any(emat)
+    a, p, q = diagonal_form(emat)
     tq = mono_apply(target, q)
     y = [tower.one()] * d
     for i in range(cdim):
@@ -299,42 +202,6 @@ class ScCoverData:
     center_exponents: list
     cartan_matrix: list
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "name": self.name,
-                "rho": "identity",
-                "cartan_matrix": self.cartan_matrix,
-                "center_exponents": [[str(x) for x in v]
-                                     for v in self.center_exponents],
-                "center_elements": [
-                    [[format_element(x) for x in row] for row in mat]
-                    for mat in self.center_elements
-                ],
-            },
-            separators=(",", ":"),
-        )
-
-
-def _fraction_inverse(mat: list) -> list:
-    n = len(mat)
-    work = [[Fraction(x) for x in row] +
-            [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if piv is None:
-            raise H2Error("internal", "singular Cartan matrix")
-        work[col], work[piv] = work[piv], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                fct = work[r][col]
-                work[r] = [x - fct * y for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
-
-
 def _torsion_closure(gens: list) -> list:
     """All elements of the subgroup of (Q/Z)^l generated by gens."""
     zero = tuple(Fraction(0) for _ in gens[0]) if gens else ()
@@ -380,11 +247,13 @@ def chevalley_cover(group: ReductiveRealGroup, name: str = "") -> ScCoverData:
     # the equations are prod_j t_j^{<alpha_i, alpha_j^v>} = 1, i.e. with
     # the transpose of the stored matrix A[i][j] = alpha_j(h_i)
     at = transpose(amat)
-    atinv = _fraction_inverse(at)
+    try:
+        atinv = rational_inverse(at)
+    except LatticeError:
+        raise H2Error("internal", "singular Cartan matrix")
     gens = [tuple(atinv[i][j] % 1 for i in range(ell)) for j in range(ell)]
     qvecs = _torsion_closure(gens)
-    det = abs(round(1 / abs(_det_fraction(atinv))))
-    if len(qvecs) != det:
+    if len(qvecs) != abs(det(at)):
         raise H2Error("internal", "center enumeration does not match det")
     elements = []
     keys = set()
@@ -406,27 +275,6 @@ def chevalley_cover(group: ReductiveRealGroup, name: str = "") -> ScCoverData:
     if len(keys) != len(elements):
         raise H2Error("internal", "center elements are not distinct")
     return ScCoverData(name, elements, [list(v) for v in qvecs], amat)
-
-
-def _det_fraction(mat: list) -> Fraction:
-    n = len(mat)
-    work = [[Fraction(x) for x in row] for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            det = -det
-        det *= work[col][col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(col + 1, n):
-            if work[r][col] != 0:
-                fct = work[r][col]
-                work[r] = [x - fct * y for x, y in zip(work[r], work[col])]
-    return det
 
 
 # -- neutralization: reductive case ------------------------------------------------
@@ -779,93 +627,3 @@ def neutralize_reductive(group: ReductiveRealGroup, c: NonabCocycle2,
                       "found in the torus normalizer")
     certificate = h2_quasitorus(qdatum)
     return NeutralizationResult(False, None, h1, aligner, certificate)
-
-
-# -- neutralization: groups with unipotent radical ---------------------------------
-
-
-def neutralize_unipotent(c: NonabCocycle2) -> NeutralizationResult:
-    """Witness for a cocycle of a unipotent group: d = exp(-log(a)/2)."""
-    tower = c.tower
-    n = len(c.a)
-    ident = meye(tower, n)
-    la = log_unipotent(c.a, tower)
-    d = exp_nilpotent(mscale(tower.from_rational(Fraction(-1, 2)), la), tower)
-    if not meq(c.f(d), d) or not meq(mmul(mmul(d, c.f(d)), c.a), ident):
-        raise H2Error("internal", "unipotent witness failed to verify")
-    return NeutralizationResult(True, d, None, ident, None)
-
-
-def neutralize_nonreductive(g: LeviSplitGroup, c: NonabCocycle2,
-                            cover: ScCoverData = None,
-                            conjugator_hint: list = None,
-                            seed: int = 0) -> NeutralizationResult:
-    """Neutralize over a connected group with unipotent radical.
-
-    Conjugates the f-image of the reductive complement back onto it by a
-    unipotent element, delegates the central decision to the reductive
-    stage, and removes the remaining unipotent discrepancy.
-    """
-    tower = g.tower
-    datum = g.datum
-    ident = meye(tower, datum.n)
-    if c.outer is not None:
-        raise H2Error("outer-unsupported")
-    s_mats = g.levi.s_basis
-    t_mats = g.levi.t_basis
-    r_mats = s_mats + t_mats
-
-    def r_preserved(cc):
-        for mat in r_mats:
-            img = cc.f(mat)
-            if not datum.contains(img) or \
-                    not in_span(datum.coords(img), g.r_rows):
-                return False
-        return True
-
-    work = c
-    s_elt = ident
-    if not r_preserved(work):
-        f_s = [c.f(m) for m in s_mats]
-        f_t = [c.f(m) for m in t_mats]
-        try:
-            g0, xs = conj_levi_torus(datum, (f_s, f_t), (s_mats, t_mats))
-        except LieError:
-            raise H2Error("levi-alignment-failed")
-        for x in xs:
-            if not in_span(datum.coords(x), g.u_rows):
-                raise H2Error("levi-alignment-failed",
-                              "the aligning conjugator is not unipotent")
-        work = act(g0, c)
-        s_elt = g0
-        if not r_preserved(work):
-            raise H2Error("levi-alignment-failed")
-
-    h1 = work.a
-    h1r = reductive_projection(datum, g.levi, h1, seed=seed)
-    cr = make_cocycle2(tower, r_mats, h1r, work.m_f)
-    res_r = neutralize_reductive(g.reductive, cr, cover=cover,
-                                 conjugator_hint=conjugator_hint)
-    if not res_r.neutral:
-        return NeutralizationResult(False, None, res_r.h_central,
-                                    mmul(res_r.aligner, s_elt),
-                                    res_r.certificate)
-    d1 = res_r.witness
-    work2 = act(d1, work)
-    h2 = work2.a
-    try:
-        lu = log_unipotent(h2, tower)
-        v = datum.coords(lu)
-    except LieError:
-        raise H2Error("internal", "residual component is not unipotent")
-    if not in_span(v, g.u_rows):
-        raise H2Error("internal", "residual component outside the radical")
-    d2 = exp_nilpotent(mscale(tower.from_rational(Fraction(-1, 2)), lu),
-                       tower)
-    if not meq(work2.f(d2), d2):
-        raise H2Error("internal", "unipotent correction is not f-fixed")
-    d = mmul(mmul(d2, d1), s_elt)
-    if not meq(mmul(mmul(d, c.f(d)), c.a), ident):
-        raise H2Error("internal", "witness verification failed")
-    return NeutralizationResult(True, d, res_r.h_central,
-                                mmul(res_r.aligner, s_elt), None)

@@ -3,8 +3,12 @@
 Matrices are lists of rows of Python ints; a lattice is the row span of a
 full-row-rank matrix.  Hermite normal form follows the row convention with
 pivot columns strictly increasing, positive pivots and reduced entries above
-the pivots.  All transformation certificates (P for HNF, P and Q for SNF) are
-returned so downstream computations can be checked by exact identities.
+the pivots.  All transformation certificates (P for HNF, P and Q for the
+Smith and diagonal forms) are returned so downstream computations can be
+checked by exact identities.  The module holds one copy of each integer
+kernel: one HNF elimination, one diagonalizing elimination (Smith form with
+its divisibility repair, diagonal form without) and one rational
+Gauss-Jordan (inverse and determinant).
 """
 
 from __future__ import annotations
@@ -49,51 +53,53 @@ def transpose(a: list) -> list:
     return [list(col) for col in zip(*a)]
 
 
-def mat_inverse(a: list) -> list:
-    """Inverse of an integer matrix with det +-1 (exact, checked)."""
+def _gauss_jordan(a: list) -> tuple:
+    """(inverse, determinant) of a square rational matrix, by Gauss-Jordan
+    elimination over Fractions; the inverse is None when a is singular."""
     n = len(a)
     work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
             for i, row in enumerate(a)]
+    det_a = Fraction(1)
     for col in range(n):
         piv = next((r for r in range(col, n) if work[r][col] != 0), None)
         if piv is None:
-            raise LatticeError("singular")
-        work[col], work[piv] = work[piv], work[col]
+            return None, Fraction(0)
+        if piv != col:
+            work[col], work[piv] = work[piv], work[col]
+            det_a = -det_a
+        det_a *= work[col][col]
         inv = 1 / work[col][col]
         work[col] = [x * inv for x in work[col]]
         for r in range(n):
             if r != col and work[r][col] != 0:
                 f = work[r][col]
                 work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+    return [row[n:] for row in work], det_a
+
+
+def rational_inverse(a: list) -> list:
+    """Inverse of a square rational matrix, as Fractions.
+
+    Raises LatticeError("singular") when a is not invertible."""
+    inverse, _ = _gauss_jordan(a)
+    if inverse is None:
+        raise LatticeError("singular")
+    return inverse
+
+
+def mat_inverse(a: list) -> list:
+    """Inverse of an integer matrix with det +-1 (exact, checked)."""
     out = []
-    for row in work:
-        vals = row[n:]
-        if any(v.denominator != 1 for v in vals):
+    for row in rational_inverse(a):
+        if any(v.denominator != 1 for v in row):
             raise LatticeError("not-unimodular")
-        out.append([int(v) for v in vals])
+        out.append([int(v) for v in row])
     return out
 
 
-def det_sign(a: list) -> int:
-    n = len(a)
-    work = [[Fraction(x) for x in row] for row in a]
-    sign = 1
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            sign = -sign
-        det *= work[col][col]
-        inv = 1 / work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col] != 0:
-                f = work[r][col] * inv
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    det *= sign
-    return 0 if det == 0 else (1 if det > 0 else -1)
+def det(a: list) -> int:
+    """Determinant of a square integer matrix."""
+    return int(_gauss_jordan(a)[1])
 
 
 def content(v: list) -> int:
@@ -111,6 +117,14 @@ def hnf(b: list) -> tuple:
 
     Requires full row rank; raises LatticeError("rank-deficient") otherwise.
     """
+    h, p = _hnf_allow_rank(b)
+    if not all(any(row) for row in h):
+        raise LatticeError("rank-deficient")
+    return h, p
+
+
+def _hnf_allow_rank(b: list) -> tuple:
+    """HNF that tolerates rank deficiency (zero rows at the bottom)."""
     m = len(b)
     n = len(b[0]) if m else 0
     h = [list(row) for row in b]
@@ -152,8 +166,6 @@ def hnf(b: list) -> tuple:
                 h[r] = [x - q * y for x, y in zip(h[r], h[row])]
                 p[r] = [x - q * y for x, y in zip(p[r], p[row])]
         row += 1
-    if row != m:
-        raise LatticeError("rank-deficient")
     return h, p
 
 
@@ -163,7 +175,29 @@ def hnf(b: list) -> tuple:
 def snf(b: list) -> tuple:
     """Smith normal form A = P*B*Q with unimodular P, Q.
 
-    Requires full row rank.  The diagonal is positive with d_i | d_{i+1}.
+    Accepts any integer matrix.  The nonzero diagonal entries come first,
+    positive, with d_i | d_{i+1}; zero entries follow.
+    """
+    return _diagonalize(b, divisibility=True)
+
+
+def diagonal_form(b: list) -> tuple:
+    """Diagonal form A = P*B*Q with unimodular P, Q, without the Smith
+    divisibility repair.
+
+    Accepts any integer matrix.  The diagonal is nonnegative, with its zero
+    entries last, but d_i need not divide d_{i+1}: diag(2, 3) stays
+    diag(2, 3), where snf gives diag(1, 6).
+    """
+    return _diagonalize(b, divisibility=False)
+
+
+def _diagonalize(b: list, divisibility: bool) -> tuple:
+    """(A, P, Q) with A = P*B*Q diagonal, by pivot-at-a-time elimination.
+
+    With divisibility, an earlier diagonal entry that fails to divide a
+    later one is repaired by folding the later column into the earlier one
+    and eliminating again from there.
     """
     m = len(b)
     n = len(b[0]) if m else 0
@@ -223,13 +257,12 @@ def snf(b: list) -> tuple:
     while t < m:
         if not eliminate(t):
             break
-        # divisibility: if an earlier diagonal fails to divide this one,
-        # fold this column into the earlier one and redo from there
         back = None
-        for s in range(t):
-            if a[t][t] % a[s][s] != 0:
-                back = s
-                break
+        if divisibility:
+            for s in range(t):
+                if a[t][t] % a[s][s] != 0:
+                    back = s
+                    break
         if back is not None:
             col_op(back, t, -1)
             t = back
@@ -259,75 +292,22 @@ def kernel_basis(mat: list) -> list:
     n = len(mat)
     if n == 0:
         return []
-    # treat rows of mat as images of the basis vectors; v*mat = 0
-    # snf of mat: A = P mat Q; v mat = 0 <=> (v P^{-1}) A = 0
     nonzero_rows = [r for r in mat if any(x != 0 for x in r)]
     if not nonzero_rows:
         return identity(n)
-    # snf requires full row rank; reduce first by HNF on mat^T to find rank
+    # v*mat = 0 iff v is orthogonal to the column lattice; the nonzero HNF
+    # rows c of mat^T are a basis of it.  With A = P*c*Q in Smith form,
+    # v * c^T = 0 iff the first r coordinates of v * Q^{-T} vanish, so the
+    # last n - r columns of Q are a basis of the kernel.
     ht, _ = _hnf_allow_rank(transpose(mat))
-    rank_rows = [r for r in ht if any(x != 0 for x in r)]
-    r = len(rank_rows)
-    # mat has rank r; v*mat = 0 <=> v * (mat restricted to a column basis) = 0
-    cols = transpose(mat)
-    # use the HNF rows (a basis of the column space) to rewrite: v*mat = 0 iff
-    # v orthogonal to every column, iff v orthogonal to the lattice spanned by
-    # the columns, iff v * C^T = 0 where C rows are a column-space basis.
-    c = rank_rows
-    a, p, q = snf(c)  # r x n
-    qinv = mat_inverse(q)
-    # v * c^T = 0 <=> (v * Q^{-T}) * A^T = 0  <=> first r coords scaled by d vanish
-    # basis: rows r+1..n of Q^T  => columns of Q
-    qt = transpose(q)
-    basis = qt[r:]
+    c = [row for row in ht if any(x != 0 for x in row)]
+    r = len(c)
+    _a, _p, q = snf(c)
+    basis = transpose(q)[r:]
     if not basis:
         return []
     h, _ = hnf(basis)
     return h
-
-
-def _hnf_allow_rank(b: list) -> tuple:
-    """HNF that tolerates rank deficiency (zero rows at the bottom)."""
-    m = len(b)
-    n = len(b[0]) if m else 0
-    h = [list(row) for row in b]
-    p = identity(m)
-    row = 0
-    for col in range(n):
-        if row == m:
-            break
-        piv = None
-        for r in range(row, m):
-            if h[r][col] != 0:
-                if piv is None or abs(h[r][col]) < abs(h[piv][col]):
-                    piv = r
-        if piv is None:
-            continue
-        h[row], h[piv] = h[piv], h[row]
-        p[row], p[piv] = p[piv], p[row]
-        while True:
-            done = True
-            for r in range(row + 1, m):
-                if h[r][col] != 0:
-                    qq = h[r][col] // h[row][col]
-                    h[r] = [x - qq * y for x, y in zip(h[r], h[row])]
-                    p[r] = [x - qq * y for x, y in zip(p[r], p[row])]
-                    if h[r][col] != 0:
-                        h[row], h[r] = h[r], h[row]
-                        p[row], p[r] = p[r], p[row]
-                        done = False
-            if done:
-                break
-        if h[row][col] < 0:
-            h[row] = [-x for x in h[row]]
-            p[row] = [-x for x in p[row]]
-        for r in range(row):
-            qq = h[r][col] // h[row][col]
-            if qq:
-                h[r] = [x - qq * y for x, y in zip(h[r], h[row])]
-                p[r] = [x - qq * y for x, y in zip(p[r], p[row])]
-        row += 1
-    return h, p
 
 
 def perp(basis: list, n: int) -> list:

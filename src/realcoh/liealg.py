@@ -1,5 +1,5 @@
 """Exact Lie algebra algorithms: Levi-type decompositions, Cartan
-subalgebras, conjugation of decomposition data, Jordan decomposition, and
+subalgebras, conjugation of Cartan subalgebras, Jordan decomposition, and
 membership in a connected algebraic group.
 
 Matrices live in gl(n) over a square-root-closed field tower.  Internally
@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .field import (
     FieldTower,
@@ -391,7 +392,7 @@ class SCAlgebra:
             term = mmul(term, adx)
             if all(t.is_zero() for row in term for t in row):
                 break
-            f = self.tower.from_rational(Fraction(1, _factorial(k)))
+            f = self.tower.from_rational(Fraction(1, factorial(k)))
             out = [[a + f * b for a, b in zip(ra, rb)]
                    for ra, rb in zip(out, term)]
             k += 1
@@ -401,13 +402,6 @@ class SCAlgebra:
 
     def apply_operator(self, op: list, space: list) -> list:
         return rref_rows([vmat(v, op) for v in space], self.tower)
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 # -- Levi decomposition (abstract) -----------------------------------------------
@@ -567,69 +561,6 @@ def conj_cartan_solvable_sc(alg: SCAlgebra, h1: list, h2: list) -> list:
     return result
 
 
-# -- conjugating Levi subalgebras -------------------------------------------------
-
-
-def conj_levi_sc(alg: SCAlgebra, s1: list, s2: list) -> list:
-    """z in [g, r] with exp(ad z)(s1) = s2."""
-    tower = alg.tower
-    zero = [tower.zero()] * alg.dim
-    s1 = rref_rows(s1, tower)
-    s2 = rref_rows(s2, tower)
-    if span_eq(s1, s2):
-        return zero
-    rad = alg.radical()
-    b = alg.basis_rows()
-    gr = alg.product_space(b, rad)
-    if not gr:
-        raise LieError("conjugation-failed")
-    rr = alg.product_space(rad, rad)
-    rad_b = rref_rows(rad, tower)
-    if not rr and span_eq(gr, rad_b):
-        # abelian radical with [g, r] = r: one linear solve
-        stacked = s2 + rad_b
-        rows = []
-        for k in range(len(rad_b)):
-            row = []
-            for x in s1:
-                row.extend(alg.bracket(rad_b[k], x))
-            rows.append(row)
-        target = []
-        for x in s1:
-            sol = solve_left(stacked, x, tower)
-            if sol is None:
-                raise LieError("conjugation-failed")
-            xr = combine_rows(rad_b, sol[len(s2):], tower, alg.dim)
-            target.extend([-t for t in xr])
-        ac = solve_left(rows, target, tower)
-        if ac is None:
-            raise LieError("conjugation-failed")
-        a = combine_rows(rad_b, ac, tower, alg.dim)
-        if not span_eq(alg.apply_operator(alg.exp_ad(a), s1), s2):
-            raise LieError("conjugation-failed")
-        return a
-    # general case: split off the center of [g, r]
-    c = alg.center_of(gr)
-    if not c:
-        raise LieError("conjugation-failed")
-    quot, proj, _lift = alg.quotient(c)
-    abar = conj_levi_sc(quot, [proj(v) for v in s1], [proj(v) for v in s2])
-    grb = rref_rows(gr, tower)
-    sol = solve_left([proj(v) for v in grb], abar, tower)
-    if sol is None:
-        raise LieError("conjugation-failed")
-    a = combine_rows(grb, sol, tower, alg.dim)
-    s0 = alg.apply_operator(alg.exp_ad(a), s1)
-    asub = span_sum(s2, c, tower)
-    sub, embed, coords = alg.subalgebra(asub)
-    bsub = conj_levi_sc(sub, [coords(v) for v in s0], [coords(v) for v in s2])
-    bvec = embed(bsub)
-    z = [p + q for p, q in zip(a, bvec)]
-    if not span_eq(alg.apply_operator(alg.exp_ad(z), s1), s2):
-        raise LieError("conjugation-failed")
-    return z
-
-
 def cartan_containing_torus(alg: SCAlgebra, t_rows: list, seed: int = 0) -> list:
     """A Cartan subalgebra of alg containing the toral subalgebra t_rows."""
     zc = alg.centralizer(alg.basis_rows(), t_rows)
@@ -639,30 +570,6 @@ def cartan_containing_torus(alg: SCAlgebra, t_rows: list, seed: int = 0) -> list
         if not in_span(v, h):
             raise LieError("cartan-not-found")
     return h
-
-
-def conj_levi_torus_sc(alg: SCAlgebra, s1: list, t1: list,
-                       s2: list, t2: list) -> list:
-    """Nilpotent elements z_1..z_k with the composite exp(ad z_1)...
-    exp(ad z_k) mapping (s1, t1) onto (s2, t2)."""
-    tower = alg.tower
-    z = conj_levi_sc(alg, s1, s2)
-    tail = [] if all(x.is_zero() for x in z) else [z]
-    op0 = compose_exp(alg, tail)
-    t0 = alg.apply_operator(op0, rref_rows(t1, tower))
-    ghat = alg.centralizer(alg.basis_rows(), rref_rows(s2, tower))
-    sub, embed, coords = alg.subalgebra(ghat)
-    h0 = cartan_containing_torus(sub, [coords(v) for v in t0])
-    h2 = cartan_containing_torus(sub, [coords(v) for v in t2])
-    ys = [embed(y) for y in conj_cartan_solvable_sc(sub, h0, h2)]
-    zs = ys + tail
-    op = compose_exp(alg, zs)
-    if not span_eq(alg.apply_operator(op, rref_rows(s1, tower)),
-                   rref_rows(s2, tower)) or \
-            not span_eq(alg.apply_operator(op, rref_rows(t1, tower)),
-                        rref_rows(t2, tower)):
-        raise LieError("conjugation-failed")
-    return zs
 
 
 def align_cartan_sc(alg: SCAlgebra, h0: list, s: list, t: list,
@@ -861,76 +768,6 @@ def _verify_levi(datum: LieAlgebraDatum, s_rows: list, t_rows: list,
             raise LieError("decomposition-failed", "s+t not reductive")
 
 
-# -- public wrappers on matrices --------------------------------------------------
-
-
-def fitting(datum: LieAlgebraDatum, a_mats: list, h_mats: list) -> tuple:
-    a0, a1 = datum.sc.fitting(datum.mats_to_rows(a_mats),
-                              datum.mats_to_rows(h_mats))
-    return datum.rows_to_mats(a0), datum.rows_to_mats(a1)
-
-
-def regular_element(datum: LieAlgebraDatum, h_mats: list,
-                    seed: int = 0) -> list:
-    x = datum.sc.regular_element(datum.mats_to_rows(h_mats), seed)
-    return datum.from_coords(x)
-
-
-def cartan_subalgebra(datum: LieAlgebraDatum, seed: int = 0) -> list:
-    return datum.rows_to_mats(datum.sc.cartan_subalgebra(seed))
-
-
-def conj_cartan_solvable(datum: LieAlgebraDatum, h1_mats: list,
-                         h2_mats: list) -> list:
-    xs = conj_cartan_solvable_sc(datum.sc, datum.mats_to_rows(h1_mats),
-                                 datum.mats_to_rows(h2_mats))
-    return datum.rows_to_mats(xs)
-
-
-def conj_levi(datum: LieAlgebraDatum, s1_mats: list, s2_mats: list) -> list:
-    z = conj_levi_sc(datum.sc, datum.mats_to_rows(s1_mats),
-                     datum.mats_to_rows(s2_mats))
-    return datum.from_coords(z)
-
-
-def conj_levi_torus(datum: LieAlgebraDatum, pair1: tuple,
-                    pair2: tuple) -> tuple:
-    """Group element g0 (and its nilpotent logarithms) conjugating the
-    first (s, t) pair onto the second."""
-    s1, t1 = pair1
-    s2, t2 = pair2
-    zs = conj_levi_torus_sc(
-        datum.sc,
-        datum.mats_to_rows(s1), datum.mats_to_rows(t1),
-        datum.mats_to_rows(s2), datum.mats_to_rows(t2))
-    xs = datum.rows_to_mats(zs)
-    g0 = meye(datum.tower, datum.n)
-    for x in xs:
-        g0 = mmul(g0, exp_nilpotent(x, datum.tower))
-    g0inv = minverse(g0, datum.tower)
-    conj_s = [mmul(mmul(g0, m), g0inv) for m in s1]
-    conj_t = [mmul(mmul(g0, m), g0inv) for m in t1]
-    srows = rref_rows(datum.mats_to_rows(s2), datum.tower)
-    trows = rref_rows(datum.mats_to_rows(t2), datum.tower)
-    if not span_eq(rref_rows(datum.mats_to_rows(conj_s), datum.tower), srows) \
-            or not span_eq(rref_rows(datum.mats_to_rows(conj_t),
-                                     datum.tower), trows):
-        raise LieError("conjugation-failed")
-    return g0, xs
-
-
-def align_cartan(datum: LieAlgebraDatum, h0_mats: list,
-                 levi: LeviDecomposition) -> tuple:
-    h_s, h, xs = align_cartan_sc(
-        datum.sc,
-        datum.mats_to_rows(h0_mats),
-        datum.mats_to_rows(levi.s_basis),
-        datum.mats_to_rows(levi.t_basis),
-        datum.mats_to_rows(levi.n_basis))
-    return (datum.rows_to_mats(h_s), datum.rows_to_mats(h),
-            datum.rows_to_mats(xs))
-
-
 # -- Jordan decomposition, exp and log --------------------------------------------
 
 
@@ -948,7 +785,7 @@ def exp_nilpotent(x: list, tower: FieldTower) -> list:
         term = mmul(term, x)
         if all(v.is_zero() for row in term for v in row):
             return out
-        f = tower.from_rational(Fraction(1, _factorial(k)))
+        f = tower.from_rational(Fraction(1, factorial(k)))
         out = [[a + f * b for a, b in zip(ra, rb)]
                for ra, rb in zip(out, term)]
     raise LieError("not-nilpotent")
@@ -1102,11 +939,10 @@ def reductive_projection(datum: LieAlgebraDatum, levi: LeviDecomposition,
     else:
         zrows = _commutant_rows(datum, jp.s)
         sub, embed, _c = datum.sc.subalgebra(zrows)
-        h0 = [datum.from_coords(embed(v))
-              for v in sub.cartan_subalgebra(seed)]
-        _hs, _h, xs = align_cartan(datum, h0, levi)
+        h0 = [embed(v) for v in sub.cartan_subalgebra(seed)]
+        _hs, _h, xs = align_cartan_sc(datum.sc, h0, srows, trows, nrows)
         hmat = meye(tower, datum.n)
-        for x in xs:
+        for x in datum.rows_to_mats(xs):
             hmat = mmul(hmat, exp_nilpotent(x, tower))
         ps = mmul(mmul(hmat, jp.s), minverse(hmat, tower))
     return mmul(ps, pu)

@@ -82,10 +82,6 @@ def meq(a: list, b: list) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def is_zero_matrix(a: list) -> bool:
-    return all(x.is_zero() for row in a for x in row)
-
-
 def mtrace(a: list):
     acc = a[0][0]
     for i in range(1, len(a)):

@@ -16,13 +16,12 @@ t |-> (prod_j t_j^R(j,i))_i under the map R.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
-from .field import (FieldTower, RealcohError, format_element, parse_element,
-                    split_poly)
+from .field import FieldTower, RealcohError, split_poly
 from .gammacoh import CohomologyResult, GammaModule, ShortComplex, hyper
 from .lattice import (
     gamma_decompose,
@@ -72,10 +71,6 @@ def mono_apply(coords: list, r: list) -> list:
     return out
 
 
-def _mod_inverse(a: int, m: int) -> int:
-    return pow(a % m, -1, m)
-
-
 def root_of_minus_one(tower: FieldTower, m: int):
     """Element y of the tower with y^m = -1."""
     a = 0
@@ -89,7 +84,7 @@ def root_of_minus_one(tower: FieldTower, m: int):
     if a == 0:
         y = u  # (-1)^odd = -1 for odd exponents
     else:
-        y = u ** _mod_inverse(odd, 2 ** (a + 1))
+        y = u ** pow(odd, -1, 2 ** (a + 1))
     if y ** m != -1:
         raise TorusError("root-verification-failed",
                          f"the computed root does not satisfy y^{m} = -1")
@@ -229,30 +224,6 @@ class TorusPresentation:
     def cocharacter_module(self) -> GammaModule:
         return GammaModule(transpose(self.tau))
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "lie_basis": [
-                    [[format_element(x) for x in row] for row in mat]
-                    for mat in self.lie_basis
-                ],
-                "N_sigma": [[format_element(x) for x in row]
-                            for row in self.real.nsigma],
-            },
-            separators=(",", ":"),
-        )
-
-
-def presentation_from_json(text: str, tower: FieldTower) -> TorusPresentation:
-    data = json.loads(text)
-    basis = [
-        [[parse_element(x, tower) for x in row] for row in mat]
-        for mat in data["lie_basis"]
-    ]
-    nsigma = [[parse_element(x, tower) for x in row] for row in data["N_sigma"]]
-    return build_presentation(basis, nsigma, tower)
-
 
 def _lambda_lattice(diag_entries: list, n: int) -> list:
     """Integral e with sum_i e_i * diag_i(a) = 0 for all basis matrices."""
@@ -261,22 +232,12 @@ def _lambda_lattice(diag_entries: list, n: int) -> list:
         keys = sorted({key for x in diags for key in x.coords})
         for key in keys:
             col = [x.coords.get(key, Fraction(0)) for x in diags]
-            denom = 1
-            for q in col:
-                if q:
-                    qd = int(q.denominator)
-                    denom = denom * qd // _gcd(denom, qd)
+            denom = lcm(*(q.denominator for q in col))
             columns.append([int(q * Fraction(denom)) for q in col])
     if not columns:
         return []
     mat = [[columns[c][i] for c in range(len(columns))] for i in range(n)]
     return kernel_basis(mat)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _solve_p(m: list, n: int, d: int) -> list:
@@ -549,16 +510,6 @@ class QuasiTorusDatum:
     quotient_tau: list       # involution on the coordinates of T'
     component_torus: TorusPresentation | None = None
     component_reps: list | None = None  # matrices in A(C), one per component
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "torus": json.loads(self.torus.to_json()),
-                "lattice_map": self.lattice_map,
-                "quotient_tau": self.quotient_tau,
-            },
-            separators=(",", ":"),
-        )
 
     def complex(self) -> ShortComplex:
         mt = GammaModule(transpose(self.torus.tau))

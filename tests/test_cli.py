@@ -50,7 +50,7 @@ def test_h1_nonconnected_reports_non_lifting(capsys):
 
 
 @pytest.mark.parametrize("name", ["o(3)", "so(2,3)", "so(3,4)", "sl(4,r)",
-                                  "su(3,0)", "su(2,1)"])
+                                  "su(3,0)", "su(2,1)", "torus:fed"])
 def test_h1_from_emitted_json_round_trip(tmp_path, capsys, name):
     # the emitted file carries the Cartan hint, so h1 on it reproduces the
     # catalog report byte for byte
@@ -162,6 +162,31 @@ def test_lattice_decompose_rejects_non_involution(tmp_path, capsys):
     code, out = run(capsys, "lattice-decompose", str(path))
     assert code == 1
     assert json.loads(out)["error"]["code"] == "not-involution"
+
+
+# -- malformed input ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command,data,code", [
+    ("h1", [1, 2], "bad-input"),
+    ("h1", {"kind": "torus", "lie_basis": [[["1"]]],
+            "N_sigma": [["1", "0"], ["0", "1"]]}, "bad-matrix"),
+    ("h1", {"kind": "torus", "lie_basis": [[["1/0"]]], "N_sigma": [["1"]]},
+     "parse-error"),
+    ("h1", {"kind": "reductive", "lie_basis": [[["1"]]], "N_sigma": [["1"]],
+            "k_mats": 3}, "bad-input"),
+    ("lattice-decompose", {"tau": [[1, 2], [3]]}, "bad-input"),
+    ("lattice-decompose", {"tau": [[0, 1], [1, 0], [1, 1]]}, "bad-input"),
+    ("lattice-decompose", {"tau": [["a"]]}, "bad-input"),
+], ids=["array", "basis-size", "zero-denominator", "k-mats-int",
+        "tau-ragged", "tau-not-square", "tau-not-integer"])
+def test_malformed_input_is_a_coded_error(tmp_path, capsys, command, data,
+                                          code):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    exit_code, out = run(capsys, command, str(path))
+    assert exit_code == 1
+    assert json.loads(out)["error"]["code"] == code
 
 
 # -- catalog and options ------------------------------------------------------------

@@ -8,7 +8,6 @@ from realcoh import field
 from realcoh.field import (
     FieldError,
     FieldTower,
-    arith,
     format_element,
     parse_element,
     poly_mul,
@@ -91,14 +90,6 @@ def test_division_by_zero(tower):
     with pytest.raises(FieldError) as err:
         tower.one() / tower.zero()
     assert err.value.code == "division-by-zero"
-
-
-def test_arith_dispatch(tower):
-    x, y = tower.sqrt(2), tower.sqrt(3)
-    assert arith(x, y, "mul") == tower.sqrt(6)
-    assert arith(x, y, "add") - y == x
-    assert arith(x, y, "sub") + y == x
-    assert arith(x, y, "div") * y == x
 
 
 def test_sign_test(tower):

@@ -2,23 +2,20 @@ from fractions import Fraction
 
 import pytest
 
+from realcoh import h2nab
 from realcoh.field import FieldTower
 from realcoh.h2nab import (
     H2Error,
     act,
     chevalley_cover,
     delta,
-    lift_cocycle,
     make_cocycle2,
-    neutralize_nonreductive,
     neutralize_reductive,
-    neutralize_unipotent,
     root_of_unity,
     _mono_solve,
-    _snf_any,
 )
+from realcoh.lattice import diagonal_form, snf
 from realcoh.linalg import mat_from_ints, meq, meye, minverse, mmul
-from realcoh.nonreductive import build_levi_split
 from realcoh.reductive import build_reductive
 
 
@@ -106,24 +103,13 @@ def test_make_cocycle_rejects_bad_pair():
     assert err.value.code == "not-cocycle"
 
 
-def test_lift_cocycle_roundtrip():
-    tower = FieldTower()
-    rot = mat_from_ints(tower, [[0, 1], [-1, 0]])
-    c = delta(rot, meye(tower, 2), [rot], tower)
-    out = lift_cocycle(c, rot, rot, meye(tower, 2))
-    # s.b = rot^2 = -1, an exact 1-cocycle for conjugation
-    assert meq(out, mat_from_ints(tower, [[-1, 0], [0, -1]]))
-    assert meq(mmul(out, [[x.conj() for x in row] for row in out]),
-               meye(tower, 2))
-
-
 # -- integer helpers --------------------------------------------------------------
 
 
 def test_snf_any_handles_rank_deficiency():
     for mat in ([[0, 0], [0, 0]], [[2, 4], [1, 2]], [[6]], [[0]],
                 [[2, 3, 5], [4, 6, 10]]):
-        a, p, q = _snf_any(mat)
+        a, p, q = diagonal_form(mat)
         rows, cols = len(mat), len(mat[0])
         prod = [[sum(p[i][k] * mat[k][j] for k in range(rows))
                  for j in range(cols)] for i in range(rows)]
@@ -134,6 +120,19 @@ def test_snf_any_handles_rank_deficiency():
             for j in range(cols):
                 if i != j:
                     assert a[i][j] == 0
+
+
+def test_mono_solve_needs_the_diagonal_form(monkeypatch):
+    # on diag(2, 3) squares have any root and cubes only the root of 1;
+    # the Smith form diag(1, 6) would ask for a sixth root of -1
+    tower = FieldTower()
+    emat = [[2, 0], [0, 3]]
+    for target in ([-1, 1], [2, 1]):
+        t = [tower.from_rational(x) for x in target]
+        u = _mono_solve(emat, t, tower)
+        assert u is not None and [u[0] ** 2, u[1] ** 3] == t
+    monkeypatch.setattr(h2nab, "diagonal_form", snf)
+    assert _mono_solve(emat, [-tower.one(), tower.one()], tower) is None
 
 
 def test_mono_solve_square_root_system():
@@ -215,42 +214,6 @@ def test_conjugator_hint_restores_cartan():
     assert err.value.code == "conjugator-unavailable"
     res = neutralize_reductive(g, c, cover=cover,
                                conjugator_hint=minverse(u, tower))
-    assert res.neutral
-    d = res.witness
-    assert meq(mmul(mmul(d, c.f(d)), c.a), meye(tower, 2))
-
-
-# -- neutralization: unipotent and mixed -------------------------------------------
-
-
-def test_neutralize_unipotent_translations():
-    tower = FieldTower()
-    e1 = mat_from_ints(tower, [[0, 0, 1], [0, 0, 0], [0, 0, 0]])
-    e2 = mat_from_ints(tower, [[0, 0, 0], [0, 0, 1], [0, 0, 0]])
-    one = tower.one()
-    zero = tower.zero()
-    b = [[one, zero, tower.from_rational(1)],
-         [zero, one, tower.from_rational(2)],
-         [zero, zero, one]]
-    c = delta(b, meye(tower, 3), [e1, e2], tower)
-    res = neutralize_unipotent(c)
-    assert res.neutral
-    d = res.witness
-    assert meq(mmul(mmul(d, c.f(d)), c.a), meye(tower, 3))
-
-
-def test_nonreductive_two_stage_witness():
-    tower = FieldTower()
-    dm = mat_from_ints(tower, [[1, 0], [0, 0]])
-    em = mat_from_ints(tower, [[0, 1], [0, 0]])
-    g = build_levi_split([dm, em], meye(tower, 2), [], [], tower)
-    one = tower.one()
-    zero = tower.zero()
-    b = [[-one, tower.i()], [zero, one]]
-    c = delta(b, meye(tower, 2), [dm, em], tower)
-    # f moves the reductive complement, forcing the alignment stage
-    assert not meq(c.f(dm), dm)
-    res = neutralize_nonreductive(g, c)
     assert res.neutral
     d = res.witness
     assert meq(mmul(mmul(d, c.f(d)), c.a), meye(tower, 2))

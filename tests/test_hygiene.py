@@ -1,6 +1,8 @@
 """Source checks over src/realcoh: no `assert` statements (they vanish under
-`python -O`; checks raise coded errors instead) and no imported name that
-is never read."""
+`python -O`; checks raise coded errors instead), no imported name that is
+never read, and no function, class or method that no module of the package
+reads, outside a short list of entry points kept for the acceptance
+criteria and the reference checks."""
 
 import ast
 from pathlib import Path
@@ -39,3 +41,71 @@ def test_no_unread_imports(path):
     tree = ast.parse(path.read_text())
     unread = sorted(set(_imported_names(tree)) - _read_names(tree))
     assert unread == [], f"{path.name}: imported but never read: {unread}"
+
+
+# Defined in src/realcoh and reached only from tests, on purpose.
+KEPT_FOR_TESTS = {
+    "tate": "criteria 02 and 04 compute Tate cohomology directly",
+    "connecting": "the one-module case of connecting_hyper, checked on "
+                  "0 -> Z -> Z -> Z/2 -> 0 in test_gammacoh",
+    "connecting_hyper": "criterion 10 checks exactness through it",
+    "sansuc_lift": "criterion 09 round-trips the unipotent-radical lift",
+    "sansuc_transport": "criterion 09 transports classes along the "
+                        "retraction",
+    "Subquotient.is_zero_class": "criteria 04 and 10 test classes for zero",
+    "GammaModule.finite": "the finite Gamma-modules of the Tate and "
+                          "connecting-map tests",
+    "FieldElement.complex_approx": "oracle in test_monomial_products",
+    "purify": "oracle in test_perp_perp_is_pure_closure",
+    "TorusPresentation.cocharacter_module": "test_torus checks it against "
+                                            "tate",
+}
+
+
+def _definitions(tree):
+    """(qualified name, name, node) of module-level functions and classes
+    and of the non-dunder methods of module-level classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and \
+                        not (sub.name.startswith("__")
+                             and sub.name.endswith("__")):
+                    yield f"{node.name}.{sub.name}", sub.name, sub
+
+
+def _reads(tree):
+    """(name, line) for every name, attribute or imported name read."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute) and \
+                isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+
+
+def test_no_unread_definitions():
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    reads = {name: list(_reads(tree)) for name, tree in trees.items()}
+    dead = []
+    for fname, tree in trees.items():
+        for qual, name, node in _definitions(tree):
+            # a read inside the definition itself (recursion) does not count
+            used = any(
+                n == name and not (f == fname and
+                                   node.lineno <= line <= node.end_lineno)
+                for f, rs in reads.items() for n, line in rs)
+            if not used and qual not in KEPT_FOR_TESTS:
+                dead.append(f"{fname}: {qual}")
+    assert dead == [], f"defined but never read in src/realcoh: {dead}"
+
+
+def test_kept_for_tests_names_exist():
+    defined = {qual for path in SOURCES
+               for qual, _, _ in _definitions(ast.parse(path.read_text()))}
+    assert sorted(set(KEPT_FOR_TESTS) - defined) == []

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from realcoh import lattice
 from realcoh.lattice import (
     LatticeError,
-    det_sign,
+    det,
+    diagonal_form,
     gamma_decompose,
     hnf,
     identity,
@@ -45,7 +46,7 @@ def test_hnf_worked_example():
     h, p = hnf(b)
     assert h == [[1, 1], [0, 2]]
     assert mat_mul(p, b) == h
-    assert det_sign(p) in (1, -1)
+    assert abs(det(p)) == 1
 
 
 def test_hnf_single_row():
@@ -67,6 +68,40 @@ def test_snf_examples():
     assert mat_mul(mat_mul(p, [[2, 4], [1, 3]]), q) == a
     a, p, q = snf([[2, 0]])
     assert a == [[2, 0]]
+    a, p, q = snf([[2, 4], [1, 2]])
+    assert a == [[1, 0], [0, 0]]
+    assert mat_mul(mat_mul(p, [[2, 4], [1, 2]]), q) == a
+
+
+def test_diagonal_form_keeps_what_snf_repairs():
+    # diag(2, 3) is already diagonal; only the Smith divisibility repair
+    # changes it
+    a, p, q = diagonal_form([[2, 0], [0, 3]])
+    assert (a, p, q) == ([[2, 0], [0, 3]], identity(2), identity(2))
+    a, p, q = snf([[2, 0], [0, 3]])
+    assert a == [[1, 0], [0, 6]]
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_diagonal_form_certificates_random(seed):
+    rng = random.Random(seed)
+    m, n = rng.randint(1, 4), rng.randint(1, 4)
+    rank = rng.randint(0, min(m, n))
+    # an m x rank times rank x n product has rank at most `rank`
+    b = [[0] * n for _ in range(m)]
+    if rank:
+        b = mat_mul([[rng.randint(-4, 4) for _ in range(rank)]
+                     for _ in range(m)],
+                    [[rng.randint(-4, 4) for _ in range(n)]
+                     for _ in range(rank)])
+    a, p, q = diagonal_form(b)
+    assert mat_mul(mat_mul(p, b), q) == a
+    assert abs(det(p)) == 1 and abs(det(q)) == 1
+    assert all(a[i][j] == 0 for i in range(m) for j in range(n) if i != j)
+    d = [a[i][i] for i in range(min(m, n))]
+    nonzero = [x for x in d if x]
+    assert all(x > 0 for x in nonzero) and d[:len(nonzero)] == nonzero
 
 
 def test_purify():
@@ -228,11 +263,11 @@ def test_hnf_snf_certificates_random(seed):
         except LatticeError:
             continue
     assert mat_mul(p, b) == h
-    assert det_sign(p) in (1, -1)
+    assert abs(det(p)) == 1
     _is_hnf(h)
     a, pp, q = snf(b)
     assert mat_mul(mat_mul(pp, b), q) == a
-    assert det_sign(pp) in (1, -1) and det_sign(q) in (1, -1)
+    assert abs(det(pp)) == 1 and abs(det(q)) == 1
     d = [a[i][i] for i in range(m)]
     assert all(x > 0 for x in d)
     assert all(d[i + 1] % d[i] == 0 for i in range(m - 1))

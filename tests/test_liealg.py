@@ -10,23 +10,17 @@ from realcoh.liealg import (
     LieAlgebraDatum,
     LieError,
     additive_jordan,
-    align_cartan,
-    cartan_subalgebra,
-    conj_cartan_solvable,
-    conj_levi,
-    conj_levi_torus,
+    align_cartan_sc,
+    conj_cartan_solvable_sc,
     exp_nilpotent,
-    fitting,
     jordan,
     levi_decompose,
     log_unipotent,
     membership,
     reductive_projection,
-    regular_element,
     root_system,
 )
 from realcoh.linalg import (
-    is_zero_matrix,
     mat_from_ints,
     meq,
     meye,
@@ -161,10 +155,10 @@ def test_levi_sl2_semidirect():
 def test_fitting_sl2_cartan():
     tw = tower()
     datum = sl2(tw)
-    h = [datum.basis[0]]
-    a0, a1 = fitting(datum, datum.basis, h)
+    rows = datum.mats_to_rows(datum.basis)
+    a0, a1 = datum.sc.fitting(rows, rows[:1])
     assert len(a0) == 1 and len(a1) == 2
-    assert meq(a0[0], datum.basis[0])
+    assert meq(datum.from_coords(a0[0]), datum.basis[0])
 
 
 def test_fitting_whole_nilpotent_and_zero():
@@ -174,20 +168,21 @@ def test_fitting_whole_nilpotent_and_zero():
     y = mat_from_ints(tw, [[0, 0, 0], [0, 0, 1], [0, 0, 0]])
     z = mat_from_ints(tw, [[0, 0, 1], [0, 0, 0], [0, 0, 0]])
     datum = LieAlgebraDatum([x, y, z], tw)
-    a0, a1 = fitting(datum, datum.basis, datum.basis)
+    rows = datum.mats_to_rows(datum.basis)
+    a0, a1 = datum.sc.fitting(rows, rows)
     assert len(a0) == 3 and a1 == []
-    a0, a1 = fitting(datum, datum.basis, [])
+    a0, a1 = datum.sc.fitting(rows, [])
     assert len(a0) == 3 and a1 == []
 
 
 def test_regular_element_sl2_and_sl3():
     tw = tower()
     datum = sl2(tw)
-    x = regular_element(datum, [datum.basis[0]])
-    assert not is_zero_matrix(x)
+    x = datum.sc.regular_element(datum.mats_to_rows([datum.basis[0]]))
+    assert any(not c.is_zero() for c in x)
     datum3, h1, h2 = sl3(tw)
-    x = regular_element(datum3, [h1, h2])
-    a0, _ = fitting(datum3, datum3.basis, [x])
+    x = datum3.sc.regular_element(datum3.mats_to_rows([h1, h2]))
+    a0, _ = datum3.sc.fitting(datum3.mats_to_rows(datum3.basis), [x])
     assert len(a0) == 2
 
 
@@ -199,7 +194,8 @@ def test_conj_cartan_equal():
     h = mat_from_ints(tw, [[1, 0], [0, 0]])
     x = mat_from_ints(tw, [[0, 1], [0, 0]])
     datum = LieAlgebraDatum([h, x], tw)
-    assert conj_cartan_solvable(datum, [h], [h]) == []
+    rows = datum.mats_to_rows([h])
+    assert conj_cartan_solvable_sc(datum.sc, rows, rows) == []
 
 
 def test_conj_cartan_one_step():
@@ -208,9 +204,11 @@ def test_conj_cartan_one_step():
     x = mat_from_ints(tw, [[0, 1], [0, 0]])
     datum = LieAlgebraDatum([h, x], tw)
     hx = mat_from_ints(tw, [[1, 1], [0, 0]])
-    out = conj_cartan_solvable(datum, [h], [hx])
+    out = conj_cartan_solvable_sc(datum.sc, datum.mats_to_rows([h]),
+                                  datum.mats_to_rows([hx]))
     assert len(out) == 1
-    assert meq(out[0], mat_from_ints(tw, [[0, -1], [0, 0]]))
+    assert meq(datum.from_coords(out[0]),
+               mat_from_ints(tw, [[0, -1], [0, 0]]))
 
 
 def test_conj_cartan_nilpotent_unique():
@@ -219,63 +217,25 @@ def test_conj_cartan_nilpotent_unique():
     y = mat_from_ints(tw, [[0, 0, 0], [0, 0, 1], [0, 0, 0]])
     z = mat_from_ints(tw, [[0, 0, 1], [0, 0, 0], [0, 0, 0]])
     datum = LieAlgebraDatum([x, y, z], tw)
-    assert conj_cartan_solvable(datum, datum.basis, datum.basis) == []
-
-
-# -- conjugation of Levi subalgebras --------------------------------------------
-
-
-def test_conj_levi_equal():
-    tw = tower()
-    datum = sl2_semidirect(tw)
-    s = datum.basis[:3]
-    z = conj_levi(datum, s, s)
-    assert is_zero_matrix(z)
-
-
-def shifted_levi(datum, tw, a, b):
-    """Image of the standard Levi under conjugation by a translation."""
-    u = meye(tw, 3)
-    u[0][2] = tw.from_rational(a)
-    u[1][2] = tw.from_rational(b)
-    uinv = minverse(u, tw)
-    return [mmul(mmul(u, m), uinv) for m in datum.basis[:3]], u
-
-
-def test_conj_levi_shifted():
-    tw = tower()
-    datum = sl2_semidirect(tw)
-    s1, _ = shifted_levi(datum, tw, 2, -3)
-    s2 = datum.basis[:3]
-    z = conj_levi(datum, s1, s2)
-    # z lies in the abelian ideal
-    assert all(z[i][j].is_zero() for i in range(3) for j in range(2))
-
-
-def test_conj_levi_torus_identity_and_shift():
-    tw = tower()
-    datum = sl2_semidirect(tw)
-    s = datum.basis[:3]
-    g0, xs = conj_levi_torus(datum, (s, []), (s, []))
-    assert xs == [] or all(is_zero_matrix(x) for x in xs)
-    assert meq(g0, meye(tw, 3))
-    s1, u = shifted_levi(datum, tw, 1, 4)
-    g0, xs = conj_levi_torus(datum, (s1, []), (s, []))
-    uinv = minverse(g0, tw)
-    for m in s1:
-        conj = mmul(mmul(g0, m), uinv)
-        assert datum.contains(conj)
+    rows = datum.mats_to_rows(datum.basis)
+    assert conj_cartan_solvable_sc(datum.sc, rows, rows) == []
 
 
 # -- aligning a Cartan subalgebra with a decomposition ---------------------------
 
 
+def _align_cartan(datum, h0_mats):
+    dec = levi_decompose(datum)
+    return align_cartan_sc(datum.sc, datum.mats_to_rows(h0_mats),
+                           datum.mats_to_rows(dec.s_basis),
+                           datum.mats_to_rows(dec.t_basis),
+                           datum.mats_to_rows(dec.n_basis))
+
+
 def test_align_cartan_reductive():
     tw = tower()
     datum = sl2(tw)
-    dec = levi_decompose(datum)
-    h0 = [datum.basis[0]]
-    h_s, h, xs = align_cartan(datum, h0, dec)
+    h_s, h, xs = _align_cartan(datum, [datum.basis[0]])
     assert xs == []
     assert len(h) == 1 and len(h_s) == 1
 
@@ -283,16 +243,14 @@ def test_align_cartan_reductive():
 def test_align_cartan_semidirect():
     tw = tower()
     datum = sl2_semidirect(tw)
-    dec = levi_decompose(datum)
     h = datum.basis[0]
     e1 = datum.basis[3]
     # a Cartan subalgebra shifted into the ideal: exp(ad e1)(h) = h - e1
-    h0 = [msub(h, e1)]
-    h_s, hnew, xs = align_cartan(datum, h0, dec)
+    h_s, hnew, xs = _align_cartan(datum, [msub(h, e1)])
     assert len(hnew) == 1 and len(xs) >= 1
-    assert meq(h_s[0], h)
+    assert meq(datum.from_coords(h_s[0]), h)
     # the conjugators are nilpotent and lie in the ideal
-    for x in xs:
+    for x in datum.rows_to_mats(xs):
         assert all(x[i][j].is_zero() for i in range(3) for j in range(2))
 
 
@@ -444,7 +402,7 @@ def test_root_system_so5():
 def test_cartan_subalgebra_sl2():
     tw = tower()
     datum = sl2(tw)
-    h = cartan_subalgebra(datum)
+    h = datum.sc.cartan_subalgebra()
     assert len(h) == 1
 
 

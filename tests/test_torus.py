@@ -13,7 +13,6 @@ from realcoh.torus import (
     h1_torus,
     h2_is_coboundary,
     h2_quasitorus,
-    presentation_from_json,
     root_of_minus_one,
     trivialize_cocycle,
 )
@@ -308,12 +307,3 @@ def test_root_of_minus_one_wrong_root_is_coded_error(monkeypatch):
     with pytest.raises(TorusError) as err:
         root_of_minus_one(tower, 4)
     assert err.value.code == "root-verification-failed"
-
-
-def test_presentation_json_roundtrip():
-    tower = FieldTower()
-    t = compact_gm(tower)
-    tower2 = FieldTower()
-    t2 = presentation_from_json(t.to_json(), tower2)
-    assert t2.d == t.d and (t2.k, t2.l, t2.r) == (t.k, t.l, t.r)
-    assert t2.m == t.m and t2.tau == t.tau
