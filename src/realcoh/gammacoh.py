@@ -174,7 +174,10 @@ class Subquotient:
                 raise CohomologyError("image-not-in-kernel")
         r = len(self.z_rows)
         # coordinates of the B generators in the Z basis
-        coords = [self._coords(b) for b in self.b_rows]
+        coords = []
+        for b in self.b_rows:
+            c = self._coords(b)
+            coords.append(c)
         # structure via SNF of the relation matrix padded to full rank
         if r == 0:
             self.invariants = []

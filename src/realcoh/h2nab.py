@@ -202,6 +202,7 @@ class ScCoverData:
     center_exponents: list
     cartan_matrix: list
 
+
 def _torsion_closure(gens: list) -> list:
     """All elements of the subgroup of (Q/Z)^l generated by gens."""
     zero = tuple(Fraction(0) for _ in gens[0]) if gens else ()
