@@ -154,11 +154,8 @@ def _build_from_data(data: dict, tower: FieldTower, seed: int,
                   if data.get("k_mats") else None)
         p_mats = (_parse_mats(data, "p_mats", tower, n)
                   if data.get("p_mats") is not None else None)
-        for key in ("pi0_table", "pi0_gamma"):
-            if not isinstance(data.get(key), list):
-                raise CliError("bad-input", f"{key} must be a list")
-        group = build_nonconnected(basis, nsig, reps, data["pi0_table"],
-                                   data["pi0_gamma"], tower,
+        group = build_nonconnected(basis, nsig, reps, data.get("pi0_table"),
+                                   data.get("pi0_gamma"), tower,
                                    k_mats=k_mats, p_mats=p_mats,
                                    conjugator_hint=hint, seed=seed)
     return Job(name=name, kind=kind, tower=tower,
@@ -314,6 +311,10 @@ def _h2_report(spec: str, tower: FieldTower) -> dict:
     if not isinstance(chars, list):
         raise CliError("bad-input", "missing character exponent rows")
     pres = build_presentation(basis, nsig, tower)
+    if not all(isinstance(row, list) and len(row) == pres.d
+               and all(type(x) is int for x in row) for row in chars):
+        raise CliError("bad-input", "each character must be a list of "
+                       f"{pres.d} integer exponents")
     lattice_map, quotient_tau = characters_to_lattice_map(pres, chars)
     datum = QuasiTorusDatum(pres, lattice_map, quotient_tau)
     res = h2_quasitorus(datum)

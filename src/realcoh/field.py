@@ -59,8 +59,7 @@ class FieldTower:
     serialized externally if used from several threads.
     """
 
-    def __init__(self, contains_i: bool = True):
-        self.contains_i = contains_i
+    def __init__(self):
         self.gens: list[FieldElement] = []  # radicands, real positive
         self._sqrt_cache: dict = {}
 
@@ -79,8 +78,6 @@ class FieldTower:
         return self.from_rational(1)
 
     def i(self) -> "FieldElement":
-        if not self.contains_i:
-            self.contains_i = True
         return FieldElement(self, {(1, 0): Fraction(1)})
 
     def gen_element(self, k: int) -> "FieldElement":

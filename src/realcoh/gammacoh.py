@@ -429,10 +429,21 @@ def connecting_hyper(ses: ComplexSES, c_pair: list, k: int) -> list:
 # -- finite Gamma-groups ---------------------------------------------------------
 
 
+def _is_index_list(row, n: int) -> bool:
+    return isinstance(row, list) and len(row) == n and \
+        all(type(x) is int and 0 <= x < n for x in row)
+
+
 class FiniteGammaGroup:
     """Finite group given by a multiplication table with a gamma-involution."""
 
     def __init__(self, table: list, gamma: list, names: list | None = None):
+        if not (isinstance(table, list)
+                and all(_is_index_list(row, len(table)) for row in table)
+                and _is_index_list(gamma, len(table))):
+            raise CohomologyError(
+                "bad-input", "the table must be n x n and gamma of length n, "
+                "with entries in 0..n-1")
         self.table = table
         self.gamma = gamma
         self.size = len(table)
@@ -473,45 +484,33 @@ class FiniteH1Result:
     group: FiniteGammaGroup
     cocycles: list            # all of Z^1
     representatives: list     # one per class
-    class_of: dict            # cocycle -> index of its class
-    witness_of: dict          # cocycle z -> s with z = s^{-1} * rep * gamma(s)
 
     def order(self) -> int:
         return len(self.representatives)
 
-    def witness(self, z: int) -> tuple:
-        """(class index, s) with s^{-1} * rep * gamma(s) = z."""
-        return self.class_of[z], self.witness_of[z]
-
 
 def h1_finite(group: FiniteGammaGroup, bound: int = 10 ** 6) -> FiniteH1Result:
-    """Brute-force H^1 of a finite Gamma-group with witnesses."""
+    """Brute-force H^1 of a finite Gamma-group."""
     if group.size > bound:
         raise CohomologyError("size-bound")
     z1 = [a for a in range(group.size)
           if group.mul(a, group.gamma[a]) == group.e]
-    seen = {}
-    witness = {}
+    seen = set()
     reps = []
     for z in z1:
         if z in seen:
             continue
-        idx = len(reps)
         reps.append(z)
-        # BFS over the twisted action: rep -> s^{-1} * rep * gamma(s)
-        frontier = [(z, group.e)]
-        seen[z] = idx
-        witness[z] = group.e
+        # search over the twisted action: cur -> t^{-1} * cur * gamma(t)
+        seen.add(z)
+        frontier = [z]
         while frontier:
-            cur, s_cur = frontier.pop()
+            cur = frontier.pop()
             for t in range(group.size):
                 nxt = group.mul(
                     group.mul(group.inv[t], cur), group.gamma[t]
                 )
                 if nxt not in seen:
-                    s_new = group.mul(s_cur, t)
-                    # nxt = t^{-1} cur gamma(t), cur = s_cur^{-1} rep gamma(s_cur)
-                    seen[nxt] = idx
-                    witness[nxt] = s_new
-                    frontier.append((nxt, s_new))
-    return FiniteH1Result(group, z1, reps, seen, witness)
+                    seen.add(nxt)
+                    frontier.append(nxt)
+    return FiniteH1Result(group, z1, reps)

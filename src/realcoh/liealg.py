@@ -1,6 +1,6 @@
 """Exact Lie algebra algorithms: Levi-type decompositions, Cartan
 subalgebras, conjugation of Cartan subalgebras, Jordan decomposition, and
-membership in a connected algebraic group.
+joint eigenspaces of commuting semisimple operators.
 
 Matrices live in gl(n) over a square-root-closed field tower.  Internally
 most algorithms run on structure-constant algebras; elements are coordinate
@@ -25,6 +25,7 @@ from .field import (
 )
 from .linalg import (
     charpoly,
+    echelon_reduce,
     left_kernel,
     mconj,
     meq,
@@ -57,18 +58,18 @@ def rref_rows(vectors: list, tower: FieldTower) -> list:
     return rows[: len(pivots)]
 
 
-def reduce_row(v: list, basis: list) -> list:
-    v = list(v)
-    for row in basis:
-        j = next(c for c, x in enumerate(row) if not x.is_zero())
-        if not v[j].is_zero():
-            f = v[j]
-            v = [x - f * y for x, y in zip(v, row)]
-    return v
-
-
 def in_span(v: list, basis: list) -> bool:
-    return all(x.is_zero() for x in reduce_row(v, basis))
+    """Whether v lies in the span of the rref_rows basis."""
+    return all(x.is_zero() for x in echelon_reduce(v, basis)[1])
+
+
+def span_coords(v: list, basis: list, code: str) -> list:
+    """Coordinates of v in the rref_rows basis; LieError(code) when v lies
+    outside the span."""
+    sol, rest = echelon_reduce(v, basis)
+    if any(not x.is_zero() for x in rest):
+        raise LieError(code)
+    return sol
 
 
 def span_eq(a: list, b: list) -> bool:
@@ -80,18 +81,19 @@ def span_intersect(a: list, b: list, tower: FieldTower) -> list:
     if not a or not b:
         return []
     stacked = [list(r) for r in a] + [[-x for x in r] for r in b]
-    out = []
-    for c in left_kernel(stacked, tower):
-        v = [tower.zero()] * len(a[0])
-        for idx in range(len(a)):
-            if not c[idx].is_zero():
-                v = [x + c[idx] * y for x, y in zip(v, a[idx])]
-        out.append(v)
-    return rref_rows(out, tower)
+    return rref_rows([vmat(c[:len(a)], a)
+                      for c in left_kernel(stacked, tower)], tower)
 
 
 def span_sum(a: list, b: list, tower: FieldTower) -> list:
     return rref_rows(list(a) + list(b), tower)
+
+
+def _restrict(op: list, basis: list) -> list:
+    """Matrix of the operator op on the span of the rref_rows basis, which
+    op must map into itself."""
+    return [span_coords(vmat(row, op), basis, "not-invariant")
+            for row in basis]
 
 
 # -- structure constant algebras -------------------------------------------------
@@ -207,15 +209,8 @@ class SCAlgebra:
             for y in b:
                 row.extend(self.bracket(x, y))
             cols.append(row)
-        coeffs = left_kernel(cols, self.tower)
-        out = []
-        for c in coeffs:
-            v = [self.tower.zero()] * self.dim
-            for idx in range(len(a)):
-                if not c[idx].is_zero():
-                    v = [p + c[idx] * q for p, q in zip(v, a[idx])]
-            out.append(v)
-        return rref_rows(out, self.tower)
+        return rref_rows([vmat(c, a) for c in left_kernel(cols, self.tower)],
+                         self.tower)
 
     def center_of(self, a: list) -> list:
         return self.centralizer(a, a)
@@ -234,7 +229,7 @@ class SCAlgebra:
         free = [j for j in range(self.dim) if j not in pivots]
 
         def proj(v):
-            red = reduce_row(v, ib)
+            red = echelon_reduce(v, ib)[1]
             return [red[j] for j in free]
 
         def lift(w):
@@ -257,17 +252,10 @@ class SCAlgebra:
         m = len(basis)
 
         def embed(w):
-            v = [self.tower.zero()] * self.dim
-            for idx in range(m):
-                if not w[idx].is_zero():
-                    v = [p + w[idx] * q for p, q in zip(v, basis[idx])]
-            return v
+            return vmat(w, basis)
 
         def coords(v):
-            sol = solve_left(basis, v, self.tower) if m else []
-            if sol is None:
-                raise LieError("not-in-subalgebra")
-            return sol
+            return span_coords(v, basis, "not-in-subalgebra")
 
         table = [[coords(self.bracket(basis[a], basis[b]))
                   for b in range(m)] for a in range(m)]
@@ -280,26 +268,12 @@ class SCAlgebra:
         basis = rref_rows(space, self.tower)
         if not basis:
             return []
-        m = len(basis)
-        restr = []
-        for row in basis:
-            img = vmat(row, op)
-            sol = solve_left(basis, img, self.tower)
-            if sol is None:
-                raise LieError("not-invariant")
-            restr.append(sol)
-        power = meye(self.tower, m)
-        for _ in range(m):
+        restr = _restrict(op, basis)
+        power = meye(self.tower, len(basis))
+        for _ in basis:
             power = mmul(power, restr)
-        coeffs = left_kernel(power, self.tower)
-        out = []
-        for c in coeffs:
-            v = [self.tower.zero()] * self.dim
-            for idx in range(m):
-                if not c[idx].is_zero():
-                    v = [p + c[idx] * q for p, q in zip(v, basis[idx])]
-            out.append(v)
-        return rref_rows(out, self.tower)
+        return rref_rows([vmat(c, basis)
+                          for c in left_kernel(power, self.tower)], self.tower)
 
     def fitting(self, a: list, h: list) -> tuple:
         """Fitting decomposition of span(a) relative to the nilpotent
@@ -369,12 +343,8 @@ class SCAlgebra:
         omega = 2 * max(self.dim, 1)
         h = rref_rows(h, self.tower)
         for _ in range(200):
-            c = [rng.randrange(omega) for _ in range(len(h))]
-            x = [self.tower.zero()] * self.dim
-            for idx, ci in enumerate(c):
-                if ci:
-                    x = [p + self.tower.from_rational(ci) * q
-                         for p, q in zip(x, h[idx])]
+            x = vmat([self.tower.from_rational(rng.randrange(omega))
+                      for _ in h], h)
             if any(not t.is_zero() for t in x) and \
                     span_eq(self.fitting_null_of_element(x), h):
                 return x
@@ -384,21 +354,7 @@ class SCAlgebra:
 
     def exp_ad(self, x: list) -> list:
         """Operator exp(ad x) on coordinate rows; ad x must be nilpotent."""
-        adx = self.ad(x)
-        out = meye(self.tower, self.dim)
-        term = meye(self.tower, self.dim)
-        k = 1
-        while True:
-            term = mmul(term, adx)
-            if all(t.is_zero() for row in term for t in row):
-                break
-            f = self.tower.from_rational(Fraction(1, factorial(k)))
-            out = [[a + f * b for a, b in zip(ra, rb)]
-                   for ra, rb in zip(out, term)]
-            k += 1
-            if k > self.dim + 1:
-                raise LieError("ad-not-nilpotent")
-        return out
+        return exp_nilpotent(self.ad(x), self.tower)
 
     def apply_operator(self, op: list, space: list) -> list:
         return rref_rows([vmat(v, op) for v in space], self.tower)
@@ -424,16 +380,11 @@ def levi_subalgebra(alg: SCAlgebra) -> list:
     ib = rref_rows(ideal, alg.tower)
 
     def icoords(v):
-        sol = solve_left(ib, v, alg.tower)
-        if sol is None:
-            raise LieError("not-in-ideal")
-        return sol
+        return span_coords(v, ib, "not-in-ideal")
 
     # structure constants of the quotient Levi on the chosen representatives
-    sc = [[solve_left(sbar, quot.bracket(sbar[a], sbar[b]), alg.tower)
+    sc = [[span_coords(quot.bracket(sbar[a], sbar[b]), sbar, "levi-not-closed")
            for b in range(m)] for a in range(m)]
-    if any(entry is None for row in sc for entry in row):
-        raise LieError("levi-not-closed")
     if m == 0 or p == 0:
         return rref_rows(reps, alg.tower)
     # unknowns u_a in the ideal correcting reps to close under the bracket
@@ -462,36 +413,19 @@ def levi_subalgebra(alg: SCAlgebra) -> list:
     target = []
     for (x, y) in pairs:
         z = alg.bracket(reps[x], reps[y])
-        for c in range(m):
-            if not sc[x][y][c].is_zero():
-                z = [zi - sc[x][y][c] * ri for zi, ri in zip(z, reps[c])]
+        z = [zi - ri for zi, ri in zip(z, vmat(sc[x][y], reps))]
         target.extend([-t for t in icoords(z)])
     sol = solve_left(rows, target, tower)
     if sol is None:
         raise LieError("levi-correction-failed")
-    out = []
-    for a in range(m):
-        v = list(reps[a])
-        for k in range(p):
-            c = sol[a * p + k]
-            if not c.is_zero():
-                v = [vi + c * bi for vi, bi in zip(v, ib[k])]
-        out.append(v)
-    out = rref_rows(out, alg.tower)
+    out = rref_rows([[vi + bi for vi, bi in zip(
+        reps[a], vmat(sol[a * p:(a + 1) * p], ib))] for a in range(m)], tower)
     # verify closure
     for x in out:
         for y in out:
             if not in_span(alg.bracket(x, y), out):
                 raise LieError("levi-not-closed")
     return out
-
-
-def combine_rows(rows: list, coeffs: list, tower: FieldTower, dim: int) -> list:
-    v = [tower.zero()] * dim
-    for r, c in zip(rows, coeffs):
-        if not c.is_zero():
-            v = [p + c * q for p, q in zip(v, r)]
-    return v
 
 
 def compose_exp(alg: SCAlgebra, zs: list) -> list:
@@ -528,12 +462,12 @@ def conj_cartan_solvable_sc(alg: SCAlgebra, h1: list, h2: list) -> list:
         sol = solve_left(stacked, u, tower)
         if sol is None:
             raise LieError("conjugation-failed")
-        y = combine_rows(ideal, sol[len(h1):], tower, alg.dim)
+        y = vmat(sol[len(h1):], ideal)
         rows = [alg.bracket(v, u) for v in ideal]
         zc = solve_left(rows, y, tower)
         if zc is None:
             raise LieError("conjugation-failed")
-        z = combine_rows(ideal, zc, tower, alg.dim)
+        z = vmat(zc, ideal)
         if not span_eq(alg.apply_operator(alg.exp_ad(z), h1), h2):
             raise LieError("conjugation-failed")
         return [z]
@@ -548,7 +482,7 @@ def conj_cartan_solvable_sc(alg: SCAlgebra, h1: list, h2: list) -> list:
         sol = solve_left(proj_der, xb, tower)
         if sol is None:
             raise LieError("conjugation-failed")
-        xs.append(combine_rows(derived, sol, tower, alg.dim))
+        xs.append(vmat(sol, derived))
     h0 = alg.apply_operator(compose_exp(alg, xs), h1)
     a = span_sum(h2, ideal, tower)
     sub, embed, coords = alg.subalgebra(a)
@@ -587,7 +521,7 @@ def align_cartan_sc(alg: SCAlgebra, h0: list, s: list, t: list,
         sol = solve_left(sproj, proj(v), tower)
         if sol is None:
             raise LieError("alignment-failed")
-        h_s.append(combine_rows(s_rref, sol, tower, alg.dim))
+        h_s.append(vmat(sol, s_rref))
     h_s = rref_rows(h_s, tower)
     u = span_sum(h_s, t, tower)
     h = cartan_containing_torus(alg, u)
@@ -625,9 +559,8 @@ class LieAlgebraDatum:
         self.n = len(basis[0])
         self.dim = len(basis)
         flat = [_flatten(m) for m in basis]
-        self._rref, self._trans, self._pivots = row_reduce_transform(flat,
-                                                                     tower)
-        if len(self._pivots) != self.dim:
+        self._rref, self._trans, pivots = row_reduce_transform(flat, tower)
+        if len(pivots) != self.dim:
             raise LieError("dependent-basis")
         zero = [tower.zero()] * self.dim
         table = [[zero] * self.dim for _ in range(self.dim)]
@@ -643,20 +576,8 @@ class LieAlgebraDatum:
         return msub(mmul(a, b), mmul(b, a))
 
     def coords(self, mat: list) -> list:
-        v = _flatten(mat)
-        cs = []
-        for r, c in enumerate(self._pivots):
-            f = v[c]
-            cs.append(f)
-            if not f.is_zero():
-                v = [x - f * y for x, y in zip(v, self._rref[r])]
-        if any(not x.is_zero() for x in v):
-            raise LieError("not-in-algebra")
-        out = [self.tower.zero()] * self.dim
-        for r, f in enumerate(cs):
-            if not f.is_zero():
-                out = [x + f * y for x, y in zip(out, self._trans[r])]
-        return out
+        return vmat(span_coords(_flatten(mat), self._rref, "not-in-algebra"),
+                    self._trans)
 
     def contains(self, mat: list) -> bool:
         try:
@@ -709,8 +630,7 @@ def levi_decompose(datum: LieAlgebraDatum) -> LeviDecomposition:
         rad_mats = datum.rows_to_mats(rad)
         gram = [[mtrace(mmul(rm, bm)) for bm in datum.basis]
                 for rm in rad_mats]
-        for c in left_kernel(gram, tower):
-            n_rows.append(combine_rows(rad, c, tower, alg.dim))
+        n_rows = [vmat(c, rad) for c in left_kernel(gram, tower)]
     n_rows = rref_rows(n_rows, tower)
     # torus part: semisimple parts of a Cartan subalgebra of the
     # centralizer of the Levi subalgebra inside the radical
@@ -930,8 +850,8 @@ def reductive_projection(datum: LieAlgebraDatum, levi: LeviDecomposition,
     sol = solve_left(stacked, zrow, tower)
     if sol is None:
         raise LieError("projection-failed")
-    red = combine_rows(stacked[: len(srows) + len(trows)],
-                       sol[: len(srows) + len(trows)], tower, datum.dim)
+    red = vmat(sol[: len(srows) + len(trows)],
+               stacked[: len(srows) + len(trows)])
     pu = exp_nilpotent(datum.from_coords(red), tower)
     # semisimple part: conjugate its torus into the reductive subgroup
     if meq(jp.s, meye(tower, datum.n)):
@@ -946,41 +866,6 @@ def reductive_projection(datum: LieAlgebraDatum, levi: LeviDecomposition,
             hmat = mmul(hmat, exp_nilpotent(x, tower))
         ps = mmul(mmul(hmat, jp.s), minverse(hmat, tower))
     return mmul(ps, pu)
-
-
-# -- membership in the connected group --------------------------------------------
-
-
-def membership(g: list, datum: LieAlgebraDatum, seed: int = 0) -> bool:
-    """Whether g lies in the connected algebraic group with this algebra."""
-    from .torus import TorusError, torus_membership
-
-    tower = datum.tower
-    jp = jordan(g, tower)
-    try:
-        zlog = log_unipotent(jp.u, tower)
-    except LieError:
-        return False
-    if not datum.contains(zlog):
-        return False
-    s = jp.s
-    sinv = minverse(s, tower)
-    for b in datum.basis:
-        if not datum.contains(mmul(mmul(s, b), sinv)):
-            return False
-    if meq(s, meye(tower, datum.n)):
-        return True
-    zrows = _commutant_rows(datum, s)
-    sub, embed, _c = datum.sc.subalgebra(zrows)
-    t_rows = []
-    for v in sub.cartan_subalgebra(seed):
-        sm, _ = additive_jordan(datum.from_coords(embed(v)), tower)
-        t_rows.append(datum.coords(sm))
-    t_mats = datum.rows_to_mats(rref_rows(t_rows, tower))
-    try:
-        return torus_membership(t_mats, s, tower)
-    except TorusError:
-        return False
 
 
 # -- root systems ------------------------------------------------------------------
@@ -1019,17 +904,23 @@ def _tuple_eq(a: list, b: list) -> bool:
 def joint_eigenspaces(ops: list, tower: FieldTower, dim: int) -> list:
     """Common eigenspaces of commuting semisimple operators on row space.
 
-    Returns a list of (eigenvalue tuple, basis rows)."""
+    Returns a list of (eigenvalue tuple, rref_rows basis).  A space on which
+    an operator acts as a scalar is kept as it is, and so is a line, whose
+    eigenvalue is read from its pivot column: an operator commuting with
+    the ones before it maps their joint eigenspaces into themselves."""
     spaces = [([], meye(tower, dim))]
     for op in ops:
         refined = []
         for tup, s in spaces:
-            restr = []
-            for row in s:
-                sol = solve_left(s, vmat(row, op), tower)
-                if sol is None:
-                    raise LieError("not-invariant")
-                restr.append(sol)
+            if len(s) == 1:
+                refined.append((tup + echelon_reduce(vmat(s[0], op), s)[0], s))
+                continue
+            restr = _restrict(op, s)
+            lam = restr[0][0]
+            if all(x == lam if i == j else x.is_zero()
+                   for i, row in enumerate(restr) for j, x in enumerate(row)):
+                refined.append((tup + [lam], s))
+                continue
             vals = []
             for f in split_poly(charpoly(restr, tower), tower):
                 root = -f[0]
@@ -1042,9 +933,7 @@ def joint_eigenspaces(ops: list, tower: FieldTower, dim: int) -> list:
                      for j in range(len(s))]
                     for i in range(len(s))
                 ]
-                eig = []
-                for coeff in left_kernel(shifted, tower):
-                    eig.append(combine_rows(s, coeff, tower, dim))
+                eig = [vmat(c, s) for c in left_kernel(shifted, tower)]
                 if eig:
                     refined.append((tup + [lam], rref_rows(eig, tower)))
                     covered += len(eig)

@@ -64,10 +64,27 @@ def mmul(a: list, b: list) -> list:
 
 
 def vmat(v: list, m: list) -> list:
+    """v*m, the combination sum_i v_i * m_i of the rows; the row of a zero
+    coefficient is never scanned."""
     cols = len(m[0]) if m else 0
     if not cols:
         return []
-    return _row_combination(v, [_nonzero(row) for row in m], cols)
+    return _row_combination(
+        v, [() if x.is_zero() else _nonzero(row) for x, row in zip(v, m)],
+        cols)
+
+
+def echelon_reduce(v: list, basis: list) -> tuple:
+    """(c, r) with v = c*basis + r, for basis rows in reduced echelon form
+    with unit pivots (as liealg.rref_rows returns them).
+
+    c holds the entries of v in the pivot columns, and r vanishes exactly
+    when v lies in the span; c is then the coordinate vector of v."""
+    if not basis:
+        return [], list(v)
+    coeffs = [v[next(j for j, x in enumerate(row) if not x.is_zero())]
+              for row in basis]
+    return coeffs, [x - y for x, y in zip(v, vmat(coeffs, basis))]
 
 
 def mconj(a: list) -> list:

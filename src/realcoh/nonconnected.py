@@ -304,10 +304,9 @@ def _twisted_x1(group: NonConnectedGroup, ghat: list):
                       "tw_group": tw_group, "tw_classes": tw_classes}
 
 
-def h1_nonconnected(group: NonConnectedGroup,
-                    pi0_bound: int = 10 ** 4) -> NonConnectedH1Result:
+def h1_nonconnected(group: NonConnectedGroup) -> NonConnectedH1Result:
     tower = group.tower
-    pi0_h1 = h1_finite(group.pi0, bound=pi0_bound)
+    pi0_h1 = h1_finite(group.pi0, bound=10 ** 4)
     representatives = []
     provenance = []
     non_lifting = []

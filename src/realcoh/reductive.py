@@ -40,6 +40,8 @@ from .liealg import (
 )
 from .linalg import (
     RealStructure,
+    echelon_reduce,
+    left_kernel,
     meq,
     meye,
     minverse,
@@ -56,7 +58,6 @@ from .torus import (
     simultaneous_diagonalize,
     trivialize_cocycle,
 )
-from .linalg import left_kernel, solve_left
 
 
 class ReductiveError(RealcohError):
@@ -86,9 +87,6 @@ class ReductiveRealGroup:
     root: object
     weyl: list         # all WeylElements
     w0: list           # elements stabilizing the Cartan subalgebra of k
-
-    def t_mats(self) -> list:
-        return self.datum.rows_to_mats(self.t_rows)
 
 
 @dataclass
@@ -138,14 +136,8 @@ def _split_center(datum: LieAlgebraDatum, z_rows: list) -> tuple:
     re_parts = [[x.real_part() for x in d] for d in diags]
 
     def kernel_combos(parts):
-        combos = []
-        for coeff in left_kernel(parts, tower):
-            v = [tower.zero()] * datum.dim
-            for i, ci in enumerate(coeff):
-                if not ci.is_zero():
-                    v = [p + ci * q for p, q in zip(v, z_rows[i])]
-            combos.append(v)
-        return rref_rows(combos, tower)
+        return rref_rows([vmat(coeff, z_rows)
+                          for coeff in left_kernel(parts, tower)], tower)
 
     zs = kernel_combos(im_parts)
     zc = kernel_combos(re_parts)
@@ -209,8 +201,8 @@ def build_reductive(lie_basis: list, nsigma: list, k_mats: list,
         if cartan_k_mats is not None:
             h = []
             for m in cartan_k_mats:
-                row = solve_left(k_rows, datum.coords(m), tower)
-                if row is None:
+                row, rest = echelon_reduce(datum.coords(m), k_rows)
+                if any(not x.is_zero() for x in rest):
                     raise ReductiveError("not-cartan-subalgebra",
                                          "hint matrix not in k")
                 h.append(row)
@@ -249,8 +241,8 @@ def build_reductive(lie_basis: list, nsigma: list, k_mats: list,
         rows = []
         for m in t_mats:
             img = mmul(mmul(n, m), ninv)
-            sol = solve_left(t_rows, datum.coords(img), tower)
-            if sol is None:
+            sol, rest = echelon_reduce(datum.coords(img), t_rows)
+            if any(not x.is_zero() for x in rest):
                 raise ReductiveError("not-normalizer")
             rows.append(sol)
         return rows
@@ -278,7 +270,7 @@ def build_reductive(lie_basis: list, nsigma: list, k_mats: list,
                     raise ReductiveError("weyl-too-large")
         frontier = nxt
 
-    that0_tc = [solve_left(t_rows, v, tower) for v in that0_rows]
+    that0_tc = [echelon_reduce(v, t_rows)[0] for v in that0_rows]
     that0_span = rref_rows(that0_tc, tower)
     w0 = []
     for e in elements:

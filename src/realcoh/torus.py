@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .field import FieldTower, RealcohError, split_poly
+from .field import FieldTower, RealcohError
 from .gammacoh import CohomologyResult, GammaModule, ShortComplex, hyper
 from .lattice import (
     gamma_decompose,
@@ -34,10 +34,9 @@ from .lattice import (
     solve_integer,
     transpose,
 )
+from .liealg import LieError, joint_eigenspaces
 from .linalg import (
     RealStructure,
-    charpoly,
-    left_kernel,
     mconj,
     meq,
     meye,
@@ -45,7 +44,6 @@ from .linalg import (
     mmul,
     mtranspose,
     mzeros,
-    solve_left,
 )
 
 
@@ -94,62 +92,17 @@ def root_of_minus_one(tower: FieldTower, m: int):
 # -- simultaneous diagonalization ----------------------------------------------
 
 
-def _eigenvalues(mat: list, tower: FieldTower) -> list:
-    poly = charpoly(mat, tower)
-    factors = split_poly(poly, tower)
-    vals = []
-    for f in factors:
-        root = -f[0]
-        if all(root != v for v in vals):
-            vals.append(root)
-    return vals
-
-
 def simultaneous_diagonalize(mats: list, tower: FieldTower, n: int) -> list:
-    """C with C^-1 * a * C diagonal for every a in mats (commuting, semisimple)."""
-    spaces = [meye(tower, n)]
-    for a in mats:
-        at = mtranspose(a)
-        refined = []
-        for s in spaces:
-            if len(s) == 1:
-                refined.append(s)
-                continue
-            images = mmul(s, at)
-            restr = []
-            for row in images:
-                c = solve_left(s, row, tower)
-                if c is None:
-                    raise TorusError("not-invariant")
-                restr.append(c)
-            vals = _eigenvalues(restr, tower)
-            if len(vals) == 1:
-                refined.append(s)
-                continue
-            covered = 0
-            for lam in vals:
-                shifted = [
-                    [restr[i][j] - (lam if i == j else tower.zero())
-                     for j in range(len(s))]
-                    for i in range(len(s))
-                ]
-                eigenspace = []
-                for coeff in left_kernel(shifted, tower):
-                    vec = [tower.zero()] * n
-                    for idx, c in enumerate(coeff):
-                        if not c.is_zero():
-                            vec = [x + c * y for x, y in zip(vec, s[idx])]
-                    eigenspace.append(vec)
-                if eigenspace:
-                    refined.append(eigenspace)
-                    covered += len(eigenspace)
-            if covered != len(s):
-                raise TorusError("not-semisimple")
-        spaces = refined
-    rows = [row for s in spaces for row in s]
-    if len(rows) != n:
-        raise TorusError("not-semisimple")
-    return mtranspose(rows)
+    """C with C^-1 * a * C diagonal for every a in mats (commuting, semisimple).
+
+    The columns of C are the rows of the joint eigenspaces of the
+    transposed matrices."""
+    try:
+        spaces = joint_eigenspaces([mtranspose(a) for a in mats], tower, n)
+    except LieError as err:
+        raise TorusError("not-invariant" if err.code == "not-invariant"
+                         else "not-semisimple") from err
+    return mtranspose([row for _, s in spaces for row in s])
 
 
 # -- presentation ----------------------------------------------------------------
@@ -323,46 +276,6 @@ def compact_part_lie(t: TorusPresentation) -> list:
             full[l][l] = t.tower.from_rational(e)
         out.append(mmul(mmul(t.c, full), t.cinv))
     return out
-
-
-def torus_membership(lie_basis: list, mat: list, tower: FieldTower) -> bool:
-    """Whether mat lies in the complex torus with the given Lie algebra.
-
-    Uses the diagonal model only; no real structure is involved, so this
-    also applies to tori arising as Cartan subgroups inside larger groups.
-    """
-    n = len(mat)
-    if not lie_basis:
-        return meq(mat, meye(tower, n))
-    diag_test = all(
-        b[i][j].is_zero()
-        for b in lie_basis for i in range(n) for j in range(n) if i != j
-    )
-    c = meye(tower, n) if diag_test else \
-        simultaneous_diagonalize(lie_basis, tower, n)
-    cinv = minverse(c, tower)
-    diag_entries = []
-    for b in lie_basis:
-        dm = mmul(mmul(cinv, b), c)
-        for i in range(n):
-            for j in range(n):
-                if i != j and not dm[i][j].is_zero():
-                    raise TorusError("not-semisimple")
-        diag_entries.append([dm[i][i] for i in range(n)])
-    lam_lattice = _lambda_lattice(diag_entries, n)
-    m = perp(lam_lattice, n)
-    d = len(m)
-    p = _solve_p(m, n, d)
-    dm = mmul(mmul(cinv, mat), c)
-    for i in range(n):
-        for j in range(n):
-            if i != j and not dm[i][j].is_zero():
-                return False
-    alphas = [dm[i][i] for i in range(n)]
-    if any(x.is_zero() for x in alphas):
-        return False
-    t_full = mono_apply(alphas, transpose(p))
-    return all(t_full[j] == 1 for j in range(d, n))
 
 
 def build_presentation(lie_basis: list, nsigma: list, tower: FieldTower,

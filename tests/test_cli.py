@@ -166,6 +166,12 @@ def test_lattice_decompose_rejects_non_involution(tmp_path, capsys):
 
 # -- malformed input ----------------------------------------------------------------
 
+# a one-dimensional torus, and a one-component group with trivial identity
+# component, each well formed until a case overrides one field
+MU = {"lie_basis": [[["1"]]], "N_sigma": [["1"]], "characters": [[2]]}
+PI0 = {"kind": "nonconnected", "lie_basis": [], "N_sigma": [["1"]],
+       "component_reps": [[["1"]]], "pi0_table": [[0]], "pi0_gamma": [0]}
+
 
 @pytest.mark.parametrize("command,data,code", [
     ("h1", [1, 2], "bad-input"),
@@ -178,8 +184,19 @@ def test_lattice_decompose_rejects_non_involution(tmp_path, capsys):
     ("lattice-decompose", {"tau": [[1, 2], [3]]}, "bad-input"),
     ("lattice-decompose", {"tau": [[0, 1], [1, 0], [1, 1]]}, "bad-input"),
     ("lattice-decompose", {"tau": [["a"]]}, "bad-input"),
+    ("h2-quasitorus", dict(MU, characters=[[]]), "bad-input"),
+    ("h2-quasitorus", dict(MU, characters=[["a"]]), "bad-input"),
+    ("h2-quasitorus", dict(MU, characters=[[1, 2]]), "bad-input"),
+    ("h1", dict(PI0, pi0_table=[[0, 1]]), "bad-input"),
+    ("h1", dict(PI0, pi0_gamma=[5]), "bad-input"),
+    ("h1", dict(PI0, pi0_gamma=[0, 0]), "bad-input"),
+    ("h1", dict(PI0, pi0_gamma=["a"]), "bad-input"),
+    ("h1", dict(PI0, pi0_table=[0]), "bad-input"),
 ], ids=["array", "basis-size", "zero-denominator", "k-mats-int",
-        "tau-ragged", "tau-not-square", "tau-not-integer"])
+        "tau-ragged", "tau-not-square", "tau-not-integer",
+        "character-short", "character-not-integer", "character-long",
+        "pi0-table-not-square", "pi0-gamma-out-of-range",
+        "pi0-gamma-length", "pi0-gamma-not-integer", "pi0-row-not-list"])
 def test_malformed_input_is_a_coded_error(tmp_path, capsys, command, data,
                                           code):
     path = tmp_path / "input.json"
@@ -187,6 +204,18 @@ def test_malformed_input_is_a_coded_error(tmp_path, capsys, command, data,
     exit_code, out = run(capsys, command, str(path))
     assert exit_code == 1
     assert json.loads(out)["error"]["code"] == code
+
+
+@pytest.mark.parametrize("basis", [[["1", "1"], ["0", "1"]],
+                                   [["0", "1"], ["0", "0"]]])
+def test_non_semisimple_torus_is_a_coded_error(tmp_path, capsys, basis):
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps({"kind": "torus", "lie_basis": [basis],
+                                "N_sigma": [["1", "0"], ["0", "1"]]}))
+    code, out = run(capsys, "h1", str(path))
+    assert code == 1
+    assert json.loads(out) == {"error": {"code": "not-semisimple",
+                                         "message": "not-semisimple"}}
 
 
 # -- catalog and options ------------------------------------------------------------

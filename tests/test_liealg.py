@@ -16,7 +16,6 @@ from realcoh.liealg import (
     jordan,
     levi_decompose,
     log_unipotent,
-    membership,
     reductive_projection,
     root_system,
 )
@@ -327,32 +326,6 @@ def test_reductive_projection_semidirect():
     rhs = mmul(reductive_projection(datum, dec, gshift),
                reductive_projection(datum, dec, u))
     assert meq(lhs, rhs)
-
-
-# -- membership --------------------------------------------------------------------
-
-
-def test_membership_sl2():
-    tw = tower()
-    datum = sl2(tw)
-    assert membership(meye(tw, 2), datum)
-    assert membership(mat_from_ints(tw, [[1, 1], [0, 1]]), datum)
-    two = mat_from_ints(tw, [[2, 0], [0, 2]])
-    assert not membership(two, datum)
-    g = mat_from_ints(tw, [[2, 0], [0, 1]])
-    g[1][1] = tw.from_rational(Fraction(1, 2))
-    assert membership(g, datum)
-
-
-def test_membership_mixed_element():
-    tw = tower()
-    datum = sl2(tw)
-    g = mat_from_ints(tw, [[2, 1], [0, 1]])
-    g[1][1] = tw.from_rational(Fraction(1, 2))
-    assert membership(g, datum)
-    # determinant obstruction for the torus part
-    bad = mat_from_ints(tw, [[2, 1], [0, 3]])
-    assert not membership(bad, datum)
 
 
 # -- root systems ------------------------------------------------------------------

@@ -8,9 +8,9 @@ import sympy
 import pytest
 
 from realcoh.field import FieldError, FieldTower
-from realcoh.liealg import LieAlgebraDatum
-from realcoh.linalg import mat_from_ints, meq, meye, minverse, mmul, \
-    row_reduce, row_reduce_transform, vmat
+from realcoh.liealg import LieAlgebraDatum, rref_rows
+from realcoh.linalg import echelon_reduce, mat_from_ints, meq, meye, \
+    minverse, mmul, row_reduce, row_reduce_transform, solve_left, vmat
 
 
 def _dense_mmul(a, b):
@@ -57,6 +57,53 @@ def test_mmul_and_vmat_match_dense_product():
                        for x, y in zip(rp, rr))
             assert [len(row) for row in prod] == [c] * r
             assert all(x == y for x, y in zip(vmat(a[0], b), ref[0]))
+
+
+def test_vmat_skips_zero_coefficients_and_rows():
+    rng = random.Random(15)
+    tower = FieldTower()
+    pool = _gaussian_pool(rng, tower)
+    zero = tower.zero()
+    for _ in range(40):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        m = _rand_matrix(rng, pool, r, c, 0.6)
+        m[rng.randrange(r)] = [zero] * c
+        v = [rng.choice(pool) if rng.random() < 0.5 else zero
+             for _ in range(r)]
+        naive = [sum((v[i] * m[i][j] for i in range(1, r)), v[0] * m[0][j])
+                 for j in range(c)]
+        assert vmat(v, m) == naive
+        assert vmat([zero] * r, m) == [zero] * c
+
+
+def test_echelon_reduce_matches_solve_left():
+    rng = random.Random(16)
+    tower = FieldTower()
+    pool = _gaussian_pool(rng, tower)
+    outside = 0
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        basis = rref_rows(_rand_matrix(rng, pool, rng.randint(1, n), n, 0.7),
+                          tower)
+        if not basis:
+            continue
+        coeffs = [rng.choice(pool) for _ in basis]
+        inside = vmat(coeffs, basis)
+        got, rest = echelon_reduce(inside, basis)
+        assert got == coeffs == solve_left(basis, inside, tower)
+        assert all(x.is_zero() for x in rest)
+        # a unit vector off the pivot columns lies outside the span
+        pivots = [next(j for j, x in enumerate(row) if not x.is_zero())
+                  for row in basis]
+        free = [j for j in range(n) if j not in pivots]
+        if free:
+            off = list(inside)
+            off[rng.choice(free)] += 1
+            _, rest = echelon_reduce(off, basis)
+            assert any(not x.is_zero() for x in rest)
+            assert solve_left(basis, off, tower) is None
+            outside += 1
+    assert outside >= 10
 
 
 def test_row_reduce_matches_sympy_rref():

@@ -405,7 +405,7 @@ def test_problem2_su2_needs_conjugator():
     # hint: diagonalize the semisimple part, then carry the diagonal torus
     # onto T with the eigenvector matrix of its Lie algebra generator
     s2 = [row[:2] for row in cocycle[:2]]
-    t2 = [row[:2] for row in g.t_mats()[0][:2]]
+    t2 = [row[:2] for row in g.datum.rows_to_mats(g.t_rows)[0][:2]]
     q_s = unimodular_diagonalizer(s2, tower)
     q_t = unimodular_diagonalizer(t2, tower)
     hint = iota(mmul(q_s, minverse(q_t, tower)), tower)

@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from realcoh.field import FieldTower
+from realcoh.field import FieldError, FieldTower, parse_element
 from realcoh.gammacoh import tate
-from realcoh.linalg import mat_from_ints, meq, meye, mmul
+from realcoh.linalg import mat_from_ints, meq, meye, minverse, mmul
 from realcoh.torus import (
     QuasiTorusDatum,
     TorusError,
@@ -14,6 +15,7 @@ from realcoh.torus import (
     h2_is_coboundary,
     h2_quasitorus,
     root_of_minus_one,
+    simultaneous_diagonalize,
     trivialize_cocycle,
 )
 
@@ -38,6 +40,69 @@ def induced_gm(tower):
     ]
     return build_presentation(basis, mat_from_ints(tower, [[0, 1], [1, 0]]),
                               tower)
+
+
+def _random_invertible(rng, tower, n):
+    pool = []
+    for _ in range(n * n):
+        q = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        pool.append(tower.from_rational(q) + rng.randint(-1, 1) * tower.i())
+    while True:
+        p = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+        try:
+            return p, minverse(p, tower)
+        except FieldError:
+            continue
+
+
+def _assert_diagonalizes(mats, tower, n):
+    c = simultaneous_diagonalize(mats, tower, n)
+    cinv = minverse(c, tower)
+    for a in mats:
+        dm = mmul(mmul(cinv, a), c)
+        assert all(dm[i][j].is_zero()
+                   for i in range(n) for j in range(n) if i != j)
+
+
+@pytest.mark.parametrize("diagonals", [
+    # the second matrix splits one 2-dimensional eigenspace of the first
+    # into lines and is scalar on the other
+    [[1, 1, 2, 2], [3, 4, 3, 3]],
+    # a scalar matrix, then distinct eigenvalues: every space a line
+    [[5, 5, 5], ["i", "-i", 0], [1, 2, 3]],
+    # a repeated eigenvalue that no later matrix splits
+    [[0, 2, 2, 0, 7], [1, 1, 1, 1, 1]],
+])
+def test_simultaneous_diagonalize_commuting_families(diagonals):
+    rng = random.Random(17)
+    tower = FieldTower()
+    for _ in range(3):
+        n = len(diagonals[0])
+        p, pinv = _random_invertible(rng, tower, n)
+        mats = []
+        for diag in diagonals:
+            d = meye(tower, n)
+            for k, x in enumerate(diag):
+                d[k][k] = parse_element(str(x), tower)
+            mats.append(mmul(mmul(p, d), pinv))
+        _assert_diagonalizes(mats, tower, n)
+
+
+def test_simultaneous_diagonalize_equal_diagonal_entries():
+    # not scalar, although every diagonal entry is the same
+    tower = FieldTower()
+    swap = mat_from_ints(tower, [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    _assert_diagonalizes([swap, mat_from_ints(tower, [[2, 0, 0], [0, 2, 0],
+                                                      [0, 0, 5]])], tower, 3)
+
+
+@pytest.mark.parametrize("basis", [[[1, 1], [0, 1]], [[0, 1], [0, 0]]])
+def test_non_semisimple_basis_is_rejected(basis):
+    tower = FieldTower()
+    with pytest.raises(TorusError) as err:
+        build_presentation([mat_from_ints(tower, basis)], meye(tower, 2),
+                           tower)
+    assert err.value.code == "not-semisimple"
 
 
 def test_split_presentation():
