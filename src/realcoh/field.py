@@ -24,6 +24,11 @@ Rational = Union[int, Fraction]
 
 _SQRT_CACHE_LIMIT = 4096
 
+# the monomials 1 and i of the normal form, and the zero coefficient
+_ONE_MONO = (0, 0)
+_I_MONO = (1, 0)
+_ZERO = Fraction(0)
+
 
 class RealcohError(Exception):
     """Error with a stable machine-readable code; every module's error type
@@ -255,7 +260,7 @@ class FieldElement:
         return hash(self._key())
 
     def _rat_coeff(self, ib: int, mask: int) -> Fraction:
-        return self.coords.get((ib, mask), Fraction(0))
+        return self.coords.get((ib, mask), _ZERO)
 
     def _top_gen(self) -> int:
         top = -1
@@ -297,14 +302,24 @@ class FieldElement:
         return (self - other).is_zero()
 
     def __add__(self, other) -> "FieldElement":
-        other = self.tower.coerce(other)
-        out = dict(self.coords)
-        for m, c in other.coords.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
+        if type(other) is not FieldElement or other.tower is not self.tower:
+            other = self.tower.coerce(other)
+        a, b = self.coords, other.coords
+        if not b:
+            return self
+        if not a:
+            return other
+        out = dict(a)
+        for m, c in b.items():
+            s = out.get(m)
+            if s is None:
+                out[m] = c
             else:
-                out.pop(m, None)
+                s += c
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
         return FieldElement(self.tower, out)
 
     __radd__ = __add__
@@ -313,7 +328,25 @@ class FieldElement:
         return FieldElement(self.tower, {m: -c for m, c in self.coords.items()})
 
     def __sub__(self, other) -> "FieldElement":
-        return self + (-self.tower.coerce(other))
+        if type(other) is not FieldElement or other.tower is not self.tower:
+            other = self.tower.coerce(other)
+        a, b = self.coords, other.coords
+        if not b:
+            return self
+        if not a:
+            return -other
+        out = dict(a)
+        for m, c in b.items():
+            s = out.get(m)
+            if s is None:
+                out[m] = -c
+            else:
+                s -= c
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+        return FieldElement(self.tower, out)
 
     def __rsub__(self, other) -> "FieldElement":
         return self.tower.coerce(other) - self
@@ -336,7 +369,8 @@ class FieldElement:
         return base
 
     def __mul__(self, other) -> "FieldElement":
-        other = self.tower.coerce(other)
+        if type(other) is not FieldElement or other.tower is not self.tower:
+            other = self.tower.coerce(other)
         a, b = self.coords, other.coords
         if not a or not b:
             return FieldElement(self.tower, {})
@@ -348,16 +382,37 @@ class FieldElement:
                 coeff = -c1 * c2 if m1[0] and m2[0] else c1 * c2
                 mono = (m1[0] ^ m2[0], m1[1] | m2[1])
                 return FieldElement(self.tower, {mono: coeff})
-        if other.is_rational():
-            q = other._rat_coeff(0, 0)
-            return FieldElement(self.tower, {m: c * q for m, c in self.coords.items()})
-        if self.is_rational():
-            return other * self
-        total = self.tower.zero()
-        for m1, c1 in self.coords.items():
-            for m2, c2 in other.coords.items():
-                total = total + self._mono_mul(m1, c1, m2, c2)
-        return total
+        if len(b) == 1 and _ONE_MONO in b:
+            q = b[_ONE_MONO]
+            return FieldElement(self.tower, {m: c * q for m, c in a.items()})
+        if len(a) == 1 and _ONE_MONO in a:
+            q = a[_ONE_MONO]
+            return FieldElement(self.tower, {m: c * q for m, c in b.items()})
+        if self.is_gaussian() and other.is_gaussian():
+            # (p + qi)(r + si) = (pr - qs) + (ps + qr)i
+            p, q = a.get(_ONE_MONO, _ZERO), a.get(_I_MONO, _ZERO)
+            r, s = b.get(_ONE_MONO, _ZERO), b.get(_I_MONO, _ZERO)
+            out = {}
+            re, im = p * r - q * s, p * s + q * r
+            if re:
+                out[_ONE_MONO] = re
+            if im:
+                out[_I_MONO] = im
+            return FieldElement(self.tower, out)
+        # one dict for the whole sum; only monomials sharing a generator
+        # multiply a radicand in, through _mono_mul
+        out = {}
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                if m1[1] & m2[1]:
+                    terms = self._mono_mul(m1, c1, m2, c2).coords.items()
+                else:
+                    coeff = -c1 * c2 if m1[0] and m2[0] else c1 * c2
+                    terms = (((m1[0] ^ m2[0], m1[1] | m2[1]), coeff),)
+                for m, c in terms:
+                    s = out.get(m)
+                    out[m] = c if s is None else s + c
+        return FieldElement(self.tower, {m: c for m, c in out.items() if c})
 
     __rmul__ = __mul__
 

@@ -437,7 +437,7 @@ def _is_index_list(row, n: int) -> bool:
 class FiniteGammaGroup:
     """Finite group given by a multiplication table with a gamma-involution."""
 
-    def __init__(self, table: list, gamma: list, names: list | None = None):
+    def __init__(self, table: list, gamma: list):
         if not (isinstance(table, list)
                 and all(_is_index_list(row, len(table)) for row in table)
                 and _is_index_list(gamma, len(table))):
@@ -447,7 +447,6 @@ class FiniteGammaGroup:
         self.table = table
         self.gamma = gamma
         self.size = len(table)
-        self.names = names or [str(i) for i in range(self.size)]
         self.e = self._find_identity()
         self.inv = [next(j for j in range(self.size) if table[i][j] == self.e)
                     for i in range(self.size)]

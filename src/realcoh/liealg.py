@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
 from .field import (
@@ -73,8 +74,7 @@ def span_coords(v: list, basis: list, code: str) -> list:
 
 
 def span_eq(a: list, b: list) -> bool:
-    return len(a) == len(b) and all(in_span(v, b) for v in a) \
-        and all(v is not None for v in a)
+    return len(a) == len(b) and all(in_span(v, b) for v in a)
 
 
 def span_intersect(a: list, b: list, tower: FieldTower) -> list:
@@ -570,7 +570,11 @@ class LieAlgebraDatum:
                 table[a][b] = ab
                 table[b][a] = [-x for x in ab]
         self.sc = SCAlgebra(table, tower, check=check_jacobi)
-        self.real_form = all(self.contains(mconj(m)) for m in basis)
+
+    @cached_property
+    def real_form(self) -> bool:
+        """Whether the span is closed under entrywise conjugation."""
+        return all(self.contains(mconj(m)) for m in self.basis)
 
     def bracket(self, a: list, b: list) -> list:
         return msub(mmul(a, b), mmul(b, a))

@@ -78,12 +78,26 @@ def echelon_reduce(v: list, basis: list) -> tuple:
     """(c, r) with v = c*basis + r, for basis rows in reduced echelon form
     with unit pivots (as liealg.rref_rows returns them).
 
+    The pivots must increase strictly from row to row: each row's pivot is
+    sought only after the previous one, so one call scans each column at
+    most once.  A row with no nonzero entry past the previous pivot raises
+    FieldError("not-echelon").
+
     c holds the entries of v in the pivot columns, and r vanishes exactly
     when v lies in the span; c is then the coordinate vector of v."""
     if not basis:
         return [], list(v)
-    coeffs = [v[next(j for j, x in enumerate(row) if not x.is_zero())]
-              for row in basis]
+    coeffs = []
+    width = len(v)
+    j = 0
+    for row in basis:
+        while j < width and row[j].is_zero():
+            j += 1
+        if j == width:
+            raise FieldError("not-echelon",
+                             "basis pivots do not increase from row to row")
+        coeffs.append(v[j])
+        j += 1
     return coeffs, [x - y for x, y in zip(v, vmat(coeffs, basis))]
 
 
@@ -233,9 +247,12 @@ class RealStructure:
         """z * gamma(z) = 1."""
         return meq(mmul(z, self.gamma(z)), meye(self.tower, len(z)))
 
-    def twist(self, s: list, z: list) -> list:
-        """s^-1 * z * gamma(s), the cocycle z moved by s."""
-        return mmul(mmul(minverse(s, self.tower), z), self.gamma(s))
+    def twist(self, s: list, z: list, s_inv: list = None) -> list:
+        """s^-1 * z * gamma(s), the cocycle z moved by s; s_inv is s^-1
+        when the caller already holds it."""
+        if s_inv is None:
+            s_inv = minverse(s, self.tower)
+        return mmul(mmul(s_inv, z), self.gamma(s))
 
     def fixes(self, m: list) -> bool:
         """gamma(m) = m, e.g. m is a real Lie algebra basis element."""

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .field import FieldTower, RealcohError, format_element
 from .liealg import (
@@ -69,6 +70,11 @@ class WeylElement:
     word: list    # indices of simple reflections, identity = []
     n: list       # normalizer representative in G(C)
     action: list  # matrix of Ad(n) on Cartan coordinates (rows convention)
+
+    @cached_property
+    def n_inv(self) -> list:
+        """n^-1, computed on first use and kept for every later twist."""
+        return minverse(self.n, self.n[0][0].tower)
 
 
 @dataclass
@@ -314,10 +320,11 @@ def w0_generators(g: ReductiveRealGroup) -> list:
     return gens
 
 
-def _twist(g: ReductiveRealGroup, n: list, z: list) -> list:
-    """One W_0 twist n^-1 z gamma(n); a module function so that the W_0
-    scans can be timed and counted per twist (perfbench traces it)."""
-    return g.real.twist(n, z)
+def _twist(g: ReductiveRealGroup, e: WeylElement, z: list) -> list:
+    """One W_0 twist n^-1 z gamma(n) by the representative n of e, with
+    its kept inverse; a module function so that the W_0 scans can be timed
+    and counted per twist (perfbench traces it)."""
+    return g.real.twist(e.n, z, e.n_inv)
 
 
 def weyl_action(g: ReductiveRealGroup) -> WeylOrbitTable:
@@ -343,7 +350,7 @@ def weyl_action(g: ReductiveRealGroup) -> WeylOrbitTable:
     for e in w0_generators(g):
         images = []
         for idx in probe:
-            zp = _twist(g, e.n, res.representatives[idx])
+            zp = _twist(g, e, res.representatives[idx])
             _, signs, _ = trivialize_cocycle(g.torus, zp)
             images.append(signs)
         base = images[0]
@@ -408,7 +415,7 @@ def realify_torus_conjugator(g: ReductiveRealGroup, t0p_mats: list,
                              "gamma displacement is not in the torus")
     t0_span = rref_rows(g.t0_rows, tower)
     for e in g.w0:
-        zp = _twist(g, e.n, z)
+        zp = _twist(g, e, z)
         try:
             _, signs, s = trivialize_cocycle(g.torus, zp)
         except TorusError:
@@ -515,7 +522,7 @@ def solve_problem2_reductive(g: ReductiveRealGroup, cocycle: list,
     s2 = mmul(mmul(minverse(v_conj, tower), s1), v_conj)
     res = h1_torus(g.torus)
     for e in g.w0:
-        zp = _twist(g, e.n, s2)
+        zp = _twist(g, e, s2)
         try:
             _, signs, t2 = trivialize_cocycle(g.torus, zp)
         except TorusError:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import QQ, QQ_I
 
 from realcoh import field
 from realcoh.field import (
@@ -208,6 +209,56 @@ def test_monomial_products(tower):
                        * b.complex_approx()) < 1e-9
     assert (i * r2) * (i * r2) == -2
     assert tower.zero() * r2 == 0 and r2 * tower.zero() == 0
+
+
+# sparse coefficients, so that sums cancel and operands are often zero
+_sparse = st.one_of(st.just(Fraction(0)), _rationals)
+
+
+@st.composite
+def _kernel_pairs(draw):
+    """(x, y, Gaussian?) in one tower: Gaussian rationals, or combinations
+    of 1, i, sqrt(2), sqrt(3) and their products; y is sometimes x, -x or
+    conj(x), so that sums and products cancel."""
+    tower = FieldTower()
+    gaussian = draw(st.booleans())
+    monos = [tower.one(), tower.i()]
+    if not gaussian:
+        r2, r3 = tower.sqrt(2), tower.sqrt(3)
+        monos += [r2, r3, r2 * r3, tower.i() * r2]
+
+    def element():
+        return sum((tower.from_rational(draw(_sparse)) * m for m in monos),
+                   tower.zero())
+
+    x = element()
+    y = draw(st.sampled_from([x, -x, x.conj(), None]))
+    if y is None:
+        y = element()
+    return x, y, gaussian
+
+
+def _to_qq_i(x):
+    a, b = x._rat_coeff(0, 0), x._rat_coeff(1, 0)
+    return QQ_I(QQ(a.numerator, a.denominator),
+                QQ(b.numerator, b.denominator))
+
+
+@given(_kernel_pairs())
+@settings(max_examples=150, deadline=None)
+def test_kernel_arithmetic_normal_form(data):
+    x, y, gaussian = data
+    assert (x - y).coords == (x + (-y)).coords
+    for z in (x + y, x - y, x * y, -x):
+        assert all(type(c) is Fraction and c != 0 for c in z.coords.values())
+    if gaussian:
+        for z, want in ((x * y, _to_qq_i(x) * _to_qq_i(y)),
+                        (x + y, _to_qq_i(x) + _to_qq_i(y)),
+                        (x - y, _to_qq_i(x) - _to_qq_i(y))):
+            assert z.is_gaussian() and _to_qq_i(z) == want
+    else:
+        want = x.complex_approx() * y.complex_approx()
+        assert abs((x * y).complex_approx() - want) <= 1e-9 * max(1, abs(want))
 
 
 def test_sqrt_wrong_root_is_coded_error(tower, monkeypatch):

@@ -1,8 +1,9 @@
 """Source checks over src/realcoh: no `assert` statements (they vanish under
 `python -O`; checks raise coded errors instead), no imported name that is
-never read, and no function, class or method that no module of the package
+never read, no function, class or method that no module of the package
 reads, outside a short list of entry points kept for the acceptance
-criteria and the reference checks."""
+criteria and the reference checks, and no instance attribute that is set
+and never read."""
 
 import ast
 from pathlib import Path
@@ -60,7 +61,13 @@ KEPT_FOR_TESTS = {
     "purify": "oracle in test_perp_perp_is_pure_closure",
     "TorusPresentation.cocharacter_module": "test_torus checks it against "
                                             "tate",
+    "LieAlgebraDatum.real_form": "test_real_form_flag checks the closure "
+                                 "under conjugation",
 }
+
+# Instance attributes set as `self.X = ...` in src/realcoh and read only
+# from tests, on purpose, as "file: X" -> reason.
+UNREAD_ATTRIBUTES_KEPT = {}
 
 
 def _definitions(tree):
@@ -132,3 +139,22 @@ def test_kept_for_tests_names_exist():
     defined = {qual for path in SOURCES
                for qual, _, _ in _definitions(ast.parse(path.read_text()))}
     assert sorted(set(KEPT_FOR_TESTS) - defined) == []
+
+
+def test_no_unread_instance_attributes():
+    """Every attribute assigned as `self.X = ...` is read as `.X` somewhere
+    in the package; the read may be on any object, since an attribute is
+    read through whatever name holds the instance."""
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = sorted(
+        {f"{fname}: {node.attr}" for fname, tree in trees.items()
+         for node in ast.walk(tree)
+         if isinstance(node, ast.Attribute)
+         and isinstance(node.ctx, ast.Store)
+         and isinstance(node.value, ast.Name) and node.value.id == "self"
+         and node.attr not in read}
+        - set(UNREAD_ATTRIBUTES_KEPT))
+    assert unread == [], f"set but never read in src/realcoh: {unread}"

@@ -106,6 +106,38 @@ def test_echelon_reduce_matches_solve_left():
     assert outside >= 10
 
 
+def test_echelon_reduce_late_pivots_in_long_rows():
+    tower = FieldTower()
+    width, pivots = 90, [70, 81, 86, 89]
+    rows = []
+    for k, p in enumerate(pivots):
+        row = [0] * width
+        row[p] = 1
+        # entries after the pivot, off the later pivot columns
+        for j in range(p + 1, width):
+            if j not in pivots:
+                row[j] = k + j
+        rows.append(row)
+    basis = mat_from_ints(tower, rows)
+    assert rref_rows(basis, tower) == basis
+    coeffs = mat_from_ints(tower, [[3, -1, 2, 5]])[0]
+    got, rest = echelon_reduce(vmat(coeffs, basis), basis)
+    assert got == coeffs and all(x.is_zero() for x in rest)
+    off = vmat(coeffs, basis)
+    off[75] += 1
+    got, rest = echelon_reduce(off, basis)
+    assert got == coeffs
+    assert [j for j, x in enumerate(rest) if not x.is_zero()] == [75]
+
+
+def test_echelon_reduce_rows_out_of_order_is_coded_error():
+    tower = FieldTower()
+    basis = mat_from_ints(tower, [[0, 0, 1, 2], [1, 0, 0, 0]])
+    with pytest.raises(FieldError) as err:
+        echelon_reduce(mat_from_ints(tower, [[1, 0, 1, 2]])[0], basis)
+    assert err.value.code == "not-echelon"
+
+
 def test_row_reduce_matches_sympy_rref():
     rng = random.Random(12)
     tower = FieldTower()
