@@ -124,8 +124,7 @@ def _parse_nsigma(data: dict, tower: FieldTower) -> list:
     return _parse_mat(data["N_sigma"], tower)
 
 
-def _build_from_data(data: dict, tower: FieldTower, seed: int,
-                     weyl_guard: int) -> Job:
+def _build_from_data(data: dict, tower: FieldTower, seed: int) -> Job:
     kind = data.get("kind")
     if kind not in ("torus", "reductive", "nonreductive", "nonconnected"):
         raise CliError("bad-input", f"unknown kind {kind!r}")
@@ -144,8 +143,7 @@ def _build_from_data(data: dict, tower: FieldTower, seed: int,
             cartan = (_parse_mats(data, "cartan_k_mats", tower, n)
                       if data.get("cartan_k_mats") else None)
             group = build_reductive(basis, nsig, k_mats, p_mats, tower,
-                                    seed=seed, weyl_guard=weyl_guard,
-                                    cartan_k_mats=cartan)
+                                    seed=seed, cartan_k_mats=cartan)
         else:
             group = build_levi_split(basis, nsig, k_mats, p_mats, tower)
     else:
@@ -163,15 +161,14 @@ def _build_from_data(data: dict, tower: FieldTower, seed: int,
                group=group, conjugator_hint=hint)
 
 
-def load_job(spec: str, tower: FieldTower, seed: int,
-             weyl_guard: int) -> Job:
+def load_job(spec: str, tower: FieldTower, seed: int) -> Job:
     if spec.startswith("catalog:"):
         entry = _catalog.get(spec[len("catalog:"):], tower)
         return Job(name=entry.name, kind=entry.kind, tower=tower,
                    real=RealStructure(entry.nsigma, tower),
                    group=entry.group,
                    conjugator_hint=entry.conjugator_hint)
-    return _build_from_data(_load_object(spec), tower, seed, weyl_guard)
+    return _build_from_data(_load_object(spec), tower, seed)
 
 
 # -- h1 ----------------------------------------------------------------------------
@@ -392,7 +389,6 @@ def _make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "text"),
                         default="json")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--weyl-guard", type=int, default=10000)
     sub = parser.add_subparsers(dest="command", required=True)
     p_h1 = sub.add_parser("h1")
     p_h1.add_argument("input")
@@ -447,7 +443,7 @@ def _run(args) -> int:
         if kind == "nonconnected":
             raise CliError("gaussian-backend-connected-only",
                            "non-connected groups need --field=sqrt-tower")
-    job = load_job(args.input, tower, args.seed, args.weyl_guard)
+    job = load_job(args.input, tower, args.seed)
     if args.field == "gaussian" and job.kind == "nonconnected":
         raise CliError("gaussian-backend-connected-only",
                        "non-connected groups need --field=sqrt-tower")

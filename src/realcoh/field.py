@@ -14,6 +14,7 @@ complex elements factor through their modulus.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Union
@@ -648,8 +649,13 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             raise FieldError("parse-error", f"unexpected input at {self.pos}")
+        literal = self.text[start:self.pos]
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and max(map(len, literal.split("/"))) > limit:
+            raise FieldError("literal-too-long", f"rational literal at {start} "
+                             f"has more than {limit} digits, int()'s limit")
         try:
-            value = Fraction(self.text[start:self.pos])
+            value = Fraction(literal)
         except (ValueError, ZeroDivisionError):
             raise FieldError("parse-error",
                              f"bad rational literal at {start}")

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 
 from .field import FieldTower, RealcohError, format_element
@@ -37,7 +38,7 @@ from .lattice import (LatticeError, det, diagonal_form, rational_inverse,
 from .liealg import exp_nilpotent, in_span, rref_rows
 from .linalg import (RealStructure, mconj, meq, meye, minverse, mmul, mscale,
                      mzeros)
-from .reductive import ReductiveRealGroup
+from .reductive import ReductiveRealGroup, weyl_walk
 from .torus import (
     QuasiTorusDatum,
     TorusPresentation,
@@ -419,7 +420,7 @@ def _real_square_root(group: ReductiveRealGroup, pres: TorusPresentation,
     t = _sqrt_in_torus(pres, z, fmap)
     if t is not None:
         return t
-    for e in group.weyl[1:]:
+    for e in islice(weyl_walk(group), 1, None):
         n = e.n
         m = mmul(n, n)
         if pres.lambda_inverse(m) is None:
@@ -487,7 +488,7 @@ def _align_pinning(group: ReductiveRealGroup, c: NonabCocycle2,
 
     x_coords = [datum.coords(x) for x in x_gens]
     found = None
-    for e in group.weyl:
+    for e in weyl_walk(group):
         cand = act(e.n, work) if e.word else work
         perm = []
         scal = []

@@ -63,8 +63,8 @@ class LeviSplitGroup:
 
 
 def build_levi_split(lie_basis: list, nsigma: list, k_mats: list,
-                     p_mats: list, tower: FieldTower, seed: int = 0,
-                     weyl_guard: int = 10000) -> LeviSplitGroup:
+                     p_mats: list, tower: FieldTower,
+                     seed: int = 0) -> LeviSplitGroup:
     """Split off the unipotent radical and build the reductive complement.
 
     k_mats/p_mats give a Cartan decomposition of the derived algebra of the
@@ -80,7 +80,7 @@ def build_levi_split(lie_basis: list, nsigma: list, k_mats: list,
         raise NonReductiveError("trivial-reductive-part",
                                 "the reductive complement is zero")
     reductive = build_reductive(r_mats, nsigma, k_mats, p_mats, tower,
-                                seed=seed, weyl_guard=weyl_guard)
+                                seed=seed)
     u_rows = rref_rows(datum.mats_to_rows(levi.n_basis), tower)
     r_rows = rref_rows(datum.mats_to_rows(r_mats), tower)
     return LeviSplitGroup(tower=tower, datum=datum, levi=levi,

@@ -10,9 +10,10 @@ construct:
     together with the compact part of the center),
   * the fundamental torus T = Z_G(T_0) with its canonical presentation,
   * the root system of the complexified algebra with respect to T,
-  * the Weyl group W with explicit normalizer representatives, and the
-    subgroup W_0 of elements whose representatives stabilize the Cartan
-    subalgebra of k.
+  * normalizer representatives of the simple reflections of the Weyl group
+    W, keyed by their permutations of the roots, and generators of the
+    subgroup W_0 that stabilizes the Cartan subalgebra of k; W is never
+    listed.
 
 H^1(R, G) is the set of W_0-orbits on the sign-pattern representatives of
 H^1(R, T).  Every class comes with an explicit cocycle representative, and
@@ -24,9 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 
-from .field import FieldTower, RealcohError, format_element
+from .field import FieldTower, RealcohError
 from .liealg import (
     LieAlgebraDatum,
     LieError,
@@ -48,6 +49,7 @@ from .linalg import (
     minverse,
     mmul,
     mscale,
+    mtranspose,
     vmat,
 )
 from .torus import (
@@ -69,7 +71,7 @@ class ReductiveError(RealcohError):
 class WeylElement:
     word: list    # indices of simple reflections, identity = []
     n: list       # normalizer representative in G(C)
-    action: list  # matrix of Ad(n) on Cartan coordinates (rows convention)
+    perm: tuple   # root index -> index of its image (root.roots order)
 
     @cached_property
     def n_inv(self) -> list:
@@ -91,14 +93,14 @@ class ReductiveRealGroup:
     t_rows: list       # Lie algebra of the fundamental torus T
     torus: TorusPresentation
     root: object
-    weyl: list         # all WeylElements
-    w0: list           # elements stabilizing the Cartan subalgebra of k
+    weyl: list         # the simple reflections, in root.x_gens order
+    w0: list           # generators of W_0, the stabilizer of that0 in W
 
 
 @dataclass
 class WeylOrbitTable:
     patterns: list   # H^1(T) sign patterns, canonical order
-    perms: list      # one permutation per element of w0_generators
+    perms: list      # one permutation of the patterns per element of w0
     orbits: list     # sorted index lists, ordered by smallest member
 
 
@@ -152,14 +154,8 @@ def _split_center(datum: LieAlgebraDatum, z_rows: list) -> tuple:
     return zc, zs
 
 
-def _action_key(action: list) -> tuple:
-    """Exact key of a Weyl action matrix."""
-    return tuple(format_element(x) for row in action for x in row)
-
-
 def build_reductive(lie_basis: list, nsigma: list, k_mats: list,
                     p_mats: list, tower: FieldTower, seed: int = 0,
-                    weyl_guard: int = 10000,
                     cartan_k_mats: list = None) -> ReductiveRealGroup:
     """Assemble the fundamental torus, root and Weyl data of the group.
 
@@ -235,103 +231,78 @@ def build_reductive(lie_basis: list, nsigma: list, k_mats: list,
     torus = build_presentation(t_mats, nsigma, tower)
     root = root_system(datum, t_mats)
 
-    gens = []
-    for x, y in zip(root.x_gens, root.y_gens):
+    root_index = {tuple(r): i for i, r in enumerate(root.roots)}
+    simple, actions = [], []
+    for i, (x, y) in enumerate(zip(root.x_gens, root.y_gens)):
         n = mmul(mmul(exp_nilpotent(x, tower),
                       exp_nilpotent(mscale(-tower.one(), y), tower)),
                  exp_nilpotent(x, tower))
-        gens.append(n)
-
-    def action_of(n):
         ninv = minverse(n, tower)
-        rows = []
+        action = []
         for m in t_mats:
-            img = mmul(mmul(n, m), ninv)
-            sol, rest = echelon_reduce(datum.coords(img), t_rows)
-            if any(not x.is_zero() for x in rest):
+            sol, rest = echelon_reduce(datum.coords(mmul(mmul(n, m), ninv)),
+                                       t_rows)
+            if any(not c.is_zero() for c in rest):
                 raise ReductiveError("not-normalizer")
-            rows.append(sol)
-        return rows
+            action.append(sol)
+        # a reflection is its own inverse on t, so the root with values b
+        # on the basis of t goes to the root with values action * b
+        cols = mtranspose(action)
+        perm = tuple(root_index.get(tuple(vmat(b, cols))) for b in root.roots)
+        if None in perm:
+            raise ReductiveError("not-normalizer")
+        simple.append(WeylElement([i], n, perm))
+        simple[-1].n_inv = ninv   # seeds the cached inverse
+        actions.append(action)
 
-    dim_t = len(t_rows)
-    gen_actions = [action_of(n) for n in gens]
+    # W_0, the stabilizer of that0 in W, is generated by the Schreier
+    # generators u_q^-1 s u_p of the orbit of that0 with a transversal u
+    # (Seress, Permutation Group Algorithms, ch. 4).  u_p is a word in the
+    # simple reflections, each its own inverse in W, so u_q^-1 is reversed.
+    def point(rows):
+        return tuple(tuple(v) for v in rref_rows(rows, tower))
 
-    identity = WeylElement([], meye(tower, datum.n), meye(tower, dim_t))
-    elements = [identity]
-    seen = {_action_key(identity.action)}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for i, (gn, ga) in enumerate(zip(gens, gen_actions)):
-                act = mmul(ga, e.action)
-                k = _action_key(act)
-                if k in seen:
-                    continue
-                seen.add(k)
-                w = WeylElement(e.word + [i], mmul(e.n, gn), act)
-                elements.append(w)
-                nxt.append(w)
-                if len(elements) > weyl_guard:
-                    raise ReductiveError("weyl-too-large")
-        frontier = nxt
-
-    that0_tc = [echelon_reduce(v, t_rows)[0] for v in that0_rows]
-    that0_span = rref_rows(that0_tc, tower)
-    w0 = []
-    for e in elements:
-        if all(in_span(vmat(v, e.action), that0_span) for v in that0_tc):
-            w0.append(e)
+    orbit = [point([echelon_reduce(v, t_rows)[0] for v in that0_rows])]
+    transversal = {orbit[0]: []}
+    w0, seen = [], {tuple(range(len(root.roots)))}
+    for p in orbit:
+        for i, a in enumerate(actions):
+            q = point([vmat(v, a) for v in p])
+            if q not in transversal:
+                transversal[q] = [i] + transversal[p]
+                orbit.append(q)
+                continue
+            word = transversal[q][::-1] + [i] + transversal[p]
+            w = reduce(_product, [simple[j] for j in word])
+            if w.perm not in seen:
+                seen.add(w.perm)
+                w0.append(w)
 
     return ReductiveRealGroup(
         tower=tower, datum=datum, real=real,
         k_rows=k_rows, p_rows=p_rows, zc_rows=zc_rows, zs_rows=zs_rows,
         that0_rows=that0_rows, t0_rows=t0_rows, t_rows=t_rows,
-        torus=torus, root=root, weyl=elements, w0=w0)
+        torus=torus, root=root, weyl=simple, w0=w0)
 
 
-def w0_generators(g: ReductiveRealGroup) -> list:
-    """A generating set of W_0, taken greedily from g.w0 in its order.
-
-    An element is kept when its action lies outside the subgroup generated
-    by the elements kept so far; that subgroup is closed under products of
-    the action matrices.  The generators are elements of W_0 itself: when
-    t_0 != t the simple reflections of W need not lie in W_0."""
-    ident = meye(g.tower, len(g.t_rows))
-    closure = {_action_key(ident): ident}
-    gens = []
-    for e in g.w0:
-        if len(closure) == len(g.w0):
-            break
-        if _action_key(e.action) in closure:
-            continue
-        gens.append(e)
-        frontier = list(closure.values())
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for s in gens:
-                    b = mmul(s.action, a)
-                    k = _action_key(b)
-                    if k not in closure:
-                        closure[k] = b
-                        nxt.append(b)
-            frontier = nxt
-    return gens
+def _product(a: WeylElement, b: WeylElement) -> WeylElement:
+    """The Weyl element a * b, represented by the product a.n * b.n."""
+    return WeylElement(a.word + b.word, mmul(a.n, b.n),
+                       tuple(a.perm[j] for j in b.perm))
 
 
 def _twist(g: ReductiveRealGroup, e: WeylElement, z: list) -> list:
     """One W_0 twist n^-1 z gamma(n) by the representative n of e, with
-    its kept inverse; a module function so that the W_0 scans can be timed
-    and counted per twist (perfbench traces it)."""
+    its kept inverse; a module function so that twists can be timed and
+    counted (perfbench traces it)."""
     return g.real.twist(e.n, z, e.n_inv)
 
 
 def weyl_action(g: ReductiveRealGroup) -> WeylOrbitTable:
     """Permutation action of W_0 on the H^1(T) sign-pattern classes.
 
-    Orbits are fixed by a generating set, so only the elements of
-    w0_generators are evaluated, one permutation each.  The twist
+    Orbits are fixed by a generating set, so only the generators in g.w0
+    are evaluated, one permutation each.  The twist
     z -> n^-1 z gamma(n) is affine on the sign group: since T(C) is
     abelian, phi(z z') phi(1) = phi(z) phi(z') holds exactly as matrices,
     so the class map satisfies P(eps eps') = P(eps) P(eps') P(1)^-1.  Each
@@ -347,7 +318,7 @@ def weyl_action(g: ReductiveRealGroup) -> WeylOrbitTable:
     probe += [patterns.index([1] * j + [-1] + [1] * (k - 1 - j))
               for j in range(k)]
     perms = []
-    for e in w0_generators(g):
+    for e in g.w0:
         images = []
         for idx in probe:
             zp = _twist(g, e, res.representatives[idx])
@@ -367,22 +338,18 @@ def weyl_action(g: ReductiveRealGroup) -> WeylOrbitTable:
         if sorted(perm) != list(range(len(patterns))):
             raise ReductiveError("action-not-permutation")
         perms.append(perm)
-    parent = list(range(len(patterns)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for perm in perms:
-        for i, j in enumerate(perm):
-            parent[find(i)] = find(j)
-    groups = {}
+    orbits, seen = [], set()
     for i in range(len(patterns)):
-        groups.setdefault(find(i), []).append(i)
-    orbits = sorted((sorted(v) for v in groups.values()),
-                    key=lambda o: o[0])
+        if i in seen:
+            continue
+        seen.add(i)
+        orbit = [i]
+        for j in orbit:
+            for perm in perms:
+                if perm[j] not in seen:
+                    seen.add(perm[j])
+                    orbit.append(perm[j])
+        orbits.append(sorted(orbit))
     return WeylOrbitTable(patterns, perms, orbits)
 
 
@@ -400,51 +367,78 @@ def h1_connected_reductive(g: ReductiveRealGroup) -> ReductiveH1Result:
     return ReductiveH1Result(g, table, class_indices, reps)
 
 
+def _pattern_search(g: ReductiveRealGroup, table: WeylOrbitTable, z: list,
+                    targets: set):
+    """(index, m) with m^-1 z gamma(m) the H^1(T) representative of a
+    pattern index in targets, for a cocycle z in T, or None: a breadth-first
+    search over the sign patterns along table.perms, the identity first,
+    gives a word in g.w0 with representative n, and m = n s for the
+    trivialize_cocycle witness s of the one twist n^-1 z gamma(n)."""
+    try:
+        _, signs, s = trivialize_cocycle(g.torus, z)
+    except TorusError:
+        return None
+    queue = [table.patterns.index(signs)]
+    words = {queue[0]: []}   # pattern -> word in the generators g.w0
+    for i in queue:
+        if i in targets:
+            break
+        for j, perm in enumerate(table.perms):
+            if perm[i] not in words:
+                words[perm[i]] = words[i] + [j]
+                queue.append(perm[i])
+    else:
+        return None
+    if words[i]:
+        e = reduce(_product, [g.w0[j] for j in words[i]])
+        _, signs, s = trivialize_cocycle(g.torus, _twist(g, e, z))
+        s = mmul(e.n, s)
+    i = table.patterns.index(signs)
+    return (i, s) if i in targets else None
+
+
+def _coords_in(datum: LieAlgebraDatum, mats: list, span: list):
+    """Coordinates of the matrices, or None if one lies outside the span."""
+    rows = []
+    for m in mats:
+        try:
+            rows.append(datum.coords(m))
+        except LieError:
+            return None
+        if not in_span(rows[-1], span):
+            return None
+    return rows
+
+
 def realify_torus_conjugator(g: ReductiveRealGroup, t0p_mats: list,
-                             conj: list, require_equal: bool = True) -> list:
+                             conj: list, table: WeylOrbitTable,
+                             require_equal: bool = True) -> list:
     """Replace conj by a real conjugator carrying the compact torus into T_0.
 
     conj is an element of G(C) whose conjugation action maps the torus with
     Lie algebra t0p_mats into T_0.  The result g_r = conj * n * t is fixed by
-    gamma and induces the same conjugation on the torus, verified exactly.
+    gamma and induces the same conjugation on the torus, verified exactly;
+    n t comes from _pattern_search on the table of weyl_action(g).
     """
     tower = g.tower
     z = mmul(minverse(conj, tower), g.real.gamma(conj))
-    if not g.torus.membership(z):
+    found = _pattern_search(g, table, z,
+                            {table.patterns.index([1] * g.torus.k)})
+    if found is None:
         raise ReductiveError("realification-failed",
-                             "gamma displacement is not in the torus")
+                             "gamma displacement is not a torus cocycle "
+                             "that W_0 carries to 1")
+    g_r = mmul(conj, found[1])
+    if not g.real.fixes(g_r):
+        raise ReductiveError("realification-failed")
     t0_span = rref_rows(g.t0_rows, tower)
-    for e in g.w0:
-        zp = _twist(g, e, z)
-        try:
-            _, signs, s = trivialize_cocycle(g.torus, zp)
-        except TorusError:
-            continue
-        if any(sg != 1 for sg in signs):
-            continue
-        g_r = mmul(conj, mmul(e.n, s))
-        if not g.real.fixes(g_r):
-            continue
-        ginv = minverse(g_r, tower)
-        images = []
-        ok = True
-        for m in t0p_mats:
-            img = mmul(mmul(ginv, m), g_r)
-            try:
-                v = g.datum.coords(img)
-            except LieError:
-                ok = False
-                break
-            if not in_span(v, t0_span):
-                ok = False
-                break
-            images.append(v)
-        if not ok:
-            continue
-        if require_equal and len(rref_rows(images, tower)) != len(t0_span):
-            continue
-        return g_r
-    raise ReductiveError("realification-failed")
+    ginv = minverse(g_r, tower)
+    images = _coords_in(g.datum, [mmul(mmul(ginv, m), g_r)
+                                  for m in t0p_mats], t0_span)
+    if images is None or (require_equal and
+                          len(rref_rows(images, tower)) != len(t0_span)):
+        raise ReductiveError("realification-failed")
+    return g_r
 
 
 def solve_problem2_reductive(g: ReductiveRealGroup, cocycle: list,
@@ -460,8 +454,7 @@ def solve_problem2_reductive(g: ReductiveRealGroup, cocycle: list,
     """
     tower = g.tower
     datum = g.datum
-    n = datum.n
-    ident = meye(tower, n)
+    ident = meye(tower, datum.n)
     if not g.real.is_cocycle(cocycle):
         raise ReductiveError("not-cocycle")
     if classes is None:
@@ -499,40 +492,43 @@ def solve_problem2_reductive(g: ReductiveRealGroup, cocycle: list,
         s1, _, t1 = trivialize_cocycle(tp, s_part)
 
         t0p_mats = compact_part_lie(tp)
-        t_span = rref_rows(g.t_rows, tower)
-
-        def inside_t(mats):
-            for m in mats:
-                try:
-                    v = datum.coords(m)
-                except LieError:
-                    return False
-                if not in_span(v, t_span):
-                    return False
-            return True
-
-        if inside_t(t0p_mats):
+        if _coords_in(datum, t0p_mats,
+                      rref_rows(g.t_rows, tower)) is not None:
             v_conj = ident
         elif conjugator_hint is not None:
             v_conj = realify_torus_conjugator(g, t0p_mats, conjugator_hint,
+                                              classes.table,
                                               require_equal=False)
         else:
             raise ReductiveError("conjugator-unavailable")
 
     s2 = mmul(mmul(minverse(v_conj, tower), s1), v_conj)
-    res = h1_torus(g.torus)
-    for e in g.w0:
-        zp = _twist(g, e, s2)
-        try:
-            _, signs, t2 = trivialize_cocycle(g.torus, zp)
-        except TorusError:
-            continue
-        idx = res.sign_patterns.index(signs)
-        if idx not in classes.class_indices:
-            continue
-        pos = classes.class_indices.index(idx)
-        h = mmul(mmul(mmul(mmul(uhalf, t1), v_conj), e.n), t2)
-        if not meq(g.real.twist(h, cocycle), classes.representatives[pos]):
-            raise ReductiveError("witness-verification-failed")
-        return pos, h
-    raise ReductiveError("equivalence-search-failed")
+    found = _pattern_search(g, classes.table, s2, set(classes.class_indices))
+    if found is None:
+        raise ReductiveError("equivalence-search-failed")
+    pos = classes.class_indices.index(found[0])
+    h = mmul(mmul(mmul(uhalf, t1), v_conj), found[1])
+    if not meq(g.real.twist(h, cocycle), classes.representatives[pos]):
+        raise ReductiveError("witness-verification-failed")
+    return pos, h
+
+
+WEYL_WALK_LIMIT = 10000
+
+
+def weyl_walk(g: ReductiveRealGroup):
+    """The elements of W, lazily and breadth-first from the identity: each
+    new one is an earlier one times a simple reflection, keyed by its root
+    permutation.  Raises weyl-too-large past WEYL_WALK_LIMIT elements."""
+    walk = [WeylElement([], meye(g.tower, g.datum.n),
+                        tuple(range(len(g.root.roots))))]
+    seen = {walk[0].perm}
+    for e in walk:
+        yield e
+        for s in g.weyl:
+            perm = tuple(e.perm[j] for j in s.perm)
+            if perm not in seen:
+                if len(seen) == WEYL_WALK_LIMIT:
+                    raise ReductiveError("weyl-too-large")
+                seen.add(perm)
+                walk.append(_product(e, s))

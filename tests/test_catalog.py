@@ -96,7 +96,7 @@ def test_torus_expected_orders():
     assert get("torus:fd").expected["h1_order"] == 2
 
 
-@pytest.mark.parametrize("p,q", [(n - q, q) for n in range(3, 8)
+@pytest.mark.parametrize("p,q", [(n - q, q) for n in range(3, 10)
                                  for q in range(n + 1)])
 def test_so_pq_matches_quadratic_form_count(p, q):
     # H^1(R, SO(p,q)) lists the quadratic forms of dimension p+q with the

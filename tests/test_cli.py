@@ -192,11 +192,21 @@ PI0 = {"kind": "nonconnected", "lie_basis": [], "N_sigma": [["1"]],
     ("h1", dict(PI0, pi0_gamma=[0, 0]), "bad-input"),
     ("h1", dict(PI0, pi0_gamma=["a"]), "bad-input"),
     ("h1", dict(PI0, pi0_table=[0]), "bad-input"),
+    # a valid integer of 5 001 digits, past the interpreter's limit on
+    # converting a string to an int
+    ("h1", {"kind": "torus", "lie_basis": [[["1" + "0" * 5000]]],
+            "N_sigma": [["1"]]}, "literal-too-long"),
+    ("h1", {"kind": "nonreductive", "lie_basis": [[["0", "1"], ["0", "0"]]],
+            "N_sigma": [["1", "0"], ["0", "0"]], "k_mats": [], "p_mats": []},
+     "singular"),
+    ("h1", dict(PI0, N_sigma=[["0"]]), "singular"),
 ], ids=["array", "basis-size", "zero-denominator", "k-mats-int",
         "tau-ragged", "tau-not-square", "tau-not-integer",
         "character-short", "character-not-integer", "character-long",
         "pi0-table-not-square", "pi0-gamma-out-of-range",
-        "pi0-gamma-length", "pi0-gamma-not-integer", "pi0-row-not-list"])
+        "pi0-gamma-length", "pi0-gamma-not-integer", "pi0-row-not-list",
+        "literal-too-long", "nonreductive-singular-nsigma",
+        "nonconnected-singular-nsigma"])
 def test_malformed_input_is_a_coded_error(tmp_path, capsys, command, data,
                                           code):
     path = tmp_path / "input.json"

@@ -2,15 +2,20 @@ from fractions import Fraction
 
 import pytest
 
+import realcoh.reductive as reductive
 from realcoh import catalog
 from realcoh.field import FieldTower, format_element
+from realcoh.liealg import in_span, rref_rows
 from realcoh.linalg import (
+    echelon_reduce,
     mat_from_ints,
     meq,
     meye,
     minverse,
     mmul,
     mtranspose,
+    mzeros,
+    vmat,
 )
 from realcoh.reductive import (
     ReductiveError,
@@ -19,8 +24,8 @@ from realcoh.reductive import (
     realify_torus_conjugator,
     solve_problem2_reductive,
     trivialize_cocycle,
-    w0_generators,
     weyl_action,
+    weyl_walk,
 )
 from realcoh.torus import h1_torus
 
@@ -92,8 +97,8 @@ def test_sl2r_structure():
     g = sl2r(tower)
     t = g.torus
     assert (t.k, t.l, t.r) == (1, 0, 0)
-    assert len(g.weyl) == 2
-    assert len(g.w0) == 2
+    assert len(_generated(g, g.weyl)) == 2
+    assert len(_generated(g, g.w0)) == 2
     assert h1_torus(t).order() == 2
 
 
@@ -102,8 +107,8 @@ def test_su2_structure():
     g = su2(tower)
     t = g.torus
     assert (t.k, t.l, t.r) == (1, 0, 0)
-    assert len(g.weyl) == 2
-    assert len(g.w0) == 2
+    assert len(_generated(g, g.weyl)) == 2
+    assert len(_generated(g, g.w0)) == 2
     assert not g.p_rows
     assert len(g.that0_rows) == 1
 
@@ -114,7 +119,7 @@ def test_so23_structure():
     t = g.torus
     assert (t.k, t.l, t.r) == (2, 0, 0)
     assert h1_torus(t).order() == 4
-    assert len(g.weyl) == 8
+    assert len(_generated(g, g.weyl)) == 8
     assert len(g.root.roots) == 8
     a = g.root.cartan_matrix
     assert a[0][0] == a[1][1] == 2
@@ -215,36 +220,58 @@ def _action_key(action):
     return tuple(format_element(x) for row in action for x in row)
 
 
-def _closure(g, actions):
-    """Keys of the group generated by the given Weyl action matrices."""
+def _action(g, n):
+    """Matrix of Ad(n) on the fundamental Cartan subalgebra t, in rows on
+    g.t_rows: row j holds the coordinates of n t_j n^-1."""
+    ninv = minverse(n, g.tower)
+    return [echelon_reduce(g.datum.coords(mmul(mmul(n, m), ninv)),
+                           g.t_rows)[0]
+            for m in g.datum.rows_to_mats(g.t_rows)]
+
+
+def _generated(g, elements):
+    """The group generated by the given Weyl elements, enumerated on the
+    test side: action key -> (action on t, normalizer representative),
+    closed under right multiplication by the generators."""
     ident = meye(g.tower, len(g.t_rows))
-    seen = {_action_key(ident)}
-    frontier = [ident]
+    out = {_action_key(ident): (ident, meye(g.tower, g.datum.n))}
+    gens = [(_action(g, e.n), e.n) for e in elements]
+    frontier = list(out.values())
     while frontier:
         nxt = []
-        for a in frontier:
-            for s in actions:
-                b = mmul(a, s)
+        for a, n in frontier:
+            for sa, sn in gens:
+                b = mmul(sa, a)
                 k = _action_key(b)
-                if k not in seen:
-                    seen.add(k)
-                    nxt.append(b)
+                if k not in out:
+                    out[k] = (b, mmul(n, sn))
+                    nxt.append(out[k])
         frontier = nxt
-    return seen
+    return out
+
+
+def _stabilizer(g):
+    """The elements of the test-side W that map that0 onto itself."""
+    that0 = [echelon_reduce(v, g.t_rows)[0] for v in g.that0_rows]
+    span = rref_rows(that0, g.tower)
+    return {k: v for k, v in _generated(g, g.weyl).items()
+            if all(in_span(vmat(u, v[0]), span) for u in that0)}
 
 
 def _reference_orbits(g):
     """W_0-orbits of the H^1(T) patterns, each orbit read off by twisting
-    one representative by every element of W_0."""
+    one representative by every element of the test-side W_0."""
     res = h1_torus(g.torus)
     index_of = {tuple(p): i for i, p in enumerate(res.sign_patterns)}
+    w0 = [(minverse(n, g.tower), g.real.gamma(n))
+          for _, n in _stabilizer(g).values()]
     orbits, done = [], set()
     for i, z in enumerate(res.representatives):
         if i in done:
             continue
         orbit = set()
-        for e in g.w0:
-            zt = mmul(mmul(minverse(e.n, g.tower), z), g.real.gamma(e.n))
+        for ninv, gn in w0:
+            zt = mmul(mmul(ninv, z), gn)
             orbit.add(index_of[tuple(trivialize_cocycle(g.torus, zt)[1])])
         orbits.append(sorted(orbit))
         done |= orbit
@@ -255,26 +282,62 @@ def _reference_orbits(g):
 def test_w0_generators_give_the_w0_orbits(name):
     g = catalog_reductive(name)
     assert g is not None
-    gens = w0_generators(g)
-    w0_keys = {_action_key(e.action) for e in g.w0}
-    assert all(_action_key(e.action) in w0_keys for e in gens)
-    assert _closure(g, [e.action for e in gens]) == w0_keys
+    assert _generated(g, g.w0).keys() == _stabilizer(g).keys()
     table = weyl_action(g)
-    assert len(table.perms) == len(gens)
+    assert len(table.perms) == len(g.w0)
     assert table.orbits == _reference_orbits(g)
 
 
-@pytest.mark.parametrize("name,order_w", [("sl(3,r)", 6), ("sl(4,r)", 24)])
-def test_w0_generators_when_w0_is_not_w(name, order_w):
-    # t_0 != t: the simple reflections of W are not in W_0, so they are no
-    # substitute for a generating set of W_0
+@pytest.mark.parametrize("name,order_w,order_w0",
+                         [("sl(3,r)", 6, 2), ("sl(4,r)", 24, 8)],
+                         ids=["sl(3,r)-6", "sl(4,r)-24"])
+def test_w0_generators_when_w0_is_not_w(name, order_w, order_w0):
+    # t_0 != t: W_0 is a proper subgroup of W, so the simple reflections,
+    # which generate W, are no substitute for a generating set of W_0
     g = catalog_reductive(name)
-    assert len(g.weyl) == order_w
-    assert len(g.w0) < order_w
-    simple = [e for e in g.weyl if len(e.word) == 1]
-    w0_keys = {_action_key(e.action) for e in g.w0}
-    assert _closure(g, [e.action for e in simple]) != w0_keys
-    assert _closure(g, [e.action for e in w0_generators(g)]) == w0_keys
+    w_keys = _generated(g, g.weyl).keys()
+    w0_keys = _stabilizer(g).keys()
+    assert (len(w_keys), len(w0_keys)) == (order_w, order_w0)
+    assert _generated(g, g.w0).keys() == w0_keys
+
+
+def test_so55_unequal_rank_count():
+    # so(5,5): rank so(5) + rank so(5) = 4 < 5 = rank so(10), so only 3 of
+    # the 5 simple reflections lie in W_0 and they do not generate it (the
+    # count would be 9); the Schreier generators give the quadratic-form
+    # count, signatures (10 - q', q') with q' odd
+    tower = FieldTower()
+    basis, k_mats, p_mats = catalog._sopq_data(5, 5, tower)
+    cartan = []
+    for i in (0, 2, 5, 7):
+        m = mzeros(tower, 10, 10)
+        m[i][i + 1] = tower.one()
+        m[i + 1][i] = tower.from_rational(-1)
+        cartan.append(m)
+    g = build_reductive(basis, meye(tower, 10), k_mats, p_mats, tower,
+                        cartan_k_mats=cartan)
+    res = h1_connected_reductive(g)
+    assert res.order() == 5
+    for z in res.representatives:
+        assert g.real.is_cocycle(z)
+
+
+def test_weyl_walk_visits_w_once_in_breadth_first_order():
+    g = so23(FieldTower())
+    walk = list(weyl_walk(g))
+    assert walk[0].word == []
+    assert [len(e.word) for e in walk] == sorted(len(e.word) for e in walk)
+    keys = {_action_key(_action(g, e.n)) for e in walk}
+    assert len(walk) == len(keys) == 8
+    assert keys == _generated(g, g.weyl).keys()
+
+
+def test_weyl_walk_limit_is_a_coded_error(monkeypatch):
+    g = so23(FieldTower())
+    monkeypatch.setattr(reductive, "WEYL_WALK_LIMIT", 5)
+    with pytest.raises(ReductiveError) as err:
+        list(weyl_walk(g))
+    assert err.value.code == "weyl-too-large"
 
 
 # -- equivalence witnesses --------------------------------------------------------
@@ -424,5 +487,5 @@ def test_realify_torus_conjugator_su2():
     # must return a gamma-fixed element inducing the same conjugation
     conj = g.torus.lam([tower.from_rational(2)])
     t0_mats = g.datum.rows_to_mats(g.t0_rows)
-    g_r = realify_torus_conjugator(g, t0_mats, conj)
+    g_r = realify_torus_conjugator(g, t0_mats, conj, weyl_action(g))
     assert meq(g.real.gamma(g_r), g_r)
