@@ -3,8 +3,11 @@
 The field is a tower Q(i)(sqrt(r1), ..., sqrt(rm)) where every radicand r_k is
 a positive real element of the preceding subtower.  Elements are stored in a
 unique normal form: a Q-linear combination of monomials i^b * prod sqrt(r_k),
-b in {0,1}, over square-free subsets of the generators.  Zero testing is exact
-(empty coordinate map), so all downstream identity checks are zero tolerance.
+b in {0,1}, over square-free subsets of the generators, held as integer
+numerators over one positive common denominator with no common factor.  The
+arithmetic runs on Python ints; fractions.Fraction appears only where
+rationals enter or leave.  Zero testing is exact (no numerators), so all
+downstream identity checks are zero tolerance.
 
 Square roots are total on nonzero elements: perfect squares are recognised
 inside the tower, real positive radicands extend the tower, negative reals go
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Union
 
 import mpmath
@@ -25,10 +28,9 @@ Rational = Union[int, Fraction]
 
 _SQRT_CACHE_LIMIT = 4096
 
-# the monomials 1 and i of the normal form, and the zero coefficient
+# the monomials 1 and i of the normal form
 _ONE_MONO = (0, 0)
 _I_MONO = (1, 0)
-_ZERO = Fraction(0)
 
 
 class RealcohError(Exception):
@@ -72,10 +74,12 @@ class FieldTower:
     # -- element constructors -------------------------------------------------
 
     def from_rational(self, q: Rational) -> "FieldElement":
-        q = Fraction(q)
-        if q == 0:
-            return FieldElement(self, {})
-        return FieldElement(self, {(0, 0): q})
+        if type(q) is not int:
+            q = Fraction(q)
+            if q:
+                return FieldElement(self, {_ONE_MONO: q.numerator},
+                                    q.denominator)
+        return FieldElement(self, {_ONE_MONO: q} if q else {})
 
     def zero(self) -> "FieldElement":
         return FieldElement(self, {})
@@ -84,11 +88,11 @@ class FieldTower:
         return self.from_rational(1)
 
     def i(self) -> "FieldElement":
-        return FieldElement(self, {(1, 0): Fraction(1)})
+        return FieldElement(self, {_I_MONO: 1})
 
     def gen_element(self, k: int) -> "FieldElement":
         """The element sqrt(r_k)."""
-        return FieldElement(self, {(0, 1 << k): Fraction(1)})
+        return FieldElement(self, {(0, 1 << k): 1})
 
     def coerce(self, x) -> "FieldElement":
         if isinstance(x, FieldElement):
@@ -100,7 +104,7 @@ class FieldTower:
     def _import(self, x: "FieldElement") -> "FieldElement":
         """Re-express an element of another tower here (adjoining as needed)."""
         total = self.zero()
-        for (ib, mask), c in x.coords.items():
+        for (ib, mask), c in x._num.items():
             term = self.from_rational(c)
             if ib:
                 term = term * self.i()
@@ -112,7 +116,7 @@ class FieldTower:
                 k += 1
                 m >>= 1
             total = total + term
-        return total
+        return _reduced(self, total._num, total._den * x._den)
 
     # -- square roots ---------------------------------------------------------
 
@@ -240,32 +244,53 @@ def _canonical_sign(r: "FieldElement") -> "FieldElement":
     return r if im.is_positive() else -r
 
 
-class FieldElement:
-    """Element of a FieldTower in normal form.
+def _reduced(tower: FieldTower, num: dict, den: int) -> "FieldElement":
+    """The element num/den in normal form: num holds no zero value and
+    den > 0; one gcd divides out the common factor."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {m: c // g for m, c in num.items()}
+            den //= g
+    return FieldElement(tower, num, den)
 
-    coords maps monomials (i_bit, generator_mask) to nonzero rationals.
+
+class FieldElement:
+    """Element of a FieldTower in normal form num/den.
+
+    _num maps monomials (i_bit, generator_mask) to nonzero Python ints and
+    _den is a positive int with gcd(_den, *_num.values()) == 1; zero is {}
+    over 1.  The form is unique, so _key() identifies the element.  The
+    arithmetic runs on ints; Fraction appears only at the boundaries
+    (from_rational, _rat_coeff, coords, parsing).
     """
 
-    __slots__ = ("tower", "coords")
+    __slots__ = ("tower", "_num", "_den")
 
-    def __init__(self, tower: FieldTower, coords: dict):
+    def __init__(self, tower: FieldTower, num: dict, den: int = 1):
         self.tower = tower
-        self.coords = coords
+        self._num = num
+        self._den = den
+
+    @property
+    def coords(self) -> dict:
+        """Read-only view: monomial -> nonzero Fraction coefficient."""
+        return {m: Fraction(c, self._den) for m, c in self._num.items()}
 
     # -- helpers --------------------------------------------------------------
 
     def _key(self):
-        return frozenset(self.coords.items())
+        return frozenset(self._num.items()), self._den
 
     def __hash__(self):
         return hash(self._key())
 
     def _rat_coeff(self, ib: int, mask: int) -> Fraction:
-        return self.coords.get((ib, mask), _ZERO)
+        return Fraction(self._num.get((ib, mask), 0), self._den)
 
     def _top_gen(self) -> int:
         top = -1
-        for (_, mask) in self.coords:
+        for (_, mask) in self._num:
             if mask:
                 top = max(top, mask.bit_length() - 1)
         return top
@@ -274,15 +299,16 @@ class FieldElement:
         """Write self = p + q*sqrt(r_k); returns (p, q)."""
         bit = 1 << k
         p, q = {}, {}
-        for (ib, mask), c in self.coords.items():
+        for (ib, mask), c in self._num.items():
             if mask & bit:
                 q[(ib, mask ^ bit)] = c
             else:
                 p[(ib, mask)] = c
-        return FieldElement(self.tower, p), FieldElement(self.tower, q)
+        return (_reduced(self.tower, p, self._den),
+                _reduced(self.tower, q, self._den))
 
     def is_rational(self) -> bool:
-        return all(m == (0, 0) for m in self.coords)
+        return all(m == (0, 0) for m in self._num)
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
@@ -290,91 +316,73 @@ class FieldElement:
         return self._rat_coeff(0, 0)
 
     def is_gaussian(self) -> bool:
-        return all(mask == 0 for (_, mask) in self.coords)
+        return all(mask == 0 for (_, mask) in self._num)
 
     # -- ring structure -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coords
+        return not self._num
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (FieldElement, int, Fraction)):
             return NotImplemented
         return (self - other).is_zero()
 
-    def __add__(self, other) -> "FieldElement":
-        if type(other) is not FieldElement or other.tower is not self.tower:
-            other = self.tower.coerce(other)
-        a, b = self.coords, other.coords
+    def _plus(self, other: "FieldElement", sign: int) -> "FieldElement":
+        """self + sign*other, over the least common denominator."""
+        a, b = self._num, other._num
         if not b:
             return self
         if not a:
-            return other
-        out = dict(a)
+            return other if sign > 0 else -other
+        den = self._den
+        if den == other._den:
+            out = dict(a)
+        else:
+            g = gcd(den, other._den)
+            scale = other._den // g
+            out = {m: c * scale for m, c in a.items()}
+            sign *= den // g
+            den *= scale
         for m, c in b.items():
             s = out.get(m)
             if s is None:
-                out[m] = c
+                out[m] = sign * c
             else:
-                s += c
+                s += sign * c
                 if s:
                     out[m] = s
                 else:
                     del out[m]
-        return FieldElement(self.tower, out)
+        return _reduced(self.tower, out, den)
+
+    def __add__(self, other) -> "FieldElement":
+        if type(other) is not FieldElement or other.tower is not self.tower:
+            other = self.tower.coerce(other)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.tower, {m: -c for m, c in self.coords.items()})
+        return FieldElement(self.tower, {m: -c for m, c in self._num.items()},
+                            self._den)
 
     def __sub__(self, other) -> "FieldElement":
         if type(other) is not FieldElement or other.tower is not self.tower:
             other = self.tower.coerce(other)
-        a, b = self.coords, other.coords
-        if not b:
-            return self
-        if not a:
-            return -other
-        out = dict(a)
-        for m, c in b.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = -c
-            else:
-                s -= c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return FieldElement(self.tower, out)
+        return self._plus(other, -1)
 
     def __rsub__(self, other) -> "FieldElement":
         return self.tower.coerce(other) - self
 
-    def _mono_mul(self, m1, c1: Fraction, m2, c2: Fraction) -> "FieldElement":
-        ib1, mask1 = m1
-        ib2, mask2 = m2
-        coeff = c1 * c2
-        if ib1 and ib2:
-            coeff = -coeff
-        ib = ib1 ^ ib2
-        common = mask1 & mask2
-        base = FieldElement(self.tower, {(ib, mask1 ^ mask2): coeff})
-        k = 0
-        while common:
-            if common & 1:
-                base = base * self.tower.gens[k]
-            k += 1
-            common >>= 1
-        return base
-
     def __mul__(self, other) -> "FieldElement":
         if type(other) is not FieldElement or other.tower is not self.tower:
             other = self.tower.coerce(other)
-        a, b = self.coords, other.coords
+        tower = self.tower
+        a, b = self._num, other._num
         if not a or not b:
-            return FieldElement(self.tower, {})
+            return FieldElement(tower, {})
+        den = self._den * other._den
         if len(a) == 1 and len(b) == 1:
             ((m1, c1),) = a.items()
             ((m2, c2),) = b.items()
@@ -382,38 +390,49 @@ class FieldElement:
             if not m1[1] & m2[1]:
                 coeff = -c1 * c2 if m1[0] and m2[0] else c1 * c2
                 mono = (m1[0] ^ m2[0], m1[1] | m2[1])
-                return FieldElement(self.tower, {mono: coeff})
+                return _reduced(tower, {mono: coeff}, den)
         if len(b) == 1 and _ONE_MONO in b:
             q = b[_ONE_MONO]
-            return FieldElement(self.tower, {m: c * q for m, c in a.items()})
+            return _reduced(tower, {m: c * q for m, c in a.items()}, den)
         if len(a) == 1 and _ONE_MONO in a:
             q = a[_ONE_MONO]
-            return FieldElement(self.tower, {m: c * q for m, c in b.items()})
+            return _reduced(tower, {m: c * q for m, c in b.items()}, den)
         if self.is_gaussian() and other.is_gaussian():
             # (p + qi)(r + si) = (pr - qs) + (ps + qr)i
-            p, q = a.get(_ONE_MONO, _ZERO), a.get(_I_MONO, _ZERO)
-            r, s = b.get(_ONE_MONO, _ZERO), b.get(_I_MONO, _ZERO)
+            p, q = a.get(_ONE_MONO, 0), a.get(_I_MONO, 0)
+            r, s = b.get(_ONE_MONO, 0), b.get(_I_MONO, 0)
             out = {}
             re, im = p * r - q * s, p * s + q * r
             if re:
                 out[_ONE_MONO] = re
             if im:
                 out[_I_MONO] = im
-            return FieldElement(self.tower, out)
-        # one dict for the whole sum; only monomials sharing a generator
-        # multiply a radicand in, through _mono_mul
+            return _reduced(tower, out, den)
+        # one dict of numerators over den for the whole sum; monomials that
+        # share a generator multiply its radicand in, and are summed apart
         out = {}
+        shared = None
         for m1, c1 in a.items():
             for m2, c2 in b.items():
-                if m1[1] & m2[1]:
-                    terms = self._mono_mul(m1, c1, m2, c2).coords.items()
+                coeff = -c1 * c2 if m1[0] and m2[0] else c1 * c2
+                mono = (m1[0] ^ m2[0], m1[1] ^ m2[1])
+                common = m1[1] & m2[1]
+                if common:
+                    term = FieldElement(tower, {mono: coeff})
+                    k = 0
+                    while common:
+                        if common & 1:
+                            term = term * tower.gens[k]
+                        k += 1
+                        common >>= 1
+                    shared = term if shared is None else shared + term
                 else:
-                    coeff = -c1 * c2 if m1[0] and m2[0] else c1 * c2
-                    terms = (((m1[0] ^ m2[0], m1[1] | m2[1]), coeff),)
-                for m, c in terms:
-                    s = out.get(m)
-                    out[m] = c if s is None else s + c
-        return FieldElement(self.tower, {m: c for m, c in out.items() if c})
+                    s = out.get(mono)
+                    out[mono] = coeff if s is None else s + coeff
+        prod = _reduced(tower, {m: c for m, c in out.items() if c}, den)
+        if shared is None:
+            return prod
+        return prod + _reduced(tower, shared._num, shared._den * den)
 
     __rmul__ = __mul__
 
@@ -422,17 +441,16 @@ class FieldElement:
             raise FieldError("division-by-zero")
         top = self._top_gen()
         if top < 0:
-            a = self._rat_coeff(0, 0)
-            b = self._rat_coeff(1, 0)
-            n = a * a + b * b
-            return FieldElement(
-                self.tower,
-                {
-                    m: c
-                    for m, c in (((0, 0), a / n), ((1, 0), -b / n))
-                    if c != 0
-                },
-            )
+            # (a + bi)/d -> d(a - bi)/(a^2 + b^2)
+            a = self._num.get(_ONE_MONO, 0)
+            b = self._num.get(_I_MONO, 0)
+            d = self._den
+            out = {}
+            if a:
+                out[_ONE_MONO] = d * a
+            if b:
+                out[_I_MONO] = -d * b
+            return _reduced(self.tower, out, a * a + b * b)
         p, q = self._split(top)
         g = self.tower.gens[top]
         denom = p * p - q * q * g
@@ -468,33 +486,37 @@ class FieldElement:
     def conj(self) -> "FieldElement":
         return FieldElement(
             self.tower,
-            {m: (-c if m[0] else c) for m, c in self.coords.items()},
+            {m: (-c if m[0] else c) for m, c in self._num.items()},
+            self._den,
         )
 
     def real_part(self) -> "FieldElement":
-        return FieldElement(
-            self.tower, {m: c for m, c in self.coords.items() if m[0] == 0}
+        return _reduced(
+            self.tower, {m: c for m, c in self._num.items() if m[0] == 0},
+            self._den,
         )
 
     def imag_part(self) -> "FieldElement":
         """The real element y with self = real_part + i*y."""
-        return FieldElement(
-            self.tower, {(0, m[1]): c for m, c in self.coords.items() if m[0] == 1}
+        return _reduced(
+            self.tower,
+            {(0, m[1]): c for m, c in self._num.items() if m[0] == 1},
+            self._den,
         )
 
     def is_real(self) -> bool:
-        return all(m[0] == 0 for m in self.coords)
+        return all(m[0] == 0 for m in self._num)
 
     def _real_interval(self, prec: int):
         """Rigorous enclosure of a real element."""
         iv = mpmath.iv
         with mpmath.workprec(prec):
             total = iv.mpf(0)
-            for (ib, mask), c in self.coords.items():
+            for (ib, mask), c in self._num.items():
                 if ib:
                     raise FieldError("not-real",
                                      "real enclosure of a non-real element")
-                term = iv.mpf(c.numerator) / iv.mpf(c.denominator)
+                term = iv.mpf(c) / iv.mpf(self._den)
                 k = 0
                 m = mask
                 while m:
@@ -548,11 +570,14 @@ def format_element(x: FieldElement) -> str:
     if x.is_zero():
         return "0"
     tower = x.tower
+    den = x._den
     parts = []
-    for (ib, mask), c in sorted(x.coords.items()):
+    for (ib, mask), c in sorted(x._num.items()):
         factors = []
-        if abs(c) != 1 or (ib == 0 and mask == 0):
-            factors.append(str(abs(c)))
+        if abs(c) != den or (ib == 0 and mask == 0):
+            g = gcd(c, den)
+            factors.append(f"{abs(c) // g}/{den // g}" if den != g
+                           else str(abs(c) // g))
         if ib:
             factors.append("i")
         k = 0

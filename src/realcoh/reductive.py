@@ -54,6 +54,7 @@ from .linalg import (
 )
 from .torus import (
     TorusError,
+    TorusH1Result,
     TorusPresentation,
     build_presentation,
     compact_part_lie,
@@ -84,7 +85,6 @@ class ReductiveRealGroup:
     tower: FieldTower
     datum: LieAlgebraDatum
     real: RealStructure
-    k_rows: list
     p_rows: list
     zc_rows: list
     zs_rows: list
@@ -102,6 +102,7 @@ class WeylOrbitTable:
     patterns: list   # H^1(T) sign patterns, canonical order
     perms: list      # one permutation of the patterns per element of w0
     orbits: list     # sorted index lists, ordered by smallest member
+    torus_h1: TorusH1Result  # the patterns' representatives
 
 
 @dataclass
@@ -280,7 +281,7 @@ def build_reductive(lie_basis: list, nsigma: list, k_mats: list,
 
     return ReductiveRealGroup(
         tower=tower, datum=datum, real=real,
-        k_rows=k_rows, p_rows=p_rows, zc_rows=zc_rows, zs_rows=zs_rows,
+        p_rows=p_rows, zc_rows=zc_rows, zs_rows=zs_rows,
         that0_rows=that0_rows, t0_rows=t0_rows, t_rows=t_rows,
         torus=torus, root=root, weyl=simple, w0=w0)
 
@@ -350,17 +351,16 @@ def weyl_action(g: ReductiveRealGroup) -> WeylOrbitTable:
                     seen.add(perm[j])
                     orbit.append(perm[j])
         orbits.append(sorted(orbit))
-    return WeylOrbitTable(patterns, perms, orbits)
+    return WeylOrbitTable(patterns, perms, orbits, res)
 
 
 def h1_connected_reductive(g: ReductiveRealGroup) -> ReductiveH1Result:
     """One explicit cocycle per W_0-orbit of H^1(T) representatives."""
     table = weyl_action(g)
-    res = h1_torus(g.torus)
     class_indices = [orbit[0] for orbit in table.orbits]
     reps = []
     for idx in class_indices:
-        z = res.representatives[idx]
+        z = table.torus_h1.representatives[idx]
         if not g.real.is_cocycle(z):
             raise ReductiveError("not-cocycle")
         reps.append(z)

@@ -117,13 +117,11 @@ class TorusPresentation:
     c: list
     cinv: list
     d: int
-    lam_lattice: list   # basis of Lambda (rows), possibly empty
     m: list             # d x n cocharacter exponent matrix
     p: list             # n x n with P * M^T = (I_d; 0)
     tau: list           # involution on coordinates
     a: list             # change of basis: columns f..., e..., (g,h)...
     ainv: list
-    nu: list            # canonical involution A^-1 tau A
     k: int              # number of compact factors
     l: int              # number of split factors
     r: int              # number of induced pairs
@@ -182,9 +180,9 @@ def _lambda_lattice(diag_entries: list, n: int) -> list:
     """Integral e with sum_i e_i * diag_i(a) = 0 for all basis matrices."""
     columns = []
     for diags in diag_entries:
-        keys = sorted({key for x in diags for key in x.coords})
+        keys = sorted({key for x in diags for key in x._num})
         for key in keys:
-            col = [x.coords.get(key, Fraction(0)) for x in diags]
+            col = [x._rat_coeff(*key) for x in diags]
             denom = lcm(*(q.denominator for q in col))
             columns.append([int(q * Fraction(denom)) for q in col])
     if not columns:
@@ -311,8 +309,7 @@ def build_presentation(lie_basis: list, nsigma: list, tower: FieldTower,
                 if i != j and not dm[i][j].is_zero():
                     raise TorusError("not-semisimple")
         diag_entries.append([dm[i][i] for i in range(n)])
-    lam_lattice = _lambda_lattice(diag_entries, n)
-    m = perp(lam_lattice, n)
+    m = perp(_lambda_lattice(diag_entries, n), n)
     d = len(m)
     p = _solve_p(m, n, d)
     b = mmul(mmul(cinv, nsigma), mconj(c))
@@ -326,13 +323,11 @@ def build_presentation(lie_basis: list, nsigma: list, tower: FieldTower,
             [v for pair in dec.gh_pairs for v in pair]
         a = [[cols[j][i] for j in range(d)] for i in range(d)]
         ainv = mat_inverse(a)
-        nu = mat_mul(mat_mul(ainv, tau), a)
         k, l, r = len(dec.f_vectors), len(dec.e_vectors), len(dec.gh_pairs)
     else:
-        a, ainv, nu, k, l, r = [], [], [], 0, 0, 0
+        a, ainv, k, l, r = [], [], 0, 0, 0
     return TorusPresentation(
-        tower, n, lie_basis, real, c, cinv, d, lam_lattice, m, p, tau,
-        a, ainv, nu, k, l, r,
+        tower, n, lie_basis, real, c, cinv, d, m, p, tau, a, ainv, k, l, r,
     )
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -259,6 +260,52 @@ def test_kernel_arithmetic_normal_form(data):
     else:
         want = x.complex_approx() * y.complex_approx()
         assert abs((x * y).complex_approx() - want) <= 1e-9 * max(1, abs(want))
+
+
+def _format_over_coords(x):
+    """The textual form of x, written from the Fraction coefficients of
+    the coords view: the reference for format_element."""
+    if not x.coords:
+        return "0"
+    parts = []
+    for (ib, mask), c in sorted(x.coords.items()):
+        factors = [str(abs(c))] if abs(c) != 1 or (ib, mask) == (0, 0) \
+            else []
+        if ib:
+            factors.append("i")
+        factors += [f"sqrt({_format_over_coords(r)})"
+                    for k, r in enumerate(x.tower.gens) if mask >> k & 1]
+        parts.append(("-" if c < 0 else "+", "*".join(factors) or "1"))
+    out = ("-" if parts[0][0] == "-" else "") + parts[0][1]
+    return out + "".join(f" {sign} {text}" for sign, text in parts[1:])
+
+
+def _assert_integer_normal_form(z):
+    assert type(z._den) is int and z._den > 0
+    assert all(type(c) is int and c != 0 for c in z._num.values())
+    assert gcd(z._den, *z._num.values()) == 1
+    assert z._num or z._den == 1
+
+
+@given(_kernel_pairs())
+@settings(max_examples=150, deadline=None)
+def test_kernel_integer_normal_form(data):
+    x, y, gaussian = data
+    results = [x + y, x - y, x * y, -x, x.conj(), x.real_part(),
+               x.imag_part()]
+    results += [part for k in range(len(x.tower.gens)) for part in x._split(k)]
+    results += [w.inverse() for w in (x, y) if not w.is_zero()]
+    for z in results:
+        _assert_integer_normal_form(z)
+        assert format_element(z) == _format_over_coords(z)
+    same = [((x + y) - y, x)]
+    if not y.is_zero():
+        same.append((x * y * y.inverse(), x))
+    for u, v in same:
+        assert u._key() == v._key() and hash(u) == hash(v)
+    if gaussian and not x.is_zero():
+        assert x.inverse().is_gaussian()
+        assert _to_qq_i(x.inverse()) == QQ_I.revert(_to_qq_i(x))
 
 
 def test_sqrt_wrong_root_is_coded_error(tower, monkeypatch):
