@@ -245,8 +245,8 @@ def _canonical_sign(r: "FieldElement") -> "FieldElement":
 
 
 def _reduced(tower: FieldTower, num: dict, den: int) -> "FieldElement":
-    """The element num/den in normal form: num holds no zero value and
-    den > 0; one gcd divides out the common factor."""
+    """The element num/den in normal form, for num with no zero value and
+    den > 0: one gcd divides out the common factor."""
     if den != 1:
         g = gcd(den, *num.values())
         if g != 1:
