@@ -1,5 +1,5 @@
 """Built-in group data: verified bases, real structures, Cartan
-decompositions, covers, and component data for the shipped families.
+decompositions and component data for the shipped families.
 
 Families:
   * torus:<word>   products of indecomposable real tori, one letter per
@@ -21,23 +21,21 @@ Families:
   * sl2-c2         2x2 special linear algebra acting on the plane
 
 Every entry is rebuilt and verified by the corresponding pipeline builder
-on `get`; expected class counts are carried for tests only and never feed
-a computation path.
+on `get`; `kind` names the pipeline of an entry without building it.
 """
 
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import dataclass, field
 
 from .field import FieldTower, RealcohError, format_element
-from .h2nab import ScCoverData, chevalley_cover
 from .linalg import mat_from_ints, meye, mzeros
 from .nonconnected import build_nonconnected
 from .nonreductive import build_levi_split
 from .reductive import build_reductive
 from .torus import build_presentation
-
-import json
 
 
 class CatalogError(RealcohError):
@@ -57,9 +55,7 @@ class CatalogEntry:
     component_reps: list | None = None
     pi0_table: list | None = None
     pi0_gamma: list | None = None
-    cover: ScCoverData | None = None
     conjugator_hint: list | None = None
-    expected: dict = field(default_factory=dict)   # test-only
     group: object = None          # built, verified pipeline object
 
     def to_json(self) -> str:
@@ -130,11 +126,7 @@ def _torus_entry(word: str, tower: FieldTower) -> CatalogEntry:
     pres = build_presentation(basis, nsig, tower)
     return CatalogEntry(
         name=f"torus:{word.lower()}", kind="torus", tower=tower,
-        lie_basis=basis, nsigma=nsig,
-        cover=ScCoverData(f"torus:{word.lower()}", [meye(tower, n)],
-                          [[]], []),
-        expected={"h1_order": 2 ** letters.count("f")},
-        group=pres,
+        lie_basis=basis, nsigma=nsig, group=pres,
     )
 
 
@@ -182,13 +174,10 @@ def _sopq_entry(p: int, q: int, tower: FieldTower) -> CatalogEntry:
         cartan.append(m)
     group = build_reductive(basis, meye(tower, p + q), k_mats, p_mats,
                             tower, cartan_k_mats=cartan)
-    # quadratic forms of dimension p+q and the discriminant of (p, q): one
-    # for each q' = q (mod 2) with 0 <= q' <= p+q
-    expected = {"h1_order": len(range(q % 2, p + q + 1, 2))}
     return CatalogEntry(name=f"so({p},{q})", kind="reductive", tower=tower,
                         lie_basis=basis, nsigma=meye(tower, p + q),
                         k_mats=k_mats, p_mats=p_mats, cartan_k_mats=cartan,
-                        expected=expected, group=group)
+                        group=group)
 
 
 def _slnr_entry(n: int, tower: FieldTower) -> CatalogEntry:
@@ -221,11 +210,10 @@ def _slnr_entry(n: int, tower: FieldTower) -> CatalogEntry:
         cartan.append(m)
     group = build_reductive(basis, meye(tower, n), k_mats, p_mats, tower,
                             cartan_k_mats=cartan)
-    cover = chevalley_cover(group, f"sl({n},r)")
     return CatalogEntry(name=f"sl({n},r)", kind="reductive", tower=tower,
                         lie_basis=basis, nsigma=meye(tower, n),
                         k_mats=k_mats, p_mats=p_mats, cartan_k_mats=cartan,
-                        cover=cover, expected={"h1_order": 1}, group=group)
+                        group=group)
 
 
 def _su_basis(p: int, q: int, tower: FieldTower):
@@ -289,14 +277,10 @@ def _su_entry(p: int, q: int, tower: FieldTower) -> CatalogEntry:
     cartan = k_mats[:n - 1]
     group = build_reductive(basis, nsig, k_mats, p_mats, tower,
                             cartan_k_mats=cartan)
-    cover = chevalley_cover(group, f"su({p},{q})")
-    # hermitian forms of rank n with the discriminant of the standard one
-    expected = {"h1_order": len([b for b in range(n + 1)
-                                 if (b - q) % 2 == 0])}
     return CatalogEntry(name=f"su({p},{q})", kind="reductive", tower=tower,
                         lie_basis=basis, nsigma=nsig,
                         k_mats=k_mats, p_mats=p_mats, cartan_k_mats=cartan,
-                        cover=cover, expected=expected, group=group)
+                        group=group)
 
 
 def _sp4_entry(tower: FieldTower) -> CatalogEntry:
@@ -336,11 +320,10 @@ def _sp4_entry(tower: FieldTower) -> CatalogEntry:
     cartan = [k_mats[1], k_mats[2]]
     group = build_reductive(basis, meye(tower, n), k_mats, p_mats, tower,
                             cartan_k_mats=cartan)
-    cover = chevalley_cover(group, "sp(4,r)")
     return CatalogEntry(name="sp(4,r)", kind="reductive", tower=tower,
                         lie_basis=basis, nsigma=meye(tower, n),
                         k_mats=k_mats, p_mats=p_mats, cartan_k_mats=cartan,
-                        cover=cover, expected={"h1_order": 1}, group=group)
+                        group=group)
 
 
 # -- non-connected and non-reductive entries ----------------------------------------
@@ -357,8 +340,7 @@ def _o2_entry(tower: FieldTower) -> CatalogEntry:
     return CatalogEntry(name="o(2)", kind="nonconnected", tower=tower,
                         lie_basis=[rot], nsigma=meye(tower, 2),
                         component_reps=reps, pi0_table=_Z2[0],
-                        pi0_gamma=_Z2[1],
-                        expected={"h1_order": 3}, group=group)
+                        pi0_gamma=_Z2[1], group=group)
 
 
 def _o3_entry(tower: FieldTower) -> CatalogEntry:
@@ -375,8 +357,7 @@ def _o3_entry(tower: FieldTower) -> CatalogEntry:
                         lie_basis=basis, nsigma=meye(tower, 3),
                         k_mats=basis, p_mats=[],
                         component_reps=reps, pi0_table=_Z2[0],
-                        pi0_gamma=_Z2[1],
-                        expected={"h1_order": 4}, group=group)
+                        pi0_gamma=_Z2[1], group=group)
 
 
 def _mu2_entry(tower: FieldTower) -> CatalogEntry:
@@ -385,8 +366,7 @@ def _mu2_entry(tower: FieldTower) -> CatalogEntry:
     return CatalogEntry(name="mu2", kind="nonconnected", tower=tower,
                         lie_basis=[], nsigma=meye(tower, 1),
                         component_reps=reps, pi0_table=_Z2[0],
-                        pi0_gamma=_Z2[1],
-                        expected={"h1_order": 2}, group=group)
+                        pi0_gamma=_Z2[1], group=group)
 
 
 def _nsl2t_entry(tower: FieldTower, compact: bool) -> CatalogEntry:
@@ -399,8 +379,7 @@ def _nsl2t_entry(tower: FieldTower, compact: bool) -> CatalogEntry:
     return CatalogEntry(name=name, kind="nonconnected", tower=tower,
                         lie_basis=[h], nsigma=nsig,
                         component_reps=reps, pi0_table=_Z2[0],
-                        pi0_gamma=_Z2[1],
-                        expected={"h1_order": 2}, group=group)
+                        pi0_gamma=_Z2[1], group=group)
 
 
 def _gm_affine_entry(tower: FieldTower) -> CatalogEntry:
@@ -408,8 +387,7 @@ def _gm_affine_entry(tower: FieldTower) -> CatalogEntry:
     e = mat_from_ints(tower, [[0, 1], [0, 0]])
     group = build_levi_split([d, e], meye(tower, 2), [], [], tower)
     return CatalogEntry(name="gm-affine", kind="nonreductive", tower=tower,
-                        lie_basis=[d, e], nsigma=meye(tower, 2),
-                        expected={"h1_order": 1}, group=group)
+                        lie_basis=[d, e], nsigma=meye(tower, 2), group=group)
 
 
 def _sl2_c2_entry(tower: FieldTower) -> CatalogEntry:
@@ -424,11 +402,36 @@ def _sl2_c2_entry(tower: FieldTower) -> CatalogEntry:
     group = build_levi_split(basis, meye(tower, 3), [rot], [h, sym], tower)
     return CatalogEntry(name="sl2-c2", kind="nonreductive", tower=tower,
                         lie_basis=basis, nsigma=meye(tower, 3),
-                        k_mats=[rot], p_mats=[h, sym],
-                        expected={"h1_order": 1}, group=group)
+                        k_mats=[rot], p_mats=[h, sym], group=group)
 
 
 # -- registry ----------------------------------------------------------------------
+
+
+# name -> (kind, builder on the tower)
+_NAMED = {
+    "sp(4,r)": ("reductive", _sp4_entry),
+    "o(2)": ("nonconnected", _o2_entry),
+    "o(3)": ("nonconnected", _o3_entry),
+    "mu2": ("nonconnected", _mu2_entry),
+    "n-sl2-t": ("nonconnected",
+                lambda tower: _nsl2t_entry(tower, compact=False)),
+    "n-sl2-t-compact": ("nonconnected",
+                        lambda tower: _nsl2t_entry(tower, compact=True)),
+    "gm-affine": ("nonreductive", _gm_affine_entry),
+    "sl2-c2": ("nonreductive", _sl2_c2_entry),
+}
+
+# (name pattern, kind, builder on the match and the tower)
+_FAMILIES = [
+    (r"torus:(.*)", "torus", lambda m, tower: _torus_entry(m[1], tower)),
+    (r"so\((\d+),(\d+)\)", "reductive",
+     lambda m, tower: _sopq_entry(int(m[1]), int(m[2]), tower)),
+    (r"sl\((\d+),r\)", "reductive",
+     lambda m, tower: _slnr_entry(int(m[1]), tower)),
+    (r"su\((\d+)(?:,(\d+))?\)", "reductive",
+     lambda m, tower: _su_entry(int(m[1]), int(m[2] or 0), tower)),
+]
 
 
 def list_names() -> list:
@@ -443,34 +446,23 @@ def list_names() -> list:
     return names
 
 
-def get(name: str, tower: FieldTower = None) -> CatalogEntry:
-    tower = tower or FieldTower()
+def _resolve(name: str) -> tuple:
+    """(kind, builder on the tower) for a catalog name."""
     key = name.strip().lower().replace(" ", "")
-    if key.startswith("torus:"):
-        return _torus_entry(key[len("torus:"):], tower)
-    import re
-    m = re.fullmatch(r"so\((\d+),(\d+)\)", key)
-    if m:
-        return _sopq_entry(int(m.group(1)), int(m.group(2)), tower)
-    m = re.fullmatch(r"sl\((\d+),r\)", key)
-    if m:
-        return _slnr_entry(int(m.group(1)), tower)
-    m = re.fullmatch(r"su\((\d+)(?:,(\d+))?\)", key)
-    if m:
-        return _su_entry(int(m.group(1)), int(m.group(2) or 0), tower)
-    if key == "sp(4,r)":
-        return _sp4_entry(tower)
-    builders = {
-        "o(2)": _o2_entry,
-        "o(3)": _o3_entry,
-        "mu2": _mu2_entry,
-        "gm-affine": _gm_affine_entry,
-        "sl2-c2": _sl2_c2_entry,
-    }
-    if key in builders:
-        return builders[key](tower)
-    if key == "n-sl2-t":
-        return _nsl2t_entry(tower, compact=False)
-    if key == "n-sl2-t-compact":
-        return _nsl2t_entry(tower, compact=True)
+    if key in _NAMED:
+        return _NAMED[key]
+    for pattern, entry_kind, build in _FAMILIES:
+        m = re.fullmatch(pattern, key)
+        if m:
+            return entry_kind, lambda tower: build(m, tower)
     raise CatalogError("unknown-name", name)
+
+
+def kind(name: str) -> str:
+    """The kind of the entry `name` (torus, reductive, nonreductive or
+    nonconnected), without building it."""
+    return _resolve(name)[0]
+
+
+def get(name: str, tower: FieldTower = None) -> CatalogEntry:
+    return _resolve(name)[1](tower or FieldTower())

@@ -14,9 +14,12 @@ nonconnected, "lie_basis": [...], "N_sigma": [...], ...} with matrix
 entries written in the element grammar (e.g. "1/2+3*i", "sqrt(2)").
 
 Exit codes: 0 success, 2 partial result (blocked classes), 1 error.  All
-reports are deterministic for a fixed seed and input; every witness is
+reports are deterministic: the same input and --seed give the same bytes.
+The seed steers only the random Cartan-subalgebra searches, of a reductive
+file without cartan_k_mats and of the equiv solvers.  Every witness is
 re-verified by an independent identity check before the report is written,
-and `"verified": true` appears only when those checks pass.
+and `"verified": true` appears only when those checks pass; the check uses
+its own real structure built from N_sigma, not the group object's.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import catalog as _catalog
+from .catalog import CatalogEntry
 from .field import (FieldError, FieldTower, RealcohError, format_element,
                     parse_element)
 from .lattice import gamma_decompose
@@ -91,16 +94,6 @@ def _parse_mats(data: dict, key: str, tower: FieldTower, n: int) -> list:
     return [_parse_mat(m, tower, n) for m in mats]
 
 
-@dataclass
-class Job:
-    name: str
-    kind: str
-    tower: FieldTower
-    real: RealStructure
-    group: object
-    conjugator_hint: list = None
-
-
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -124,7 +117,8 @@ def _parse_nsigma(data: dict, tower: FieldTower) -> list:
     return _parse_mat(data["N_sigma"], tower)
 
 
-def _build_from_data(data: dict, tower: FieldTower, seed: int) -> Job:
+def _build_from_data(data: dict, tower: FieldTower,
+                     seed: int) -> CatalogEntry:
     kind = data.get("kind")
     if kind not in ("torus", "reductive", "nonreductive", "nonconnected"):
         raise CliError("bad-input", f"unknown kind {kind!r}")
@@ -156,46 +150,51 @@ def _build_from_data(data: dict, tower: FieldTower, seed: int) -> Job:
                                    data.get("pi0_gamma"), tower,
                                    k_mats=k_mats, p_mats=p_mats,
                                    conjugator_hint=hint, seed=seed)
-    return Job(name=name, kind=kind, tower=tower,
-               real=RealStructure(nsig, tower),
-               group=group, conjugator_hint=hint)
+    return CatalogEntry(name=name, kind=kind, tower=tower, lie_basis=basis,
+                        nsigma=nsig, conjugator_hint=hint, group=group)
 
 
-def load_job(spec: str, tower: FieldTower, seed: int) -> Job:
+def load_job(spec: str, tower: FieldTower, seed: int) -> CatalogEntry:
+    """The group of INPUT, a catalog name or a file read once.  The
+    Gaussian backend refuses a non-connected group before it is built."""
     if spec.startswith("catalog:"):
-        entry = _catalog.get(spec[len("catalog:"):], tower)
-        return Job(name=entry.name, kind=entry.kind, tower=tower,
-                   real=RealStructure(entry.nsigma, tower),
-                   group=entry.group,
-                   conjugator_hint=entry.conjugator_hint)
-    return _build_from_data(_load_object(spec), tower, seed)
+        name = spec[len("catalog:"):]
+        kind, build = _catalog.kind(name), lambda: _catalog.get(name, tower)
+    else:
+        data = _load_object(spec)
+        kind, build = (data.get("kind"),
+                       lambda: _build_from_data(data, tower, seed))
+    if isinstance(tower, GaussianTower) and kind == "nonconnected":
+        raise CliError("gaussian-backend-connected-only",
+                       "non-connected groups need --field=sqrt-tower")
+    return build()
 
 
 # -- h1 ----------------------------------------------------------------------------
 
 
-def _h1_report(job: Job, seed: int) -> tuple:
+def _h1_report(entry: CatalogEntry) -> tuple:
     """(report dict, exit code); computes, then re-verifies independently."""
     classes = []
     non_lifting = []
     blocked = []
-    if job.kind == "torus":
-        res = h1_torus(job.group)
+    if entry.kind == "torus":
+        res = h1_torus(entry.group)
         for i, (signs, rep) in enumerate(zip(res.sign_patterns,
                                              res.representatives)):
             classes.append({"index": i, "representative": _fmt_mat(rep),
                             "provenance": {"kind": "torus-sign-pattern",
                                            "signs": signs}})
-    elif job.kind in ("reductive", "nonreductive"):
-        res = (h1_connected_reductive(job.group) if job.kind == "reductive"
-               else h1_connected(job.group))
+    elif entry.kind in ("reductive", "nonreductive"):
+        res = (h1_connected_reductive(entry.group) if entry.kind == "reductive"
+               else h1_connected(entry.group))
         for i, (pat, rep) in enumerate(zip(res.class_indices,
                                            res.representatives)):
             classes.append({"index": i, "representative": _fmt_mat(rep),
                             "provenance": {"kind": "weyl-orbit",
                                            "pattern_index": pat}})
     else:
-        res = h1_nonconnected(job.group)
+        res = h1_nonconnected(entry.group)
         for i, (prov, rep) in enumerate(zip(res.provenance,
                                             res.representatives)):
             comp, xidx = prov
@@ -206,22 +205,23 @@ def _h1_report(job: Job, seed: int) -> tuple:
         non_lifting = list(res.non_lifting)
         blocked = [{"component": c, "code": code} for c, code in res.blocked]
 
-    verified = all(job.real.is_cocycle(r) for r in res.representatives)
+    real = RealStructure(entry.nsigma, entry.tower)
+    verified = all(real.is_cocycle(r) for r in res.representatives)
     report = {
         "command": "h1",
-        "group": job.name,
-        "kind": job.kind,
+        "group": entry.name,
+        "kind": entry.kind,
         "order": len(classes),
         "classes": classes,
         "verified": bool(verified),
     }
-    if job.kind == "nonconnected":
+    if entry.kind == "nonconnected":
         report["non_lifting"] = non_lifting
         report["blocked"] = blocked
     if not verified:
         raise CliError("verification-failed",
                        "a representative failed its cocycle identity")
-    return report, (2 if blocked else 0), res
+    return report, (2 if blocked else 0)
 
 
 def _h1_text(report: dict) -> str:
@@ -258,38 +258,39 @@ def _load_cocycle(path: str, tower: FieldTower, n: int) -> list:
     return _parse_mat(data, tower, n)
 
 
-def _equiv_report(job: Job, z: list, seed: int) -> dict:
-    if not job.real.is_cocycle(z):
+def _equiv_report(entry: CatalogEntry, z: list, seed: int) -> dict:
+    real = RealStructure(entry.nsigma, entry.tower)
+    if not real.is_cocycle(z):
         raise CliError("not-cocycle", "z * gamma(z) != 1")
-    if job.kind == "torus":
-        res = h1_torus(job.group)
-        rep, signs, s = trivialize_cocycle(job.group, z)
+    if entry.kind == "torus":
+        res = h1_torus(entry.group)
+        rep, signs, s = trivialize_cocycle(entry.group, z)
         index = res.sign_patterns.index(signs)
         listed = res.representatives[index]
-    elif job.kind == "reductive":
-        res = h1_connected_reductive(job.group)
+    elif entry.kind == "reductive":
+        res = h1_connected_reductive(entry.group)
         index, s = solve_problem2_reductive(
-            job.group, z, classes=res,
-            conjugator_hint=job.conjugator_hint, seed=seed)
+            entry.group, z, classes=res,
+            conjugator_hint=entry.conjugator_hint, seed=seed)
         listed = res.representatives[index]
-    elif job.kind == "nonreductive":
-        res = h1_connected(job.group)
+    elif entry.kind == "nonreductive":
+        res = h1_connected(entry.group)
         index, s = solve_problem2_connected(
-            job.group, z, classes=res,
-            conjugator_hint=job.conjugator_hint, seed=seed)
+            entry.group, z, classes=res,
+            conjugator_hint=entry.conjugator_hint, seed=seed)
         listed = res.representatives[index]
     else:
-        res = h1_nonconnected(job.group)
-        index, s = solve_problem2_nonconnected(job.group, z, classes=res)
+        res = h1_nonconnected(entry.group)
+        index, s = solve_problem2_nonconnected(entry.group, z, classes=res)
         listed = res.representatives[index]
 
-    if not meq(job.real.twist(s, z), listed):
+    if not meq(real.twist(s, z), listed):
         raise CliError("verification-failed",
                        "witness does not carry z to the listed class")
     return {
         "command": "equiv",
-        "group": job.name,
-        "kind": job.kind,
+        "group": entry.name,
+        "kind": entry.kind,
         "index": index,
         "witness": _fmt_mat(s),
         "representative": _fmt_mat(listed),
@@ -428,34 +429,16 @@ def _run(args) -> int:
         _emit(_h2_report(args.input, tower), args.format)
         return 0
 
-    job = None
-    if args.field == "gaussian":
-        # reject up front rather than failing mid-computation
-        spec = args.input
-        kind = None
-        if spec.startswith("catalog:"):
-            probe = spec[len("catalog:"):].strip().lower().replace(" ", "")
-            if probe in ("o(2)", "o(3)", "mu2", "n-sl2-t",
-                         "n-sl2-t-compact"):
-                kind = "nonconnected"
-        else:
-            kind = _load_object(spec).get("kind")
-        if kind == "nonconnected":
-            raise CliError("gaussian-backend-connected-only",
-                           "non-connected groups need --field=sqrt-tower")
-    job = load_job(args.input, tower, args.seed)
-    if args.field == "gaussian" and job.kind == "nonconnected":
-        raise CliError("gaussian-backend-connected-only",
-                       "non-connected groups need --field=sqrt-tower")
+    entry = load_job(args.input, tower, args.seed)
 
     if args.command == "h1":
-        report, code, _ = _h1_report(job, args.seed)
+        report, code = _h1_report(entry)
         _emit(report, args.format, _h1_text)
         return code
 
     if args.command == "equiv":
-        z = _load_cocycle(args.cocycle, tower, len(job.real.nsigma))
-        report = _equiv_report(job, z, args.seed)
+        z = _load_cocycle(args.cocycle, tower, len(entry.nsigma))
+        report = _equiv_report(entry, z, args.seed)
         _emit(report, args.format)
         return 0
 

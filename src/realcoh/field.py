@@ -96,27 +96,11 @@ class FieldTower:
 
     def coerce(self, x) -> "FieldElement":
         if isinstance(x, FieldElement):
-            if x.tower is self:
-                return x
-            return self._import(x)
+            if x.tower is not self:
+                raise FieldError("tower-mismatch",
+                                 "the element belongs to another tower")
+            return x
         return self.from_rational(x)
-
-    def _import(self, x: "FieldElement") -> "FieldElement":
-        """Re-express an element of another tower here (adjoining as needed)."""
-        total = self.zero()
-        for (ib, mask), c in x._num.items():
-            term = self.from_rational(c)
-            if ib:
-                term = term * self.i()
-            k = 0
-            m = mask
-            while m:
-                if m & 1:
-                    term = term * self.sqrt(self._import(x.tower.gens[k]))
-                k += 1
-                m >>= 1
-            total = total + term
-        return _reduced(self, total._num, total._den * x._den)
 
     # -- square roots ---------------------------------------------------------
 
@@ -743,7 +727,7 @@ def poly_gcd(p: list, q: list, tower: FieldTower) -> list:
     return p
 
 
-def poly_derivative(p: list, tower: FieldTower) -> list:
+def poly_derivative(p: list) -> list:
     return poly_normalize([p[k] * k for k in range(1, len(p))])
 
 
@@ -921,7 +905,7 @@ def split_poly(p: list, tower: FieldTower) -> list:
     out = []
     rest = p
     while poly_degree(rest) > 0:
-        d = poly_gcd(rest, poly_derivative(rest, tower), tower)
+        d = poly_gcd(rest, poly_derivative(rest), tower)
         sqfree, _ = poly_divmod(rest, d, tower)
         for factor in _split_squarefree(sqfree, tower):
             out.append(factor)

@@ -34,7 +34,7 @@ class CohomologyError(RealcohError):
     pass
 
 
-def _lattice_rows(rows: list, n: int) -> list:
+def _lattice_rows(rows: list) -> list:
     """Nonzero HNF rows of a generating set (possibly empty)."""
     rows = [r for r in rows if any(x != 0 for x in r)]
     if not rows:
@@ -73,7 +73,7 @@ class GammaModule:
         self.n = len(gamma)
         self.gamma = gamma
         self.rels = [list(r) for r in (rels or [])]
-        self._rel_h = _lattice_rows(self.rels, self.n)
+        self._rel_h = _lattice_rows(self.rels)
         if check:
             sq = mat_mul(gamma, gamma)
             for i in range(self.n):
@@ -167,8 +167,8 @@ class Subquotient:
 
     def __init__(self, n: int, z_gens: list, b_gens: list):
         self.n = n
-        self.z_rows = _lattice_rows(z_gens, n)
-        self.b_rows = _lattice_rows(b_gens, n)
+        self.z_rows = _lattice_rows(z_gens)
+        self.b_rows = _lattice_rows(b_gens)
         for b in self.b_rows:
             if not _in_lattice(b, self.z_rows):
                 raise CohomologyError("image-not-in-kernel")
@@ -184,7 +184,7 @@ class Subquotient:
             self._q = []
             self._qinv = []
             return
-        rows = _lattice_rows(coords, r)
+        rows = _lattice_rows(coords)
         if len(rows) < r:
             raise CohomologyError("infinite-quotient")
         a, p, q = snf(rows)
@@ -244,9 +244,7 @@ class Subquotient:
 @dataclass
 class CohomologyResult:
     representatives: list
-    invariants: list
-    subquotient: Subquotient
-    degree: int
+    subquotient: Subquotient   # its invariants are the elementary divisors
 
     def order(self) -> int:
         return self.subquotient.order()
@@ -268,7 +266,7 @@ def tate(module: GammaModule, k: int) -> CohomologyResult:
     b = list(dprev) + module.rels
     sq = Subquotient(n, z, b)
     reps = [module.reduce(r) for r in sq.representatives()]
-    return CohomologyResult(reps, sq.invariants, sq, k)
+    return CohomologyResult(reps, sq)
 
 
 def hyper(complex_: ShortComplex, k: int) -> CohomologyResult:
@@ -281,7 +279,7 @@ def hyper(complex_: ShortComplex, k: int) -> CohomologyResult:
     b = list(dprev) + total.rels
     sq = Subquotient(n, z, b)
     reps = [total.reduce(r) for r in sq.representatives()]
-    return CohomologyResult(reps, sq.invariants, sq, k)
+    return CohomologyResult(reps, sq)
 
 
 # -- connecting maps -----------------------------------------------------------
@@ -327,7 +325,7 @@ class ShortExactSequence:
                 raise CohomologyError("not-exact", "j not surjective")
         # ker j = im i
         ker_j = _kernel_gens(self.b.n, self.j, self.c.rels)
-        im_i_rows = _lattice_rows(list(self.i) + self.b.rels, self.b.n)
+        im_i_rows = _lattice_rows(list(self.i) + self.b.rels)
         for v in ker_j:
             if not _in_lattice(v, im_i_rows):
                 raise CohomologyError("not-exact", "ker j exceeds im i")
@@ -480,8 +478,6 @@ class FiniteGammaGroup:
 
 @dataclass
 class FiniteH1Result:
-    group: FiniteGammaGroup
-    cocycles: list            # all of Z^1
     representatives: list     # one per class
 
     def order(self) -> int:
@@ -512,4 +508,4 @@ def h1_finite(group: FiniteGammaGroup, bound: int = 10 ** 6) -> FiniteH1Result:
                 if nxt not in seen:
                     seen.add(nxt)
                     frontier.append(nxt)
-    return FiniteH1Result(group, z1, reps)
+    return FiniteH1Result(reps)

@@ -17,12 +17,12 @@ contains a pair with first component 1.  This module provides:
 When s.f(s).a = 1 for (a, f) = delta(b), s.b is a 1-cocycle of the ambient
 group; `nonconnected` forms that product and checks it itself.
 
-Cover data for the simply connected cover is only supported in the
+The center of the simply connected cover is only supported in the
 self-cover form (the derived subgroup is already simply connected, as for
-SL_n and Sp_2n, so the covering map is the inclusion); the center is then
-constructed from Chevalley generators and the Cartan matrix.  Tori need no
-cover.  Every returned witness is verified exactly; a non-neutral verdict
-carries the quasi-torus H^2 computation backing it.
+SL_n and Sp_2n, so the covering map is the inclusion); `chevalley_cover`
+then lists it from Chevalley generators and the Cartan matrix, and the
+caller passes that list to `neutralize_reductive`.  Tori need no cover.
+Every returned witness is verified exactly.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .torus import (
     build_presentation,
     characters_to_lattice_map,
     h2_is_coboundary,
-    h2_quasitorus,
     mono_apply,
 )
 
@@ -59,30 +58,22 @@ class H2Error(RealcohError):
 
 @dataclass
 class NonabCocycle2:
-    """Pair (a, f) with f(x) = M conj(x) M^-1, optionally composed with a
-    stored outer regular automorphism applied between conj and the
-    conjugation."""
+    """Pair (a, f) with f(x) = M conj(x) M^-1; the differential of f is
+    given by the same formula."""
 
     tower: FieldTower
     lie_basis: list
     a: list
     m_f: list
-    outer: object = None   # optional callable matrix -> matrix
 
     def f(self, x: list) -> list:
-        y = mconj(x)
-        if self.outer is not None:
-            y = self.outer(y)
-        return mmul(mmul(self.m_f, y), minverse(self.m_f, self.tower))
-
-    # the differential of f is given by the same formula
-    f_lie = f
+        return mmul(mmul(self.m_f, mconj(x)), minverse(self.m_f, self.tower))
 
 
-def make_cocycle2(tower: FieldTower, lie_basis: list, a: list, m_f: list,
-                  outer=None) -> NonabCocycle2:
+def make_cocycle2(tower: FieldTower, lie_basis: list, a: list,
+                  m_f: list) -> NonabCocycle2:
     """Build a cocycle and verify f^2 = inn(a) on the basis and f(a) = a."""
-    c = NonabCocycle2(tower, lie_basis, a, m_f, outer)
+    c = NonabCocycle2(tower, lie_basis, a, m_f)
     if not meq(c.f(a), a):
         raise H2Error("not-cocycle", "f(a) != a")
     ainv = minverse(a, tower)
@@ -103,7 +94,7 @@ def delta(b: list, nsigma: list, lie_basis: list,
 def act(s: list, c: NonabCocycle2) -> NonabCocycle2:
     """Left action s * (a, f) = (s.f(s).a, inn(s) o f), verified."""
     a = mmul(mmul(s, c.f(s)), c.a)
-    return make_cocycle2(c.tower, c.lie_basis, a, mmul(s, c.m_f), c.outer)
+    return make_cocycle2(c.tower, c.lie_basis, a, mmul(s, c.m_f))
 
 
 def _nth_root(tower: FieldTower, value, n: int):
@@ -184,24 +175,7 @@ def root_of_unity(tower: FieldTower, n: int):
     return z
 
 
-# -- cover data --------------------------------------------------------------------
-
-
-@dataclass
-class ScCoverData:
-    """Center data for the simply connected cover of the derived subgroup.
-
-    Only self covers are supported: the derived subgroup is assumed simply
-    connected and the covering map is the inclusion, so the defining
-    relations of the Chevalley generators hold verbatim in the ambient
-    representation.  center_elements lists all elements of the center as
-    matrices; center_exponents gives, for each, the exponent vector
-    (q_1..q_l) with t_j = exp(2 pi i q_j) in the h_alpha-product."""
-
-    name: str
-    center_elements: list
-    center_exponents: list
-    cartan_matrix: list
+# -- the center of the simply connected cover ------------------------------------
 
 
 def _torsion_closure(gens: list) -> list:
@@ -232,20 +206,24 @@ def _h_alpha(tower: FieldTower, x: list, y: list, t):
     return mmul(wa(t), minverse(wa(tower.one()), tower))
 
 
-def chevalley_cover(group: ReductiveRealGroup, name: str = "") -> ScCoverData:
-    """Center of the derived subgroup from its Chevalley generators.
+def chevalley_cover(group: ReductiveRealGroup) -> list:
+    """The center of the derived subgroup, as a list of matrices, from its
+    Chevalley generators.
 
-    Valid when the derived subgroup is simply connected; the center then
-    consists of the products prod_j h_{alpha_j}(t_j) over all root-of-unity
-    solutions of the Cartan-matrix equations, enumerated through the
-    columns of the inverse Cartan matrix modulo 1.
+    Only self covers are supported: the derived subgroup is assumed simply
+    connected and the covering map is the inclusion, so the defining
+    relations of the Chevalley generators hold verbatim in the ambient
+    representation.  The center then consists of the products
+    prod_j h_{alpha_j}(t_j) over all root-of-unity solutions of the
+    Cartan-matrix equations, enumerated through the columns of the inverse
+    Cartan matrix modulo 1.
     """
     tower = group.tower
     n = group.datum.n
     amat = group.root.cartan_matrix
     ell = len(amat)
     if ell == 0:
-        return ScCoverData(name, [meye(tower, n)], [[]], [])
+        return [meye(tower, n)]
     # the equations are prod_j t_j^{<alpha_i, alpha_j^v>} = 1, i.e. with
     # the transpose of the stored matrix A[i][j] = alpha_j(h_i)
     at = transpose(amat)
@@ -276,7 +254,7 @@ def chevalley_cover(group: ReductiveRealGroup, name: str = "") -> ScCoverData:
         elements.append(z)
     if len(keys) != len(elements):
         raise H2Error("internal", "center elements are not distinct")
-    return ScCoverData(name, elements, [list(v) for v in qvecs], amat)
+    return elements
 
 
 # -- neutralization: reductive case ------------------------------------------------
@@ -286,15 +264,11 @@ def chevalley_cover(group: ReductiveRealGroup, name: str = "") -> ScCoverData:
 class NeutralizationResult:
     neutral: bool
     witness: list          # d with d.f(d).a = 1, or None
-    h_central: list        # the aligned central first component, or None
-    aligner: list          # s with act(s, c) pinning-aligned, or None
-    certificate: object    # quasi-torus H^2 result backing a negative verdict
 
 
 def _char_exponents(pres: TorusPresentation, root_vectors: list) -> list:
     """Exponent matrix E (d x l): column j is the character of the torus on
     the j-th root space, in the lambda coordinates of pres."""
-    tower = pres.tower
     cols = []
     for vec in root_vectors:
         xd = mmul(mmul(pres.cinv, vec), pres.c)
@@ -555,7 +529,7 @@ def _center_quasitorus(group: ReductiveRealGroup, pres_f: TorusPresentation,
     chars = [[emat[k][j] for k in range(pres_f.d)]
              for j in range(len(x_all))]
     lattice_map, quotient_tau = characters_to_lattice_map(pres_f, chars)
-    z_rows = rref_rows(group.zc_rows + group.zs_rows, tower)
+    z_rows = rref_rows(group.zc_rows + group.zs_rows)
     component_torus = None
     if z_rows:
         z_mats = group.datum.rows_to_mats(z_rows)
@@ -571,21 +545,22 @@ def _center_quasitorus(group: ReductiveRealGroup, pres_f: TorusPresentation,
 
 
 def neutralize_reductive(group: ReductiveRealGroup, c: NonabCocycle2,
-                         cover: ScCoverData = None,
+                         center: list = None,
                          conjugator_hint: list = None) -> NeutralizationResult:
-    """Witness d with d.f(d).a = 1, or a certified non-neutral verdict."""
+    """Witness d with d.f(d).a = 1, or a non-neutral verdict.
+
+    center lists the center of the simply connected cover of the derived
+    subgroup (`chevalley_cover`); None stands for the identity alone, which
+    is enough only when the group has no roots."""
     tower = group.tower
     datum = group.datum
     ident = meye(tower, datum.n)
-    if c.outer is not None:
-        raise H2Error("outer-unsupported",
-                      "neutralization handles matrix-form f only")
     for mat in datum.basis:
         if not datum.contains(c.f(mat)):
             raise H2Error("not-semi-automorphism",
                           "f does not preserve the Lie algebra")
     if meq(c.a, ident):
-        return NeutralizationResult(True, ident, ident, ident, None)
+        return NeutralizationResult(True, ident)
 
     work, aligner = _align_pinning(group, c, conjugator_hint)
     h1 = work.a
@@ -595,20 +570,20 @@ def neutralize_reductive(group: ReductiveRealGroup, c: NonabCocycle2,
     if not group.torus.membership(h1):
         raise H2Error("internal", "central element outside the torus")
 
-    if group.root.x_gens and cover is None:
+    if group.root.x_gens and center is None:
         raise H2Error("cover-required",
-                      "the derived subgroup needs cover data for the "
-                      "neutrality test")
-    if cover is None:
-        cover = ScCoverData("", [ident], [[]], [])
+                      "the derived subgroup needs the center of its cover "
+                      "for the neutrality test")
+    if center is None:
+        center = [ident]
 
     t_mats = datum.rows_to_mats(group.t_rows)
     pres_f = build_presentation(t_mats, work.m_f, tower, allow_defect=True)
     fmap = work.f
-    qdatum = _center_quasitorus(group, pres_f, cover.center_elements)
+    qdatum = _center_quasitorus(group, pres_f, center)
 
     sqrt_blocked = False
-    for z in cover.center_elements:
+    for z in center:
         if not meq(fmap(z), z):
             continue
         target = minverse(mmul(z, h1), tower)
@@ -622,10 +597,9 @@ def neutralize_reductive(group: ReductiveRealGroup, c: NonabCocycle2,
         d = mmul(mmul(s_c, t_sc), aligner)
         if not meq(mmul(mmul(d, c.f(d)), c.a), ident):
             raise H2Error("internal", "witness verification failed")
-        return NeutralizationResult(True, d, h1, aligner, None)
+        return NeutralizationResult(True, d)
     if sqrt_blocked:
         raise H2Error("square-root-unavailable",
                       "the class is neutral but no real square root was "
                       "found in the torus normalizer")
-    certificate = h2_quasitorus(qdatum)
-    return NeutralizationResult(False, None, h1, aligner, certificate)
+    return NeutralizationResult(False, None)

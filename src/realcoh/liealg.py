@@ -50,7 +50,7 @@ class LieError(RealcohError):
 # -- coordinate subspaces --------------------------------------------------------
 
 
-def rref_rows(vectors: list, tower: FieldTower) -> list:
+def rref_rows(vectors: list) -> list:
     """Reduced nonzero basis rows of the span of the given row vectors."""
     vecs = [v for v in vectors if any(not x.is_zero() for x in v)]
     if not vecs:
@@ -82,11 +82,11 @@ def span_intersect(a: list, b: list, tower: FieldTower) -> list:
         return []
     stacked = [list(r) for r in a] + [[-x for x in r] for r in b]
     return rref_rows([vmat(c[:len(a)], a)
-                      for c in left_kernel(stacked, tower)], tower)
+                      for c in left_kernel(stacked, tower)])
 
 
-def span_sum(a: list, b: list, tower: FieldTower) -> list:
-    return rref_rows(list(a) + list(b), tower)
+def span_sum(a: list, b: list) -> list:
+    return rref_rows(list(a) + list(b))
 
 
 def _restrict(op: list, basis: list) -> list:
@@ -161,10 +161,10 @@ class SCAlgebra:
 
     def product_space(self, a: list, b: list) -> list:
         vecs = [self.bracket(x, y) for x in a for y in b]
-        return rref_rows(vecs, self.tower)
+        return rref_rows(vecs)
 
     def derived_series(self, a: list) -> list:
-        series = [rref_rows(a, self.tower)]
+        series = [rref_rows(a)]
         while series[-1]:
             nxt = self.product_space(series[-1], series[-1])
             if span_eq(nxt, series[-1]):
@@ -173,7 +173,7 @@ class SCAlgebra:
         return series
 
     def lower_central_series(self, a: list) -> list:
-        series = [rref_rows(a, self.tower)]
+        series = [rref_rows(a)]
         while series[-1]:
             nxt = self.product_space(series[0], series[-1])
             if span_eq(nxt, series[-1]):
@@ -202,15 +202,14 @@ class SCAlgebra:
         if not a:
             return []
         if not b:
-            return rref_rows(a, self.tower)
+            return rref_rows(a)
         cols = []
         for x in a:
             row = []
             for y in b:
                 row.extend(self.bracket(x, y))
             cols.append(row)
-        return rref_rows([vmat(c, a) for c in left_kernel(cols, self.tower)],
-                         self.tower)
+        return rref_rows([vmat(c, a) for c in left_kernel(cols, self.tower)])
 
     def center_of(self, a: list) -> list:
         return self.centralizer(a, a)
@@ -223,7 +222,7 @@ class SCAlgebra:
         Returns (algebra, proj, lift): proj maps coordinate rows of self to
         quotient coordinates, lift picks coset representatives.
         """
-        ib = rref_rows(ideal, self.tower)
+        ib = rref_rows(ideal)
         pivots = [next(c for c, x in enumerate(row) if not x.is_zero())
                   for row in ib]
         free = [j for j in range(self.dim) if j not in pivots]
@@ -248,7 +247,7 @@ class SCAlgebra:
         Returns (algebra, embed, coords): embed maps sub-coordinates to
         self-coordinates, coords inverts it on the subspace.
         """
-        basis = rref_rows(rows, self.tower)
+        basis = rref_rows(rows)
         m = len(basis)
 
         def embed(w):
@@ -265,7 +264,7 @@ class SCAlgebra:
 
     def generalized_kernel(self, op: list, space: list) -> list:
         """Generalized 0-eigenspace of the operator op restricted to space."""
-        basis = rref_rows(space, self.tower)
+        basis = rref_rows(space)
         if not basis:
             return []
         restr = _restrict(op, basis)
@@ -273,13 +272,13 @@ class SCAlgebra:
         for _ in basis:
             power = mmul(power, restr)
         return rref_rows([vmat(c, basis)
-                          for c in left_kernel(power, self.tower)], self.tower)
+                          for c in left_kernel(power, self.tower)])
 
     def fitting(self, a: list, h: list) -> tuple:
         """Fitting decomposition of span(a) relative to the nilpotent
         subalgebra span(h): (null component, one component)."""
-        a = rref_rows(a, self.tower)
-        h = rref_rows(h, self.tower)
+        a = rref_rows(a)
+        h = rref_rows(h)
         a0 = a
         while True:
             nxt = a0
@@ -290,8 +289,7 @@ class SCAlgebra:
             a0 = nxt
         a1 = a
         while True:
-            nxt = rref_rows([self.bracket(y, v) for y in h for v in a1],
-                            self.tower)
+            nxt = rref_rows([self.bracket(y, v) for y in h for v in a1])
             if span_eq(nxt, a1):
                 break
             a1 = nxt
@@ -337,11 +335,11 @@ class SCAlgebra:
         series = self.lower_central_series(h)
         return series[-1] == [] or not series[-1]
 
-    def regular_element(self, h: list, seed: int = 0) -> list:
+    def regular_element(self, h: list) -> list:
         """x in the Cartan subalgebra h with null component exactly h."""
-        rng = random.Random(seed)
+        rng = random.Random(0)
         omega = 2 * max(self.dim, 1)
-        h = rref_rows(h, self.tower)
+        h = rref_rows(h)
         for _ in range(200):
             x = vmat([self.tower.from_rational(rng.randrange(omega))
                       for _ in h], h)
@@ -357,7 +355,7 @@ class SCAlgebra:
         return exp_nilpotent(self.ad(x), self.tower)
 
     def apply_operator(self, op: list, space: list) -> list:
-        return rref_rows([vmat(v, op) for v in space], self.tower)
+        return rref_rows([vmat(v, op) for v in space])
 
 
 # -- Levi decomposition (abstract) -----------------------------------------------
@@ -377,7 +375,7 @@ def levi_subalgebra(alg: SCAlgebra) -> list:
     reps = [lift(w) for w in sbar]
     m = len(reps)
     p = len(ideal)
-    ib = rref_rows(ideal, alg.tower)
+    ib = rref_rows(ideal)
 
     def icoords(v):
         return span_coords(v, ib, "not-in-ideal")
@@ -386,7 +384,7 @@ def levi_subalgebra(alg: SCAlgebra) -> list:
     sc = [[span_coords(quot.bracket(sbar[a], sbar[b]), sbar, "levi-not-closed")
            for b in range(m)] for a in range(m)]
     if m == 0 or p == 0:
-        return rref_rows(reps, alg.tower)
+        return rref_rows(reps)
     # unknowns u_a in the ideal correcting reps to close under the bracket
     pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
     ncols = len(pairs) * p
@@ -419,7 +417,7 @@ def levi_subalgebra(alg: SCAlgebra) -> list:
     if sol is None:
         raise LieError("levi-correction-failed")
     out = rref_rows([[vi + bi for vi, bi in zip(
-        reps[a], vmat(sol[a * p:(a + 1) * p], ib))] for a in range(m)], tower)
+        reps[a], vmat(sol[a * p:(a + 1) * p], ib))] for a in range(m)])
     # verify closure
     for x in out:
         for y in out:
@@ -442,8 +440,8 @@ def compose_exp(alg: SCAlgebra, zs: list) -> list:
 def conj_cartan_solvable_sc(alg: SCAlgebra, h1: list, h2: list) -> list:
     """Elements x_1..x_k of [b,b] with exp(ad x_1)...exp(ad x_k)(h1) = h2."""
     tower = alg.tower
-    h1 = rref_rows(h1, tower)
-    h2 = rref_rows(h2, tower)
+    h1 = rref_rows(h1)
+    h2 = rref_rows(h2)
     if span_eq(h1, h2):
         return []
     b = alg.basis_rows()
@@ -451,7 +449,7 @@ def conj_cartan_solvable_sc(alg: SCAlgebra, h1: list, h2: list) -> list:
     if series[-1]:
         raise LieError("not-solvable")
     ideal = series[-2]
-    if span_eq(span_sum(h2, ideal, tower), b):
+    if span_eq(span_sum(h2, ideal), b):
         # the one-component of b relative to h2 is then an abelian ideal,
         # and b = h1 (+) b1(h2) = h2 (+) b1(h2)
         ideal = alg.fitting(b, h2)[1]
@@ -484,7 +482,7 @@ def conj_cartan_solvable_sc(alg: SCAlgebra, h1: list, h2: list) -> list:
             raise LieError("conjugation-failed")
         xs.append(vmat(sol, derived))
     h0 = alg.apply_operator(compose_exp(alg, xs), h1)
-    a = span_sum(h2, ideal, tower)
+    a = span_sum(h2, ideal)
     sub, embed, coords = alg.subalgebra(a)
     ys_sub = conj_cartan_solvable_sc(
         sub, [coords(v) for v in h0], [coords(v) for v in h2])
@@ -495,11 +493,11 @@ def conj_cartan_solvable_sc(alg: SCAlgebra, h1: list, h2: list) -> list:
     return result
 
 
-def cartan_containing_torus(alg: SCAlgebra, t_rows: list, seed: int = 0) -> list:
+def cartan_containing_torus(alg: SCAlgebra, t_rows: list) -> list:
     """A Cartan subalgebra of alg containing the toral subalgebra t_rows."""
     zc = alg.centralizer(alg.basis_rows(), t_rows)
     sub, embed, _coords = alg.subalgebra(zc)
-    h = rref_rows([embed(v) for v in sub.cartan_subalgebra(seed)], alg.tower)
+    h = rref_rows([embed(v) for v in sub.cartan_subalgebra()])
     for v in t_rows:
         if not in_span(v, h):
             raise LieError("cartan-not-found")
@@ -511,10 +509,10 @@ def align_cartan_sc(alg: SCAlgebra, h0: list, s: list, t: list,
     """(h_s, h, x_1..x_k): h is a Cartan subalgebra containing h_s (+) t,
     and the nilpotent x_i conjugate h0 onto h."""
     tower = alg.tower
-    h0 = rref_rows(h0, tower)
-    rad = span_sum(t, n, tower)
+    h0 = rref_rows(h0)
+    rad = span_sum(t, n)
     _quot, proj, _lift = alg.quotient(rad)
-    s_rref = rref_rows(s, tower)
+    s_rref = rref_rows(s)
     sproj = [proj(v) for v in s_rref]
     h_s = []
     for v in h0:
@@ -522,16 +520,16 @@ def align_cartan_sc(alg: SCAlgebra, h0: list, s: list, t: list,
         if sol is None:
             raise LieError("alignment-failed")
         h_s.append(vmat(sol, s_rref))
-    h_s = rref_rows(h_s, tower)
-    u = span_sum(h_s, t, tower)
+    h_s = rref_rows(h_s)
+    u = span_sum(h_s, t)
     h = cartan_containing_torus(alg, u)
     if not alg._confirm_cartan(h):
         raise LieError("alignment-failed")
-    b = span_sum(h, rad, tower)
+    b = span_sum(h, rad)
     bsub, bembed, bcoords = alg.subalgebra(b)
     xs = [bembed(x) for x in conj_cartan_solvable_sc(
         bsub, [bcoords(v) for v in h0], [bcoords(v) for v in h])]
-    n_rref = rref_rows(n, tower)
+    n_rref = rref_rows(n)
     for x in xs:
         if not in_span(x, n_rref):
             raise LieError("alignment-failed")
@@ -612,7 +610,7 @@ class LeviDecomposition:
     n_basis: list
 
 
-def _nilpotent_matrix(mat: list, tower: FieldTower) -> bool:
+def _nilpotent_matrix(mat: list) -> bool:
     n = len(mat)
     power = mat
     for _ in range(n):
@@ -635,7 +633,7 @@ def levi_decompose(datum: LieAlgebraDatum) -> LeviDecomposition:
         gram = [[mtrace(mmul(rm, bm)) for bm in datum.basis]
                 for rm in rad_mats]
         n_rows = [vmat(c, rad) for c in left_kernel(gram, tower)]
-    n_rows = rref_rows(n_rows, tower)
+    n_rows = rref_rows(n_rows)
     # torus part: semisimple parts of a Cartan subalgebra of the
     # centralizer of the Levi subalgebra inside the radical
     zr = alg.centralizer(rad, s_rows)
@@ -646,7 +644,7 @@ def levi_decompose(datum: LieAlgebraDatum) -> LeviDecomposition:
             mat = datum.from_coords(embed(v))
             sm, _ = additive_jordan(mat, tower)
             t_rows.append(datum.coords(sm))
-    t_rows = rref_rows(t_rows, tower)
+    t_rows = rref_rows(t_rows)
     _verify_levi(datum, s_rows, t_rows, n_rows)
     return LeviDecomposition(
         datum.rows_to_mats(s_rows),
@@ -660,7 +658,7 @@ def _verify_levi(datum: LieAlgebraDatum, s_rows: list, t_rows: list,
     alg = datum.sc
     tower = datum.tower
     if len(s_rows) + len(t_rows) + len(n_rows) != alg.dim or \
-            len(rref_rows(s_rows + t_rows + n_rows, tower)) != alg.dim:
+            len(rref_rows(s_rows + t_rows + n_rows)) != alg.dim:
         raise LieError("decomposition-failed", "not a direct sum")
     for x in s_rows:
         for y in t_rows:
@@ -670,13 +668,13 @@ def _verify_levi(datum: LieAlgebraDatum, s_rows: list, t_rows: list,
         for y in t_rows:
             if any(not v.is_zero() for v in alg.bracket(x, y)):
                 raise LieError("decomposition-failed", "t not abelian")
-    n_span = rref_rows(n_rows, tower)
+    n_span = rref_rows(n_rows)
     for x in alg.basis_rows():
         for y in n_rows:
             if not in_span(alg.bracket(x, y), n_span):
                 raise LieError("decomposition-failed", "n not an ideal")
     for y in n_rows:
-        if not _nilpotent_matrix(datum.from_coords(y), tower):
+        if not _nilpotent_matrix(datum.from_coords(y)):
             raise LieError("decomposition-failed", "n not nilpotent")
     for y in t_rows:
         mat = datum.from_coords(y)
@@ -810,7 +808,7 @@ def additive_jordan(mat: list, tower: FieldTower) -> tuple:
     """(semisimple, nilpotent) with mat = s + n and [s, n] = 0."""
     s = semisimple_part(mat, tower)
     npart = msub(mat, s)
-    if not _nilpotent_matrix(npart, tower):
+    if not _nilpotent_matrix(npart):
         raise LieError("jordan-failed")
     if not meq(mmul(s, npart), mmul(npart, s)):
         raise LieError("jordan-failed")
@@ -823,7 +821,7 @@ def jordan(g: list, tower: FieldTower) -> JordanPair:
     s, _ = additive_jordan(g, tower)
     sinv = minverse(s, tower)
     u = mmul(sinv, g)
-    if not _nilpotent_matrix(msub(u, meye(tower, n)), tower):
+    if not _nilpotent_matrix(msub(u, meye(tower, n))):
         raise LieError("jordan-failed")
     if not meq(mmul(s, u), mmul(u, s)):
         raise LieError("jordan-failed")
@@ -877,13 +875,10 @@ def reductive_projection(datum: LieAlgebraDatum, levi: LeviDecomposition,
 
 @dataclass
 class RootDatum:
-    cartan_basis: list     # matrices spanning the Cartan subalgebra
     roots: list            # eigenvalue tuples of ad on the Cartan basis
-    root_vectors: list     # matrices, aligned with roots
-    simple_indices: list   # indices into roots, sorted canonically
-    x_gens: list
-    y_gens: list
-    h_gens: list
+    x_gens: list           # simple root vectors, in canonical order
+    y_gens: list           # opposite root vectors: h_i = [x_i, y_i] has
+                           # [h_i, x_i] = 2 x_i
     cartan_matrix: list    # integer matrix A[i][j] with [h_i,x_j]=A[i][j]x_j
 
 
@@ -939,7 +934,7 @@ def joint_eigenspaces(ops: list, tower: FieldTower, dim: int) -> list:
                 ]
                 eig = [vmat(c, s) for c in left_kernel(shifted, tower)]
                 if eig:
-                    refined.append((tup + [lam], rref_rows(eig, tower)))
+                    refined.append((tup + [lam], rref_rows(eig)))
                     covered += len(eig)
             if covered != len(s):
                 raise LieError("not-semisimple-action")
@@ -961,7 +956,7 @@ def root_system(datum: LieAlgebraDatum, cartan_mats: list) -> RootDatum:
         if len(s) != 1:
             raise LieError("root-multiplicity")
         roots.append(tup)
-        vectors.append(datum.from_coords(s[0]))
+        vectors.append(s[0])
     # closure under negation
     for tup in roots:
         neg = [-x for x in tup]
@@ -989,12 +984,12 @@ def root_system(datum: LieAlgebraDatum, cartan_mats: list) -> RootDatum:
             j -= 1
         order[j + 1] = key
     simple = order
-    x_gens, y_gens, h_gens = [], [], []
+    x_rows, y_rows, h_rows = [], [], []
     for i in simple:
         neg = [-x for x in roots[i]]
         j = next(k for k, tup in enumerate(roots) if _tuple_eq(tup, neg))
-        x = datum.coords(vectors[i])
-        y0 = datum.coords(vectors[j])
+        x = vectors[i]
+        y0 = vectors[j]
         h0 = alg.bracket(x, y0)
         if all(v.is_zero() for v in h0):
             raise LieError("degenerate-root-pair")
@@ -1009,15 +1004,13 @@ def root_system(datum: LieAlgebraDatum, cartan_mats: list) -> RootDatum:
         if not all(p == q for p, q in zip(
                 alg.bracket(h, x), [tower.from_rational(2) * v for v in x])):
             raise LieError("degenerate-root-pair")
-        x_gens.append(datum.from_coords(x))
-        y_gens.append(datum.from_coords(y))
-        h_gens.append(datum.from_coords(h))
+        x_rows.append(x)
+        y_rows.append(y)
+        h_rows.append(h)
     cartan_matrix = []
-    for i in range(len(simple)):
-        hrow = datum.coords(h_gens[i])
+    for hrow in h_rows:
         row = []
-        for j in range(len(simple)):
-            xrow = datum.coords(x_gens[j])
+        for xrow in x_rows:
             br = alg.bracket(hrow, xrow)
             idx = next(c for c, v in enumerate(xrow) if not v.is_zero())
             val = br[idx] / xrow[idx]
@@ -1029,5 +1022,5 @@ def root_system(datum: LieAlgebraDatum, cartan_mats: list) -> RootDatum:
                 raise LieError("degenerate-root-pair")
             row.append(int(rat))
         cartan_matrix.append(row)
-    return RootDatum(cartan_mats, roots, vectors, simple,
-                     x_gens, y_gens, h_gens, cartan_matrix)
+    return RootDatum(roots, datum.rows_to_mats(x_rows),
+                     datum.rows_to_mats(y_rows), cartan_matrix)

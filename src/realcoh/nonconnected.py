@@ -28,12 +28,12 @@ this is supported when the identity component is a torus or trivial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .field import FieldTower, RealcohError
 from .gammacoh import FiniteGammaGroup, h1_finite
-from .h2nab import H2Error, ScCoverData, delta, neutralize_reductive
-from .liealg import rref_rows
+from .h2nab import H2Error, delta, neutralize_reductive
+from .liealg import LieAlgebraDatum
 from .linalg import RealStructure, meq, meye, minverse, mmul
 from .reductive import (
     ReductiveError,
@@ -81,9 +81,7 @@ class NonConnectedGroup:
     reductive: ReductiveRealGroup | None = None
     k_mats: list | None = None
     p_mats: list | None = None
-    cover: ScCoverData | None = None
     conjugator_hint: list | None = None
-    basis_rows: list = field(default_factory=list)
 
     def in_identity_component(self, mat: list):
         """True/False when decidable, None when not."""
@@ -101,7 +99,6 @@ class NonConnectedGroup:
 def build_nonconnected(lie_basis: list, nsigma: list, component_reps: list,
                        pi0_table: list, pi0_gamma: list, tower: FieldTower,
                        k_mats: list = None, p_mats: list = None,
-                       cover: ScCoverData = None,
                        conjugator_hint: list = None,
                        seed: int = 0) -> NonConnectedGroup:
     n = len(nsigma)
@@ -146,13 +143,10 @@ def build_nonconnected(lie_basis: list, nsigma: list, component_reps: list,
             group = NonConnectedGroup(tower, n, lie_basis, real,
                                       component_reps, pi0, "reductive",
                                       reductive=red, k_mats=km, p_mats=pm,
-                                      cover=cover,
                                       conjugator_hint=conjugator_hint)
 
     if lie_basis:
-        from .liealg import LieAlgebraDatum
         datum = LieAlgebraDatum(lie_basis, tower)
-        group.basis_rows = rref_rows(datum.mats_to_rows(lie_basis), tower)
         for g in component_reps:
             ginv = minverse(g, tower)
             for x in lie_basis:
@@ -241,7 +235,6 @@ class _ComponentClass:
 
 @dataclass
 class NonConnectedH1Result:
-    group: NonConnectedGroup
     representatives: list    # verified cocycles in G
     provenance: list         # (component index, x index) per representative
     non_lifting: list        # component indices whose class has no lift
@@ -266,7 +259,6 @@ def _lift_class(group: NonConnectedGroup, c: int):
     cocycle = delta(g, group.real.nsigma, group.lie_basis, tower)
     try:
         res = neutralize_reductive(group.reductive, cocycle,
-                                   cover=group.cover,
                                    conjugator_hint=group.conjugator_hint)
     except H2Error as err:
         raise NonConnectedError(err.code, str(err))
@@ -305,7 +297,6 @@ def _twisted_x1(group: NonConnectedGroup, ghat: list):
 
 
 def h1_nonconnected(group: NonConnectedGroup) -> NonConnectedH1Result:
-    tower = group.tower
     pi0_h1 = h1_finite(group.pi0, bound=10 ** 4)
     representatives = []
     provenance = []
@@ -342,7 +333,7 @@ def h1_nonconnected(group: NonConnectedGroup) -> NonConnectedH1Result:
             representatives.append(z)
             provenance.append((c, t))
         classes.append(cc)
-    return NonConnectedH1Result(group, representatives, provenance,
+    return NonConnectedH1Result(representatives, provenance,
                                 non_lifting, blocked, classes)
 
 

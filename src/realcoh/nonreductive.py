@@ -54,7 +54,6 @@ class LeviSplitGroup:
     levi: LeviDecomposition
     reductive: ReductiveRealGroup
     u_rows: list                # unipotent radical coordinates
-    r_rows: list                # reductive complement coordinates
     real: RealStructure
 
     def project(self, g: list, seed: int = 0) -> list:
@@ -63,8 +62,7 @@ class LeviSplitGroup:
 
 
 def build_levi_split(lie_basis: list, nsigma: list, k_mats: list,
-                     p_mats: list, tower: FieldTower,
-                     seed: int = 0) -> LeviSplitGroup:
+                     p_mats: list, tower: FieldTower) -> LeviSplitGroup:
     """Split off the unipotent radical and build the reductive complement.
 
     k_mats/p_mats give a Cartan decomposition of the derived algebra of the
@@ -79,13 +77,10 @@ def build_levi_split(lie_basis: list, nsigma: list, k_mats: list,
     if not r_mats:
         raise NonReductiveError("trivial-reductive-part",
                                 "the reductive complement is zero")
-    reductive = build_reductive(r_mats, nsigma, k_mats, p_mats, tower,
-                                seed=seed)
-    u_rows = rref_rows(datum.mats_to_rows(levi.n_basis), tower)
-    r_rows = rref_rows(datum.mats_to_rows(r_mats), tower)
+    reductive = build_reductive(r_mats, nsigma, k_mats, p_mats, tower)
+    u_rows = rref_rows(datum.mats_to_rows(levi.n_basis))
     return LeviSplitGroup(tower=tower, datum=datum, levi=levi,
-                          reductive=reductive, u_rows=u_rows, r_rows=r_rows,
-                          real=real)
+                          reductive=reductive, u_rows=u_rows, real=real)
 
 
 def _log_in_radical(g: LeviSplitGroup, u: list) -> list:

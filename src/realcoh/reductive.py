@@ -85,10 +85,8 @@ class ReductiveRealGroup:
     tower: FieldTower
     datum: LieAlgebraDatum
     real: RealStructure
-    p_rows: list
     zc_rows: list
     zs_rows: list
-    that0_rows: list   # Cartan subalgebra of k
     t0_rows: list      # Lie algebra of the maximal compact torus
     t_rows: list       # Lie algebra of the fundamental torus T
     torus: TorusPresentation
@@ -107,7 +105,6 @@ class WeylOrbitTable:
 
 @dataclass
 class ReductiveH1Result:
-    group: ReductiveRealGroup
     table: WeylOrbitTable
     class_indices: list    # index into the torus patterns, one per class
     representatives: list  # cocycle matrices, aligned with class_indices
@@ -116,7 +113,7 @@ class ReductiveH1Result:
         return len(self.representatives)
 
 
-def _realify_rows(rows: list, tower: FieldTower) -> list:
+def _realify_rows(rows: list) -> list:
     """Real basis of a coordinate subspace closed under conjugation.
 
     Coordinates are taken with respect to a gamma-fixed basis, so the real
@@ -126,7 +123,7 @@ def _realify_rows(rows: list, tower: FieldTower) -> list:
     for v in rows:
         out.append([x.real_part() for x in v])
         out.append([x.imag_part() for x in v])
-    return rref_rows(out, tower)
+    return rref_rows(out)
 
 
 def _split_center(datum: LieAlgebraDatum, z_rows: list) -> tuple:
@@ -146,7 +143,7 @@ def _split_center(datum: LieAlgebraDatum, z_rows: list) -> tuple:
 
     def kernel_combos(parts):
         return rref_rows([vmat(coeff, z_rows)
-                          for coeff in left_kernel(parts, tower)], tower)
+                          for coeff in left_kernel(parts, tower)])
 
     zs = kernel_combos(im_parts)
     zc = kernel_combos(re_parts)
@@ -177,14 +174,14 @@ def build_reductive(lie_basis: list, nsigma: list, k_mats: list,
     s_rows = alg.product_space(full, full)
     z_rows = alg.center_of(full)
     if len(s_rows) + len(z_rows) != datum.dim or \
-            len(span_sum(s_rows, z_rows, tower)) != datum.dim:
+            len(span_sum(s_rows, z_rows)) != datum.dim:
         raise ReductiveError("not-reductive")
 
     if not all(real.fixes(m) for m in k_mats + p_mats):
         raise ReductiveError("not-cartan-decomposition",
                              "k/p matrices must be real")
-    k_rows = rref_rows(datum.mats_to_rows(k_mats), tower)
-    p_rows = rref_rows(datum.mats_to_rows(p_mats), tower)
+    k_rows = rref_rows(datum.mats_to_rows(k_mats))
+    p_rows = rref_rows(datum.mats_to_rows(p_mats))
     if len(k_rows) + len(p_rows) != len(s_rows) or \
             not all(in_span(v, s_rows) for v in k_rows + p_rows):
         raise ReductiveError("not-cartan-decomposition",
@@ -209,16 +206,16 @@ def build_reductive(lie_basis: list, nsigma: list, k_mats: list,
                     raise ReductiveError("not-cartan-subalgebra",
                                          "hint matrix not in k")
                 h.append(row)
-            h = rref_rows(h, tower)
+            h = rref_rows(h)
             if not sub._confirm_cartan(h):
                 raise ReductiveError("not-cartan-subalgebra",
                                      "hint is not a Cartan subalgebra of k")
         else:
             h = sub.cartan_subalgebra(seed)
-        that0_rows = rref_rows([embed(v) for v in h], tower)
+        that0_rows = rref_rows([embed(v) for v in h])
     else:
         that0_rows = []
-    t0_rows = rref_rows(that0_rows + zc_rows, tower)
+    t0_rows = rref_rows(that0_rows + zc_rows)
     t_rows = alg.centralizer(full, t0_rows)
     if not alg._confirm_cartan(t_rows):
         raise ReductiveError("cartan-failed")
@@ -261,7 +258,7 @@ def build_reductive(lie_basis: list, nsigma: list, k_mats: list,
     # (Seress, Permutation Group Algorithms, ch. 4).  u_p is a word in the
     # simple reflections, each its own inverse in W, so u_q^-1 is reversed.
     def point(rows):
-        return tuple(tuple(v) for v in rref_rows(rows, tower))
+        return tuple(tuple(v) for v in rref_rows(rows))
 
     orbit = [point([echelon_reduce(v, t_rows)[0] for v in that0_rows])]
     transversal = {orbit[0]: []}
@@ -281,8 +278,7 @@ def build_reductive(lie_basis: list, nsigma: list, k_mats: list,
 
     return ReductiveRealGroup(
         tower=tower, datum=datum, real=real,
-        p_rows=p_rows, zc_rows=zc_rows, zs_rows=zs_rows,
-        that0_rows=that0_rows, t0_rows=t0_rows, t_rows=t_rows,
+        zc_rows=zc_rows, zs_rows=zs_rows, t0_rows=t0_rows, t_rows=t_rows,
         torus=torus, root=root, weyl=simple, w0=w0)
 
 
@@ -364,7 +360,7 @@ def h1_connected_reductive(g: ReductiveRealGroup) -> ReductiveH1Result:
         if not g.real.is_cocycle(z):
             raise ReductiveError("not-cocycle")
         reps.append(z)
-    return ReductiveH1Result(g, table, class_indices, reps)
+    return ReductiveH1Result(table, class_indices, reps)
 
 
 def _pattern_search(g: ReductiveRealGroup, table: WeylOrbitTable, z: list,
@@ -431,12 +427,12 @@ def realify_torus_conjugator(g: ReductiveRealGroup, t0p_mats: list,
     g_r = mmul(conj, found[1])
     if not g.real.fixes(g_r):
         raise ReductiveError("realification-failed")
-    t0_span = rref_rows(g.t0_rows, tower)
+    t0_span = rref_rows(g.t0_rows)
     ginv = minverse(g_r, tower)
     images = _coords_in(g.datum, [mmul(mmul(ginv, m), g_r)
                                   for m in t0p_mats], t0_span)
     if images is None or (require_equal and
-                          len(rref_rows(images, tower)) != len(t0_span)):
+                          len(rref_rows(images)) != len(t0_span)):
         raise ReductiveError("realification-failed")
     return g_r
 
@@ -480,12 +476,12 @@ def solve_problem2_reductive(g: ReductiveRealGroup, cocycle: list,
         v_conj = ident
     else:
         c_rows = _commutant_rows(datum, s_part)
-        creal = _realify_rows(c_rows, tower)
-        if len(creal) != len(rref_rows(c_rows, tower)):
+        creal = _realify_rows(c_rows)
+        if len(creal) != len(rref_rows(c_rows)):
             raise ReductiveError("centralizer-not-real")
         sub, embed, _ = datum.sc.subalgebra(creal)
         h_sub = sub.cartan_subalgebra(seed)
-        tprime_rows = rref_rows([embed(v) for v in h_sub], tower)
+        tprime_rows = rref_rows([embed(v) for v in h_sub])
         tprime_mats = datum.rows_to_mats(tprime_rows)
         tp = build_presentation(tprime_mats, g.real.nsigma, tower)
 
@@ -493,7 +489,7 @@ def solve_problem2_reductive(g: ReductiveRealGroup, cocycle: list,
 
         t0p_mats = compact_part_lie(tp)
         if _coords_in(datum, t0p_mats,
-                      rref_rows(g.t_rows, tower)) is not None:
+                      rref_rows(g.t_rows)) is not None:
             v_conj = ident
         elif conjugator_hint is not None:
             v_conj = realify_torus_conjugator(g, t0p_mats, conjugator_hint,

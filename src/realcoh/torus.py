@@ -112,7 +112,6 @@ def simultaneous_diagonalize(mats: list, tower: FieldTower, n: int) -> list:
 class TorusPresentation:
     tower: FieldTower
     n: int
-    lie_basis: list
     real: RealStructure
     c: list
     cinv: list
@@ -327,7 +326,7 @@ def build_presentation(lie_basis: list, nsigma: list, tower: FieldTower,
     else:
         a, ainv, k, l, r = [], [], 0, 0, 0
     return TorusPresentation(
-        tower, n, lie_basis, real, c, cinv, d, m, p, tau, a, ainv, k, l, r,
+        tower, n, real, c, cinv, d, m, p, tau, a, ainv, k, l, r,
     )
 
 
@@ -336,7 +335,6 @@ def build_presentation(lie_basis: list, nsigma: list, tower: FieldTower,
 
 @dataclass
 class TorusH1Result:
-    presentation: TorusPresentation
     sign_patterns: list
     representatives: list  # matrices
 
@@ -354,7 +352,7 @@ def h1_torus(t: TorusPresentation) -> TorusH1Result:
             [one] * (t.d - t.k)
         patterns.append(list(signs))
         mats.append(t.mu(u))
-    return TorusH1Result(t, patterns, mats)
+    return TorusH1Result(patterns, mats)
 
 
 def trivialize_cocycle(t: TorusPresentation, z) -> tuple:
@@ -450,9 +448,7 @@ def characters_to_lattice_map(t: TorusPresentation, chars: list) -> tuple:
 
 @dataclass
 class QuasiTorusH2Result:
-    datum: QuasiTorusDatum
     lattice_result: CohomologyResult
-    cocycle_coords: list   # coordinates in T of each representative 2-cocycle
     representatives: list  # matrices
 
     def order(self) -> int:
@@ -489,7 +485,6 @@ def h2_quasitorus(q: QuasiTorusDatum) -> QuasiTorusH2Result:
     tower = t.tower
     cx = q.complex()
     res = hyper(cx, 1)
-    coords_list = []
     mats = []
     for rep in res.representatives:
         nu_vec = rep[: t.d]
@@ -503,9 +498,8 @@ def h2_quasitorus(q: QuasiTorusDatum) -> QuasiTorusH2Result:
         if not t.real.fixes(a_mat):
             raise TorusError("cocycle-verification-failed",
                              "gamma(a) != a")
-        coords_list.append(a_coords)
         mats.append(a_mat)
-    return QuasiTorusH2Result(q, res, coords_list, mats)
+    return QuasiTorusH2Result(res, mats)
 
 
 def h2_is_coboundary(q: QuasiTorusDatum, c: list):

@@ -318,7 +318,7 @@ def test_criterion_04_every_abelian_class_doubles_to_zero():
     for n in (3, 4, 6, 8, 12):
         _, q = _compact_quasitorus(tower, 1, n)
         res = h2_quasitorus(q)
-        mod = res.datum.complex().total_module()
+        mod = q.complex().total_module()
         for v in res.lattice_result.representatives:
             doubled = mod.reduce([2 * x for x in v])
             assert res.lattice_result.subquotient.is_zero_class(doubled)
@@ -403,7 +403,7 @@ def test_criterion_06_witness_soundness():
     minus = mat_from_ints(tower, [[-1, 0], [0, -1]])
     c = make_cocycle2(tower, entry.lie_basis, minus, meye(tower, 2))
     res = neutralize_reductive(entry.group, c,
-                               cover=chevalley_cover(entry.group, "sl2"))
+                               center=chevalley_cover(entry.group))
     assert res.neutral
     d = res.witness
     assert meq(mmul(mmul(d, c.f(d)), c.a), meye(tower, 2))

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import realcoh.cli as cli
+from realcoh.catalog import list_names
 from realcoh.cli import GaussianTower, main
 from realcoh.field import FieldError
 
@@ -49,8 +50,7 @@ def test_h1_nonconnected_reports_non_lifting(capsys):
     assert data["blocked"] == []
 
 
-@pytest.mark.parametrize("name", ["o(3)", "so(2,3)", "so(3,4)", "sl(4,r)",
-                                  "su(3,0)", "su(2,1)", "torus:fed"])
+@pytest.mark.parametrize("name", list_names())
 def test_h1_from_emitted_json_round_trip(tmp_path, capsys, name):
     # the emitted file carries the Cartan hint, so h1 on it reproduces the
     # catalog report byte for byte
@@ -255,11 +255,15 @@ def test_abelian_so_pq_is_unknown_name(capsys):
     assert "catalog:torus:e" in error["message"]
 
 
-def test_gaussian_backend_rejects_nonconnected(capsys):
-    code, out = run(capsys, "--field=gaussian", "h1", "catalog:mu2")
-    assert code == 1
-    assert json.loads(out)["error"]["code"] == \
-        "gaussian-backend-connected-only"
+def test_gaussian_backend_rejects_nonconnected(tmp_path, capsys):
+    _, emitted = run(capsys, "catalog", "emit", "o(2)")
+    path = tmp_path / "group.json"
+    path.write_text(emitted)
+    for spec in ("catalog:mu2", "catalog:o(3)", str(path)):
+        code, out = run(capsys, "--field=gaussian", "h1", spec)
+        assert code == 1
+        assert json.loads(out)["error"]["code"] == \
+            "gaussian-backend-connected-only"
 
 
 def test_gaussian_backend_connected_fast_path(capsys):

@@ -94,6 +94,18 @@ def test_division_by_zero(tower):
     assert err.value.code == "division-by-zero"
 
 
+def test_other_tower_is_coded_error(tower):
+    # elements of two towers never mix: each computation keeps one tower
+    other = FieldTower()
+    x = other.sqrt(2)
+    assert tower.coerce(tower.i()) == tower.i()
+    for op in (lambda: tower.coerce(x), lambda: tower.one() + x,
+               lambda: tower.sqrt(x)):
+        with pytest.raises(FieldError) as err:
+            op()
+        assert err.value.code == "tower-mismatch"
+
+
 def test_sign_test(tower):
     x = tower.sqrt(2) - Fraction(141421, 100000)
     assert x.is_positive()

@@ -17,6 +17,8 @@ from realcoh.h2nab import (
 from realcoh.lattice import diagonal_form, snf
 from realcoh.linalg import mat_from_ints, meq, meye, minverse, mmul
 from realcoh.reductive import build_reductive
+from realcoh.torus import (QuasiTorusDatum, build_presentation,
+                          h2_is_coboundary, h2_quasitorus)
 
 
 def sl2r(tower, seed=0):
@@ -152,11 +154,11 @@ def test_mono_solve_square_root_system():
 def test_chevalley_cover_sl2_center():
     tower = FieldTower()
     g = sl2r(tower)
-    cover = chevalley_cover(g, "sl2")
-    assert len(cover.center_elements) == 2
+    center = chevalley_cover(g)
+    assert len(center) == 2
     minus = mat_from_ints(tower, [[-1, 0], [0, -1]])
-    assert any(meq(z, meye(tower, 2)) for z in cover.center_elements)
-    assert any(meq(z, minus) for z in cover.center_elements)
+    assert any(meq(z, meye(tower, 2)) for z in center)
+    assert any(meq(z, minus) for z in center)
 
 
 # -- neutralization: reductive ----------------------------------------------------
@@ -178,9 +180,14 @@ def test_split_gm_minus_one_not_neutral():
     c = make_cocycle2(tower, [mat_from_ints(tower, [[1]])],
                       mat_from_ints(tower, [[-1]]), meye(tower, 1))
     res = neutralize_reductive(g, c)
-    assert not res.neutral
-    assert res.certificate is not None
-    assert res.certificate.order() == 2
+    assert not res.neutral and res.witness is None
+    # the verdict rests on H^2 of the split torus: order 2, and the class of
+    # -1 is not a coboundary
+    pres = build_presentation([mat_from_ints(tower, [[1]])], meye(tower, 1),
+                              tower)
+    datum = QuasiTorusDatum(pres, [[]], [], pres, [meye(tower, 1)])
+    assert h2_quasitorus(datum).order() == 2
+    assert h2_is_coboundary(datum, mat_from_ints(tower, [[-1]])) is None
 
 
 def test_sl2_minus_one_is_neutral():
@@ -193,8 +200,7 @@ def test_sl2_minus_one_is_neutral():
     w = mat_from_ints(tower, [[0, 1], [-1, 0]])
     assert meq(mmul(mmul(w, w), minus), meye(tower, 2))
     c = make_cocycle2(tower, basis, minus, meye(tower, 2))
-    cover = chevalley_cover(g, "sl2")
-    res = neutralize_reductive(g, c, cover=cover)
+    res = neutralize_reductive(g, c, center=chevalley_cover(g))
     assert res.neutral
     d = res.witness
     assert meq(mmul(mmul(d, c.f(d)), c.a), meye(tower, 2))
@@ -208,11 +214,11 @@ def test_conjugator_hint_restores_cartan():
     u = mat_from_ints(tower, [[1, 1], [0, 1]])
     a = mmul(u, u)
     c = make_cocycle2(tower, basis, a, u)
-    cover = chevalley_cover(g, "sl2")
+    center = chevalley_cover(g)
     with pytest.raises(H2Error) as err:
-        neutralize_reductive(g, c, cover=cover)
+        neutralize_reductive(g, c, center=center)
     assert err.value.code == "conjugator-unavailable"
-    res = neutralize_reductive(g, c, cover=cover,
+    res = neutralize_reductive(g, c, center=center,
                                conjugator_hint=minverse(u, tower))
     assert res.neutral
     d = res.witness

@@ -2,8 +2,9 @@
 `python -O`; checks raise coded errors instead), no imported name that is
 never read, no function, class or method that no module of the package
 reads, outside a short list of entry points kept for the acceptance
-criteria and the reference checks, and no instance attribute that is set
-and never read."""
+criteria and the reference checks, no instance attribute that is set and
+never read, no dataclass field that is never read, and no parameter that
+its function never reads."""
 
 import ast
 from pathlib import Path
@@ -63,6 +64,8 @@ KEPT_FOR_TESTS = {
                                             "tate",
     "LieAlgebraDatum.real_form": "test_real_form_flag checks the closure "
                                  "under conjugation",
+    "chevalley_cover": "criterion 06 and test_h2nab pass the center it lists "
+                       "to neutralize_reductive; no catalog entry needs it",
 }
 
 # Instance attributes set as `self.X = ...` in src/realcoh and read only
@@ -158,3 +161,75 @@ def test_no_unread_instance_attributes():
          and node.attr not in read}
         - set(UNREAD_ATTRIBUTES_KEPT))
     assert unread == [], f"set but never read in src/realcoh: {unread}"
+
+
+# Dataclass fields in src/realcoh read only from tests, on purpose, as
+# "Class.field" -> reason.
+FIELDS_KEPT_FOR_TESTS = {}
+
+
+def _is_dataclass(node):
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        name = target.attr if isinstance(target, ast.Attribute) else \
+            getattr(target, "id", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _dataclass_fields(tree):
+    """(class name, field name) of every annotated field of a @dataclass."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and \
+                        isinstance(stmt.target, ast.Name):
+                    yield node.name, stmt.target.id
+
+
+def test_no_unread_dataclass_fields():
+    """Every field of a dataclass is read as `.field` somewhere in the
+    package, on any object, or is kept for tests with a reason.  A call
+    `.name(...)` of a name that is also a method of some class counts as a
+    call of that method, not as a read."""
+    trees = [ast.parse(path.read_text()) for path in SOURCES]
+    methods = {sub.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)
+               for sub in node.body if isinstance(sub, ast.FunctionDef)}
+    called = {id(node.func) for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.Call)}
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and not (id(node) in called and node.attr in methods)}
+    fields = {f"{cls}.{name}": name for tree in trees
+              for cls, name in _dataclass_fields(tree)}
+    assert sorted(set(FIELDS_KEPT_FOR_TESTS) - set(fields)) == []
+    unread = sorted(qual for qual, name in fields.items()
+                    if name not in read and qual not in FIELDS_KEPT_FOR_TESTS)
+    assert unread == [], f"dataclass fields never read in src/realcoh: " \
+                         f"{unread}"
+
+
+def test_no_unread_parameters():
+    """Every parameter of a function or method, other than self and cls, is
+    read in that function's body (a nested function's read counts)."""
+    unread = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                      + [a.vararg, a.kwarg] if p is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            loaded = {n.id for stmt in body for n in ast.walk(stmt)
+                      if isinstance(n, ast.Name)
+                      and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            unread += [f"{path.name}:{node.lineno} {name}({p})"
+                       for p in params
+                       if p not in ("self", "cls") and p not in loaded]
+    assert unread == [], f"parameters never read in src/realcoh: {unread}"

@@ -336,14 +336,23 @@ def test_root_system_sl2():
     datum = sl2(tw)
     rd = root_system(datum, [datum.basis[0]])
     assert len(rd.roots) == 2
-    assert len(rd.simple_indices) == 1
+    assert len(rd.x_gens) == 1
     assert rd.cartan_matrix == [[2]]
-    h = rd.h_gens[0]
     x = rd.x_gens[0]
     y = rd.y_gens[0]
-    assert meq(datum.bracket(x, y), h)
+    h = datum.bracket(x, y)
     two_x = [[tw.from_rational(2) * v for v in row] for row in x]
     assert meq(datum.bracket(h, x), two_x)
+
+
+def _check_cartan_matrix(datum, rd):
+    """[h_i, x_j] = A[i][j] x_j for the coroots h_i = [x_i, y_i]."""
+    for i, (x, y) in enumerate(zip(rd.x_gens, rd.y_gens)):
+        h = datum.bracket(x, y)
+        for j, xj in enumerate(rd.x_gens):
+            a = datum.tower.from_rational(rd.cartan_matrix[i][j])
+            assert meq(datum.bracket(h, xj),
+                       [[a * v for v in row] for row in xj])
 
 
 def test_root_system_sl3():
@@ -351,12 +360,11 @@ def test_root_system_sl3():
     datum, h1, h2 = sl3(tw)
     rd = root_system(datum, [h1, h2])
     assert len(rd.roots) == 6
-    assert len(rd.simple_indices) == 2
+    assert len(rd.x_gens) == 2
     cm = rd.cartan_matrix
     assert cm[0][0] == 2 and cm[1][1] == 2
     assert cm[0][1] == -1 and cm[1][0] == -1
-    for i in range(2):
-        assert meq(datum.bracket(rd.x_gens[i], rd.y_gens[i]), rd.h_gens[i])
+    _check_cartan_matrix(datum, rd)
 
 
 def test_root_system_so5():
@@ -364,12 +372,11 @@ def test_root_system_so5():
     datum, h1, h2 = split_so5(tw)
     rd = root_system(datum, [h1, h2])
     assert len(rd.roots) == 8
-    assert len(rd.simple_indices) == 2
+    assert len(rd.x_gens) == 2
     cm = rd.cartan_matrix
     assert cm[0][0] == 2 and cm[1][1] == 2
     assert cm[0][1] * cm[1][0] == 2
-    for i in range(2):
-        assert meq(datum.bracket(rd.x_gens[i], rd.y_gens[i]), rd.h_gens[i])
+    _check_cartan_matrix(datum, rd)
 
 
 def test_cartan_subalgebra_sl2():

@@ -83,8 +83,7 @@ def test_echelon_reduce_matches_solve_left():
     outside = 0
     for _ in range(40):
         n = rng.randint(1, 6)
-        basis = rref_rows(_rand_matrix(rng, pool, rng.randint(1, n), n, 0.7),
-                          tower)
+        basis = rref_rows(_rand_matrix(rng, pool, rng.randint(1, n), n, 0.7))
         if not basis:
             continue
         coeffs = [rng.choice(pool) for _ in basis]
@@ -119,7 +118,7 @@ def test_echelon_reduce_late_pivots_in_long_rows():
                 row[j] = k + j
         rows.append(row)
     basis = mat_from_ints(tower, rows)
-    assert rref_rows(basis, tower) == basis
+    assert rref_rows(basis) == basis
     coeffs = mat_from_ints(tower, [[3, -1, 2, 5]])[0]
     got, rest = echelon_reduce(vmat(coeffs, basis), basis)
     assert got == coeffs and all(x.is_zero() for x in rest)

@@ -109,8 +109,8 @@ def test_su2_structure():
     assert (t.k, t.l, t.r) == (1, 0, 0)
     assert len(_generated(g, g.weyl)) == 2
     assert len(_generated(g, g.w0)) == 2
-    assert not g.p_rows
-    assert len(g.that0_rows) == 1
+    # compact: the maximal compact torus is the whole fundamental torus
+    assert len(g.t0_rows) == len(g.t_rows) == 1
 
 
 def test_so23_structure():
@@ -251,11 +251,13 @@ def _generated(g, elements):
 
 
 def _stabilizer(g):
-    """The elements of the test-side W that map that0 onto itself."""
-    that0 = [echelon_reduce(v, g.t_rows)[0] for v in g.that0_rows]
-    span = rref_rows(that0, g.tower)
+    """The elements of the test-side W that map t0 onto itself.  W fixes
+    the center pointwise, so they are the ones that map that0, the part of
+    t0 in the derived algebra, onto itself."""
+    t0 = [echelon_reduce(v, g.t_rows)[0] for v in g.t0_rows]
+    span = rref_rows(t0)
     return {k: v for k, v in _generated(g, g.weyl).items()
-            if all(in_span(vmat(u, v[0]), span) for u in that0)}
+            if all(in_span(vmat(u, v[0]), span) for u in t0)}
 
 
 def _reference_orbits(g):
