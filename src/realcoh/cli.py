@@ -15,11 +15,12 @@ entries written in the element grammar (e.g. "1/2+3*i", "sqrt(2)").
 
 Exit codes: 0 success, 2 partial result (blocked classes), 1 error.  All
 reports are deterministic: the same input and --seed give the same bytes.
-The seed steers only the random Cartan-subalgebra searches, of a reductive
-file without cartan_k_mats and of the equiv solvers.  Every witness is
-re-verified by an independent identity check before the report is written,
-and `"verified": true` appears only when those checks pass; the check uses
-its own real structure built from N_sigma, not the group object's.
+The seed steers only the random Cartan-subalgebra searches: of a group
+file built without cartan_k_mats, and of the equiv solvers.  Every
+witness is re-verified by an independent identity check before the report
+is written, and `"verified": true` appears only when those checks pass;
+the check uses its own real structure built from N_sigma, not the group
+object's.
 """
 
 from __future__ import annotations
