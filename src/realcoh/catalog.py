@@ -21,7 +21,7 @@ Families:
   * sl2-c2         2x2 special linear algebra acting on the plane
 
 Every entry is rebuilt and verified by the corresponding pipeline builder
-on `get`; `kind` names the pipeline of an entry without building it.
+on `get`.
 """
 
 from __future__ import annotations
@@ -408,28 +408,25 @@ def _sl2_c2_entry(tower: FieldTower) -> CatalogEntry:
 # -- registry ----------------------------------------------------------------------
 
 
-# name -> (kind, builder on the tower)
+# name -> builder on the tower
 _NAMED = {
-    "sp(4,r)": ("reductive", _sp4_entry),
-    "o(2)": ("nonconnected", _o2_entry),
-    "o(3)": ("nonconnected", _o3_entry),
-    "mu2": ("nonconnected", _mu2_entry),
-    "n-sl2-t": ("nonconnected",
-                lambda tower: _nsl2t_entry(tower, compact=False)),
-    "n-sl2-t-compact": ("nonconnected",
-                        lambda tower: _nsl2t_entry(tower, compact=True)),
-    "gm-affine": ("nonreductive", _gm_affine_entry),
-    "sl2-c2": ("nonreductive", _sl2_c2_entry),
+    "sp(4,r)": _sp4_entry,
+    "o(2)": _o2_entry,
+    "o(3)": _o3_entry,
+    "mu2": _mu2_entry,
+    "n-sl2-t": lambda tower: _nsl2t_entry(tower, compact=False),
+    "n-sl2-t-compact": lambda tower: _nsl2t_entry(tower, compact=True),
+    "gm-affine": _gm_affine_entry,
+    "sl2-c2": _sl2_c2_entry,
 }
 
-# (name pattern, kind, builder on the match and the tower)
+# (name pattern, builder on the match and the tower)
 _FAMILIES = [
-    (r"torus:(.*)", "torus", lambda m, tower: _torus_entry(m[1], tower)),
-    (r"so\((\d+),(\d+)\)", "reductive",
+    (r"torus:(.*)", lambda m, tower: _torus_entry(m[1], tower)),
+    (r"so\((\d+),(\d+)\)",
      lambda m, tower: _sopq_entry(int(m[1]), int(m[2]), tower)),
-    (r"sl\((\d+),r\)", "reductive",
-     lambda m, tower: _slnr_entry(int(m[1]), tower)),
-    (r"su\((\d+)(?:,(\d+))?\)", "reductive",
+    (r"sl\((\d+),r\)", lambda m, tower: _slnr_entry(int(m[1]), tower)),
+    (r"su\((\d+)(?:,(\d+))?\)",
      lambda m, tower: _su_entry(int(m[1]), int(m[2] or 0), tower)),
 ]
 
@@ -446,23 +443,13 @@ def list_names() -> list:
     return names
 
 
-def _resolve(name: str) -> tuple:
-    """(kind, builder on the tower) for a catalog name."""
+def get(name: str, tower: FieldTower = None) -> CatalogEntry:
+    tower = tower or FieldTower()
     key = name.strip().lower().replace(" ", "")
     if key in _NAMED:
-        return _NAMED[key]
-    for pattern, entry_kind, build in _FAMILIES:
+        return _NAMED[key](tower)
+    for pattern, build in _FAMILIES:
         m = re.fullmatch(pattern, key)
         if m:
-            return entry_kind, lambda tower: build(m, tower)
+            return build(m, tower)
     raise CatalogError("unknown-name", name)
-
-
-def kind(name: str) -> str:
-    """The kind of the entry `name` (torus, reductive, nonreductive or
-    nonconnected), without building it."""
-    return _resolve(name)[0]
-
-
-def get(name: str, tower: FieldTower = None) -> CatalogEntry:
-    return _resolve(name)[1](tower or FieldTower())

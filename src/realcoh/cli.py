@@ -14,9 +14,7 @@ nonconnected, "lie_basis": [...], "N_sigma": [...], ...} with matrix
 entries written in the element grammar (e.g. "1/2+3*i", "sqrt(2)").
 
 Exit codes: 0 success, 2 partial result (blocked classes), 1 error.  All
-reports are deterministic: the same input and --seed give the same bytes.
-The seed steers only the random Cartan-subalgebra searches: of a group
-file built without cartan_k_mats, and of the equiv solvers.  Every
+reports are deterministic: the same input gives the same bytes.  Every
 witness is re-verified by an independent identity check before the report
 is written, and `"verified": true` appears only when those checks pass;
 the check uses its own real structure built from N_sigma, not the group
@@ -31,8 +29,7 @@ import sys
 
 from . import catalog as _catalog
 from .catalog import CatalogEntry
-from .field import (FieldError, FieldTower, RealcohError, format_element,
-                    parse_element)
+from .field import FieldTower, RealcohError, format_element, parse_element
 from .lattice import gamma_decompose
 from .linalg import RealStructure, meq
 from .nonconnected import (build_nonconnected, h1_nonconnected,
@@ -48,23 +45,6 @@ from .torus import (QuasiTorusDatum, build_presentation,
 
 class CliError(RealcohError):
     pass
-
-
-class GaussianTower(FieldTower):
-    """Field backend restricted to the Gaussian rationals Q(i).
-
-    Square roots that stay inside Q(i) are fine; anything that would grow
-    the tower raises a structured error instead (the fast path is only
-    sound when the whole computation lives in Q(i))."""
-
-    def sqrt(self, x):
-        before = len(self.gens)
-        out = super().sqrt(x)
-        if len(self.gens) != before:
-            raise FieldError("field-extension-required",
-                             "computation left the Gaussian rationals; "
-                             "rerun with --field=sqrt-tower")
-        return out
 
 
 # -- input parsing -----------------------------------------------------------------
@@ -118,8 +98,7 @@ def _parse_nsigma(data: dict, tower: FieldTower) -> list:
     return _parse_mat(data["N_sigma"], tower)
 
 
-def _build_from_data(data: dict, tower: FieldTower,
-                     seed: int) -> CatalogEntry:
+def _build_from_data(data: dict, tower: FieldTower) -> CatalogEntry:
     kind = data.get("kind")
     if kind not in ("torus", "reductive", "nonreductive", "nonconnected"):
         raise CliError("bad-input", f"unknown kind {kind!r}")
@@ -138,7 +117,7 @@ def _build_from_data(data: dict, tower: FieldTower,
             cartan = (_parse_mats(data, "cartan_k_mats", tower, n)
                       if data.get("cartan_k_mats") else None)
             group = build_reductive(basis, nsig, k_mats, p_mats, tower,
-                                    seed=seed, cartan_k_mats=cartan)
+                                    cartan_k_mats=cartan)
         else:
             group = build_levi_split(basis, nsig, k_mats, p_mats, tower)
     else:
@@ -146,29 +125,20 @@ def _build_from_data(data: dict, tower: FieldTower,
         k_mats = (_parse_mats(data, "k_mats", tower, n)
                   if data.get("k_mats") else None)
         p_mats = (_parse_mats(data, "p_mats", tower, n)
-                  if data.get("p_mats") is not None else None)
+                  if data.get("p_mats") else None)
         group = build_nonconnected(basis, nsig, reps, data.get("pi0_table"),
                                    data.get("pi0_gamma"), tower,
                                    k_mats=k_mats, p_mats=p_mats,
-                                   conjugator_hint=hint, seed=seed)
+                                   conjugator_hint=hint)
     return CatalogEntry(name=name, kind=kind, tower=tower, lie_basis=basis,
                         nsigma=nsig, conjugator_hint=hint, group=group)
 
 
-def load_job(spec: str, tower: FieldTower, seed: int) -> CatalogEntry:
-    """The group of INPUT, a catalog name or a file read once.  The
-    Gaussian backend refuses a non-connected group before it is built."""
+def load_job(spec: str, tower: FieldTower) -> CatalogEntry:
+    """The group of INPUT, a catalog name or a file."""
     if spec.startswith("catalog:"):
-        name = spec[len("catalog:"):]
-        kind, build = _catalog.kind(name), lambda: _catalog.get(name, tower)
-    else:
-        data = _load_object(spec)
-        kind, build = (data.get("kind"),
-                       lambda: _build_from_data(data, tower, seed))
-    if isinstance(tower, GaussianTower) and kind == "nonconnected":
-        raise CliError("gaussian-backend-connected-only",
-                       "non-connected groups need --field=sqrt-tower")
-    return build()
+        return _catalog.get(spec[len("catalog:"):], tower)
+    return _build_from_data(_load_object(spec), tower)
 
 
 # -- h1 ----------------------------------------------------------------------------
@@ -259,7 +229,7 @@ def _load_cocycle(path: str, tower: FieldTower, n: int) -> list:
     return _parse_mat(data, tower, n)
 
 
-def _equiv_report(entry: CatalogEntry, z: list, seed: int) -> dict:
+def _equiv_report(entry: CatalogEntry, z: list) -> dict:
     real = RealStructure(entry.nsigma, entry.tower)
     if not real.is_cocycle(z):
         raise CliError("not-cocycle", "z * gamma(z) != 1")
@@ -272,13 +242,13 @@ def _equiv_report(entry: CatalogEntry, z: list, seed: int) -> dict:
         res = h1_connected_reductive(entry.group)
         index, s = solve_problem2_reductive(
             entry.group, z, classes=res,
-            conjugator_hint=entry.conjugator_hint, seed=seed)
+            conjugator_hint=entry.conjugator_hint)
         listed = res.representatives[index]
     elif entry.kind == "nonreductive":
         res = h1_connected(entry.group)
         index, s = solve_problem2_connected(
             entry.group, z, classes=res,
-            conjugator_hint=entry.conjugator_hint, seed=seed)
+            conjugator_hint=entry.conjugator_hint)
         listed = res.representatives[index]
     else:
         res = h1_nonconnected(entry.group)
@@ -386,11 +356,8 @@ def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="realcoh",
         description="Galois cohomology of real linear algebraic groups")
-    parser.add_argument("--field", choices=("gaussian", "sqrt-tower"),
-                        default="sqrt-tower")
     parser.add_argument("--format", choices=("json", "text"),
                         default="json")
-    parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
     p_h1 = sub.add_parser("h1")
     p_h1.add_argument("input")
@@ -408,7 +375,7 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> int:
-    tower = GaussianTower() if args.field == "gaussian" else FieldTower()
+    tower = FieldTower()
 
     if args.command == "catalog":
         if args.action == "list":
@@ -430,7 +397,7 @@ def _run(args) -> int:
         _emit(_h2_report(args.input, tower), args.format)
         return 0
 
-    entry = load_job(args.input, tower, args.seed)
+    entry = load_job(args.input, tower)
 
     if args.command == "h1":
         report, code = _h1_report(entry)
@@ -439,7 +406,7 @@ def _run(args) -> int:
 
     if args.command == "equiv":
         z = _load_cocycle(args.cocycle, tower, len(entry.nsigma))
-        report = _equiv_report(entry, z, args.seed)
+        report = _equiv_report(entry, z)
         _emit(report, args.format)
         return 0
 

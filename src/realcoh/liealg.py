@@ -304,15 +304,22 @@ class SCAlgebra:
 
     # -- Cartan subalgebras -----------------------------------------------------
 
-    def cartan_subalgebra(self, seed: int = 0) -> list:
-        """A Cartan subalgebra, by random regular elements (seeded)."""
-        if self.dim == 0:
-            return []
-        rng = random.Random(seed)
+    def _draws(self, n: int):
+        """The one fixed pseudo-random draw: 200 vectors of n integers in
+        [0, 2*dim), from random.Random(0)."""
+        rng = random.Random(0)
         omega = 2 * max(self.dim, 1)
         for _ in range(200):
-            x = [self.tower.from_rational(rng.randrange(omega))
-                 for _ in range(self.dim)]
+            yield [self.tower.from_rational(rng.randrange(omega))
+                   for _ in range(n)]
+
+    def cartan_subalgebra(self) -> list:
+        """A Cartan subalgebra, from one fixed draw: the null component of
+        the first drawn element whose null component is a Cartan
+        subalgebra.  The same algebra always gives the same answer."""
+        if self.dim == 0:
+            return []
+        for x in self._draws(self.dim):
             if all(t.is_zero() for t in x):
                 continue
             h = self.fitting_null_of_element(x)
@@ -337,12 +344,9 @@ class SCAlgebra:
 
     def regular_element(self, h: list) -> list:
         """x in the Cartan subalgebra h with null component exactly h."""
-        rng = random.Random(0)
-        omega = 2 * max(self.dim, 1)
         h = rref_rows(h)
-        for _ in range(200):
-            x = vmat([self.tower.from_rational(rng.randrange(omega))
-                      for _ in h], h)
+        for c in self._draws(len(h)):
+            x = vmat(c, h)
             if any(not t.is_zero() for t in x) and \
                     span_eq(self.fitting_null_of_element(x), h):
                 return x
@@ -838,7 +842,7 @@ def _commutant_rows(datum: LieAlgebraDatum, s: list) -> list:
 
 
 def reductive_projection(datum: LieAlgebraDatum, levi: LeviDecomposition,
-                         g: list, seed: int = 0) -> list:
+                         g: list) -> list:
     """Image of g under the canonical projection killing the unipotent
     radical, realized inside the reductive subgroup with algebra s + t."""
     tower = datum.tower
@@ -861,7 +865,7 @@ def reductive_projection(datum: LieAlgebraDatum, levi: LeviDecomposition,
     else:
         zrows = _commutant_rows(datum, jp.s)
         sub, embed, _c = datum.sc.subalgebra(zrows)
-        h0 = [embed(v) for v in sub.cartan_subalgebra(seed)]
+        h0 = [embed(v) for v in sub.cartan_subalgebra()]
         _hs, _h, xs = align_cartan_sc(datum.sc, h0, srows, trows, nrows)
         hmat = meye(tower, datum.n)
         for x in datum.rows_to_mats(xs):

@@ -99,8 +99,7 @@ class NonConnectedGroup:
 def build_nonconnected(lie_basis: list, nsigma: list, component_reps: list,
                        pi0_table: list, pi0_gamma: list, tower: FieldTower,
                        k_mats: list = None, p_mats: list = None,
-                       conjugator_hint: list = None,
-                       seed: int = 0) -> NonConnectedGroup:
+                       conjugator_hint: list = None) -> NonConnectedGroup:
     n = len(nsigma)
     ident = meye(tower, n)
     pi0 = FiniteGammaGroup(pi0_table, pi0_gamma)
@@ -136,8 +135,7 @@ def build_nonconnected(lie_basis: list, nsigma: list, component_reps: list,
             km = k_mats if k_mats is not None else list(lie_basis)
             pm = p_mats if p_mats is not None else []
             try:
-                red = build_reductive(lie_basis, nsigma, km, pm, tower,
-                                      seed=seed)
+                red = build_reductive(lie_basis, nsigma, km, pm, tower)
             except ReductiveError as err:
                 raise NonConnectedError("cartan-data-required", str(err))
             group = NonConnectedGroup(tower, n, lie_basis, real,

@@ -56,9 +56,9 @@ class LeviSplitGroup:
     u_rows: list                # unipotent radical coordinates
     real: RealStructure
 
-    def project(self, g: list, seed: int = 0) -> list:
+    def project(self, g: list) -> list:
         """Image of a group element under the retraction onto G^(r)."""
-        return reductive_projection(self.datum, self.levi, g, seed=seed)
+        return reductive_projection(self.datum, self.levi, g)
 
 
 def build_levi_split(lie_basis: list, nsigma: list, k_mats: list,
@@ -138,8 +138,7 @@ def h1_connected(g: LeviSplitGroup) -> ReductiveH1Result:
 
 def solve_problem2_connected(g: LeviSplitGroup, cocycle: list,
                              classes: ReductiveH1Result = None,
-                             conjugator_hint: list = None,
-                             seed: int = 0) -> tuple:
+                             conjugator_hint: list = None) -> tuple:
     """Class index and witness for a cocycle of a connected group.
 
     Returns (index, s) with s^-1 * cocycle * gamma(s) equal to the stored
@@ -151,12 +150,11 @@ def solve_problem2_connected(g: LeviSplitGroup, cocycle: list,
     if classes is None:
         classes = h1_connected(g)
 
-    g_red = g.project(cocycle, seed=seed)
+    g_red = g.project(cocycle)
     if not g.real.is_cocycle(g_red):
         raise NonReductiveError("projection-not-cocycle")
     idx, s_r = solve_problem2_reductive(g.reductive, g_red, classes=classes,
-                                        conjugator_hint=conjugator_hint,
-                                        seed=seed)
+                                        conjugator_hint=conjugator_hint)
     g_i = classes.representatives[idx]
 
     u = mmul(g.real.twist(s_r, cocycle), minverse(g_i, tower))

@@ -153,16 +153,17 @@ def _split_center(datum: LieAlgebraDatum, z_rows: list) -> tuple:
 
 
 def build_reductive(lie_basis: list, nsigma: list, k_mats: list,
-                    p_mats: list, tower: FieldTower, seed: int = 0,
+                    p_mats: list, tower: FieldTower,
                     cartan_k_mats: list = None) -> ReductiveRealGroup:
     """Assemble the fundamental torus, root and Weyl data of the group.
 
     lie_basis: basis of the real Lie algebra (gamma-fixed matrices);
     k_mats/p_mats: a Cartan decomposition of the derived subalgebra.
     cartan_k_mats: optional matrices spanning a Cartan subalgebra of k;
-    when given they are verified and used instead of the random search,
-    which keeps the eigenvalues of the adjoint action inside the square-root
-    tower for groups whose generic compact elements need larger extensions.
+    when given they are verified and used instead of the fixed draw of
+    `cartan_subalgebra`, which keeps the eigenvalues of the adjoint action
+    inside the square-root tower for groups whose drawn compact elements
+    need larger extensions.
     """
     datum = LieAlgebraDatum(lie_basis, tower)
     real = RealStructure(nsigma, tower)
@@ -211,7 +212,7 @@ def build_reductive(lie_basis: list, nsigma: list, k_mats: list,
                 raise ReductiveError("not-cartan-subalgebra",
                                      "hint is not a Cartan subalgebra of k")
         else:
-            h = sub.cartan_subalgebra(seed)
+            h = sub.cartan_subalgebra()
         that0_rows = rref_rows([embed(v) for v in h])
     else:
         that0_rows = []
@@ -439,8 +440,7 @@ def realify_torus_conjugator(g: ReductiveRealGroup, t0p_mats: list,
 
 def solve_problem2_reductive(g: ReductiveRealGroup, cocycle: list,
                              classes: ReductiveH1Result = None,
-                             conjugator_hint: list = None,
-                             seed: int = 0) -> tuple:
+                             conjugator_hint: list = None) -> tuple:
     """Class index and witness for a 1-cocycle in G(C).
 
     Returns (index, h) with h^-1 * cocycle * gamma(h) equal to the stored
@@ -480,7 +480,7 @@ def solve_problem2_reductive(g: ReductiveRealGroup, cocycle: list,
         if len(creal) != len(rref_rows(c_rows)):
             raise ReductiveError("centralizer-not-real")
         sub, embed, _ = datum.sc.subalgebra(creal)
-        h_sub = sub.cartan_subalgebra(seed)
+        h_sub = sub.cartan_subalgebra()
         tprime_rows = rref_rows([embed(v) for v in h_sub])
         tprime_mats = datum.rows_to_mats(tprime_rows)
         tp = build_presentation(tprime_mats, g.real.nsigma, tower)

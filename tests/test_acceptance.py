@@ -506,17 +506,17 @@ def _random_group_element(entry, rng):
     return mmul(s, r)
 
 
-def _solve(entry, z, classes, hint=None, seed=0):
+def _solve(entry, z, classes, hint=None):
     if entry.kind == "torus":
         res = classes
         rep, signs, s = trivialize_cocycle(entry.group, z)
         return res.sign_patterns.index(signs), s
     if entry.kind == "reductive":
         return solve_problem2_reductive(entry.group, z, classes=classes,
-                                        conjugator_hint=hint, seed=seed)
+                                        conjugator_hint=hint)
     if entry.kind == "nonreductive":
         return solve_problem2_connected(entry.group, z, classes=classes,
-                                        conjugator_hint=hint, seed=seed)
+                                        conjugator_hint=hint)
     return solve_problem2_nonconnected(entry.group, z, classes=classes)
 
 
@@ -524,19 +524,18 @@ _RETRYABLE = ("conjugator-unavailable", "realification-failed")
 
 
 def _solve_with_hint_ladder(entry, zt, classes, s0):
-    """Solve, retrying with the twisting element as realification hint and
-    with fresh Cartan seeds; raises the last retryable error if all fail."""
+    """Solve, retrying with the twisting element as realification hint;
+    raises the last retryable error if both fail."""
     last = None
-    for seed in (0, 1, 2):
-        for hint in (None, minverse(s0, entry.tower)):
-            if hint is not None and entry.kind == "nonreductive":
-                hint = entry.group.project(hint)
-            try:
-                return _solve(entry, zt, classes, hint=hint, seed=seed)
-            except ReductiveError as err:
-                if err.code not in _RETRYABLE:
-                    raise
-                last = err
+    for hint in (None, minverse(s0, entry.tower)):
+        if hint is not None and entry.kind == "nonreductive":
+            hint = entry.group.project(hint)
+        try:
+            return _solve(entry, zt, classes, hint=hint)
+        except ReductiveError as err:
+            if err.code not in _RETRYABLE:
+                raise
+            last = err
     raise last
 
 

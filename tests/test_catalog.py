@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from realcoh.catalog import CatalogError, get, kind, list_names
+from realcoh.catalog import CatalogError, get, list_names
 from realcoh.h2nab import chevalley_cover
 from realcoh.linalg import meq, meye, mmul
 from realcoh.nonconnected import h1_nonconnected
@@ -51,7 +51,6 @@ def class_count(entry):
 @pytest.mark.parametrize("name", LIGHT)
 def test_entry_matches_expected_count(name):
     entry = get(name)
-    assert entry.kind == kind(name)
     assert class_count(entry) == ORDERS[name]
 
 
@@ -100,9 +99,6 @@ def test_unknown_name_raises():
         get("torus:x")
     with pytest.raises(CatalogError):
         get("so(9,9)")
-    with pytest.raises(CatalogError) as err:
-        kind("e8-split")
-    assert err.value.code == "unknown-name"
 
 
 def test_su_cover_center_order():

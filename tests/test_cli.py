@@ -4,8 +4,7 @@ import pytest
 
 import realcoh.cli as cli
 from realcoh.catalog import list_names
-from realcoh.cli import GaussianTower, main
-from realcoh.field import FieldError
+from realcoh.cli import main
 
 
 def run(capsys, *argv):
@@ -255,26 +254,23 @@ def test_abelian_so_pq_is_unknown_name(capsys):
     assert "catalog:torus:e" in error["message"]
 
 
-def test_gaussian_backend_rejects_nonconnected(tmp_path, capsys):
+@pytest.mark.parametrize("option", [["--seed", "1"], ["--field=gaussian"]])
+def test_removed_global_options_are_usage_errors(capsys, option):
+    with pytest.raises(SystemExit) as exc:
+        main(option + ["h1", "catalog:sl(2,r)"])
+    assert exc.value.code == 2
+    assert "usage: realcoh" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [{"p_mats": []},
+                                   {"k_mats": [], "p_mats": []}])
+def test_nonconnected_empty_cartan_keys_are_absent(tmp_path, capsys, extra):
+    # an empty k_mats or p_mats list leaves an abelian identity component
+    # on the torus path, as when the key is missing
+    _, want = run(capsys, "h1", "catalog:o(2)")
     _, emitted = run(capsys, "catalog", "emit", "o(2)")
     path = tmp_path / "group.json"
-    path.write_text(emitted)
-    for spec in ("catalog:mu2", "catalog:o(3)", str(path)):
-        code, out = run(capsys, "--field=gaussian", "h1", spec)
-        assert code == 1
-        assert json.loads(out)["error"]["code"] == \
-            "gaussian-backend-connected-only"
-
-
-def test_gaussian_backend_connected_fast_path(capsys):
-    code, out = run(capsys, "--field=gaussian", "h1", "catalog:sl(2,r)")
+    path.write_text(json.dumps({**json.loads(emitted), **extra}))
+    code, out = run(capsys, "h1", str(path))
     assert code == 0
-    assert json.loads(out)["order"] == 1
-
-
-def test_gaussian_tower_blocks_extension():
-    tower = GaussianTower()
-    assert tower.sqrt(tower.from_rational(4)) == 2
-    with pytest.raises(FieldError) as err:
-        tower.sqrt(tower.from_rational(2))
-    assert err.value.code == "field-extension-required"
+    assert out == want

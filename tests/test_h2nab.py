@@ -21,14 +21,14 @@ from realcoh.torus import (QuasiTorusDatum, build_presentation,
                           h2_is_coboundary, h2_quasitorus)
 
 
-def sl2r(tower, seed=0):
+def sl2r(tower):
     h = mat_from_ints(tower, [[1, 0], [0, -1]])
     e = mat_from_ints(tower, [[0, 1], [0, 0]])
     f = mat_from_ints(tower, [[0, 0], [1, 0]])
     rot = mat_from_ints(tower, [[0, 1], [-1, 0]])
     sym = mat_from_ints(tower, [[0, 1], [1, 0]])
     return build_reductive([h, e, f], meye(tower, 2), [rot], [h, sym],
-                           tower, seed=seed)
+                           tower)
 
 
 def split_gm(tower):

@@ -5,7 +5,7 @@ import pytest
 import realcoh.reductive as reductive
 from realcoh import catalog
 from realcoh.field import FieldTower, format_element
-from realcoh.liealg import in_span, rref_rows
+from realcoh.liealg import in_span, rref_rows, span_eq
 from realcoh.linalg import (
     echelon_reduce,
     mat_from_ints,
@@ -33,14 +33,14 @@ from realcoh.torus import h1_torus
 # -- fixtures ---------------------------------------------------------------------
 
 
-def sl2r(tower, seed=0):
+def sl2r(tower):
     h = mat_from_ints(tower, [[1, 0], [0, -1]])
     e = mat_from_ints(tower, [[0, 1], [0, 0]])
     f = mat_from_ints(tower, [[0, 0], [1, 0]])
     rot = mat_from_ints(tower, [[0, 1], [-1, 0]])
     sym = mat_from_ints(tower, [[0, 1], [1, 0]])
     return build_reductive([h, e, f], meye(tower, 2), [rot], [h, sym],
-                           tower, seed=seed)
+                           tower)
 
 
 def iota(m, tower):
@@ -55,7 +55,7 @@ def iota(m, tower):
     return out
 
 
-def su2(tower, seed=0):
+def su2(tower):
     i = tower.i()
     one = tower.one()
     zero = tower.zero()
@@ -67,10 +67,10 @@ def su2(tower, seed=0):
     for j in range(2):
         nsig[j][2 + j] = one
         nsig[2 + j][j] = one
-    return build_reductive(basis, nsig, basis, [], tower, seed=seed)
+    return build_reductive(basis, nsig, basis, [], tower)
 
 
-def so23(tower, seed=0):
+def so23(tower, cartan_k_mats=None):
     # antisymmetric-with-respect-to-diag(1,1,-1,-1,-1) matrices
     sig = [1, 1, -1, -1, -1]
     basis, k_mats, p_mats = [], [], []
@@ -86,7 +86,7 @@ def so23(tower, seed=0):
             else:
                 p_mats.append(m)
     return build_reductive(basis, meye(tower, 5), k_mats, p_mats,
-                           tower, seed=seed)
+                           tower, cartan_k_mats=cartan_k_mats)
 
 
 # -- structure --------------------------------------------------------------------
@@ -169,9 +169,18 @@ def test_so23_three_classes():
 
 
 def test_so23_count_independent_of_cartan_choice():
+    # k = so(2) + so(3); span{e01, e24} is a Cartan subalgebra of k other
+    # than the one the fixed draw finds
     tower = FieldTower()
-    g = so23(tower, seed=3)
-    assert h1_connected_reductive(g).order() == 3
+    e01 = mat_from_ints(tower, [[0, 1, 0, 0, 0], [-1, 0, 0, 0, 0],
+                                [0] * 5, [0] * 5, [0] * 5])
+    e24 = mat_from_ints(tower, [[0] * 5, [0] * 5, [0, 0, 0, 0, -1],
+                                [0] * 5, [0, 0, 1, 0, 0]])
+    g = so23(tower, cartan_k_mats=[e01, e24])
+    assert not span_eq(g.t0_rows, so23(tower).t0_rows)
+    res = h1_connected_reductive(g)
+    assert res.order() == 3
+    assert all(g.real.is_cocycle(z) for z in res.representatives)
 
 
 def test_action_well_defined_under_representative_change():
