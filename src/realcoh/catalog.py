@@ -1,5 +1,5 @@
-"""Built-in group data: verified bases, real structures, Cartan
-decompositions and component data for the shipped families.
+"""Built-in group data: verified bases, real structures, Cartan subalgebra
+hints and component data for the shipped families.
 
 Families:
   * torus:<word>   products of indecomposable real tori, one letter per
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .field import FieldTower, RealcohError, format_element
 from .linalg import mat_from_ints, meye, mzeros
@@ -49,8 +49,6 @@ class CatalogEntry:
     tower: FieldTower
     lie_basis: list
     nsigma: list
-    k_mats: list = field(default_factory=list)
-    p_mats: list = field(default_factory=list)
     cartan_k_mats: list | None = None   # Cartan subalgebra of k, reductive
     component_reps: list | None = None
     pi0_table: list | None = None
@@ -69,9 +67,6 @@ class CatalogEntry:
             "lie_basis": [fmt(m) for m in self.lie_basis],
             "N_sigma": fmt(self.nsigma),
         }
-        if self.kind in ("reductive", "nonreductive"):
-            data["k_mats"] = [fmt(m) for m in self.k_mats]
-            data["p_mats"] = [fmt(m) for m in self.p_mats]
         if self.cartan_k_mats is not None:
             data["cartan_k_mats"] = [fmt(m) for m in self.cartan_k_mats]
         if self.kind == "nonconnected":
@@ -133,21 +128,17 @@ def _torus_entry(word: str, tower: FieldTower) -> CatalogEntry:
 # -- orthogonal and linear families -------------------------------------------------
 
 
-def _sopq_data(p: int, q: int, tower: FieldTower):
+def _sopq_data(p: int, q: int, tower: FieldTower) -> list:
     n = p + q
     sign = [1] * p + [-1] * q
-    basis, k_mats, p_mats = [], [], []
+    basis = []
     for i in range(n):
         for j in range(i + 1, n):
             m = mzeros(tower, n, n)
             m[i][j] = tower.one()
             m[j][i] = tower.from_rational(-sign[i] * sign[j])
             basis.append(m)
-            if sign[i] == sign[j]:
-                k_mats.append(m)
-            else:
-                p_mats.append(m)
-    return basis, k_mats, p_mats
+    return basis
 
 
 def _sopq_entry(p: int, q: int, tower: FieldTower) -> CatalogEntry:
@@ -158,7 +149,7 @@ def _sopq_entry(p: int, q: int, tower: FieldTower) -> CatalogEntry:
             "unknown-name",
             f"so({p},{q}) is a one-dimensional torus: use "
             + ("catalog:torus:e" if p == q else "catalog:torus:f"))
-    basis, k_mats, p_mats = _sopq_data(p, q, tower)
+    basis = _sopq_data(p, q, tower)
     # standard block rotations: a Cartan subalgebra of so(p) x so(q) whose
     # adjoint eigenvalues stay inside the square-root tower
     cartan = []
@@ -172,18 +163,17 @@ def _sopq_entry(p: int, q: int, tower: FieldTower) -> CatalogEntry:
         m[p + 2 * j][p + 2 * j + 1] = tower.one()
         m[p + 2 * j + 1][p + 2 * j] = tower.from_rational(-1)
         cartan.append(m)
-    group = build_reductive(basis, meye(tower, p + q), k_mats, p_mats,
-                            tower, cartan_k_mats=cartan)
+    group = build_reductive(basis, meye(tower, p + q), tower,
+                            cartan_k_mats=cartan)
     return CatalogEntry(name=f"so({p},{q})", kind="reductive", tower=tower,
                         lie_basis=basis, nsigma=meye(tower, p + q),
-                        k_mats=k_mats, p_mats=p_mats, cartan_k_mats=cartan,
-                        group=group)
+                        cartan_k_mats=cartan, group=group)
 
 
 def _slnr_entry(n: int, tower: FieldTower) -> CatalogEntry:
     if not 2 <= n <= 4:
         raise CatalogError("unknown-name", f"sl({n},r) out of range")
-    basis, k_mats, p_mats = [], [], []
+    basis = []
     for i in range(n):
         for j in range(i + 1, n):
             anti = mzeros(tower, n, n)
@@ -193,14 +183,11 @@ def _slnr_entry(n: int, tower: FieldTower) -> CatalogEntry:
             sym[i][j] = tower.one()
             sym[j][i] = tower.one()
             basis += [anti, sym]
-            k_mats.append(anti)
-            p_mats.append(sym)
     for i in range(n - 1):
         d = mzeros(tower, n, n)
         d[i][i] = tower.one()
         d[i + 1][i + 1] = tower.from_rational(-1)
         basis.append(d)
-        p_mats.append(d)
     # block rotations spanning a Cartan subalgebra of so(n)
     cartan = []
     for i in range(n // 2):
@@ -208,45 +195,36 @@ def _slnr_entry(n: int, tower: FieldTower) -> CatalogEntry:
         m[2 * i][2 * i + 1] = tower.one()
         m[2 * i + 1][2 * i] = tower.from_rational(-1)
         cartan.append(m)
-    group = build_reductive(basis, meye(tower, n), k_mats, p_mats, tower,
+    group = build_reductive(basis, meye(tower, n), tower,
                             cartan_k_mats=cartan)
     return CatalogEntry(name=f"sl({n},r)", kind="reductive", tower=tower,
                         lie_basis=basis, nsigma=meye(tower, n),
-                        k_mats=k_mats, p_mats=p_mats, cartan_k_mats=cartan,
-                        group=group)
+                        cartan_k_mats=cartan, group=group)
 
 
-def _su_basis(p: int, q: int, tower: FieldTower):
-    """Real basis of su(p,q) in the standard representation, split into
-    the maximal-compact and complementary parts."""
+def _su_basis(p: int, q: int, tower: FieldTower) -> list:
+    """Real basis of su(p,q) in the standard representation: the diagonal
+    part, then the entries (a, b) whose signs agree, then the others."""
     n = p + q
     sign = [1] * p + [-1] * q
     i_unit = tower.i()
-    k_list, p_list = [], []
+    basis = []
     for a in range(n - 1):
         d = mzeros(tower, n, n)
         d[a][a] = i_unit
         d[a + 1][a + 1] = -i_unit
-        k_list.append(d)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if sign[a] == sign[b]:
-                m1 = mzeros(tower, n, n)
-                m1[a][b] = tower.one()
-                m1[b][a] = tower.from_rational(-1)
-                m2 = mzeros(tower, n, n)
-                m2[a][b] = i_unit
-                m2[b][a] = i_unit
-                k_list += [m1, m2]
-            else:
-                m1 = mzeros(tower, n, n)
-                m1[a][b] = tower.one()
-                m1[b][a] = tower.one()
-                m2 = mzeros(tower, n, n)
-                m2[a][b] = i_unit
-                m2[b][a] = -i_unit
-                p_list += [m1, m2]
-    return k_list, p_list
+        basis.append(d)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    for a, b in sorted(pairs, key=lambda ab: sign[ab[0]] != sign[ab[1]]):
+        s = tower.from_rational(sign[a] * sign[b])
+        m1 = mzeros(tower, n, n)
+        m1[a][b] = tower.one()
+        m1[b][a] = -s
+        m2 = mzeros(tower, n, n)
+        m2[a][b] = i_unit
+        m2[b][a] = i_unit * s
+        basis += [m1, m2]
+    return basis
 
 
 def _iota_lie(tower, x):
@@ -264,22 +242,17 @@ def _su_entry(p: int, q: int, tower: FieldTower) -> CatalogEntry:
     n = p + q
     if not 2 <= n <= 3:
         raise CatalogError("unknown-name", f"su({p},{q}) out of range")
-    k_small, p_small = _su_basis(p, q, tower)
-    k_mats = [_iota_lie(tower, m) for m in k_small]
-    p_mats = [_iota_lie(tower, m) for m in p_small]
-    basis = k_mats + p_mats
+    basis = [_iota_lie(tower, m) for m in _su_basis(p, q, tower)]
     nsig = mzeros(tower, 2 * n, 2 * n)
     sign = [1] * p + [-1] * q
     for i in range(n):
         nsig[i][n + i] = tower.from_rational(sign[i])
         nsig[n + i][i] = tower.from_rational(sign[i])
     # the embedded diagonal matrices span a Cartan subalgebra of k
-    cartan = k_mats[:n - 1]
-    group = build_reductive(basis, nsig, k_mats, p_mats, tower,
-                            cartan_k_mats=cartan)
+    cartan = basis[:n - 1]
+    group = build_reductive(basis, nsig, tower, cartan_k_mats=cartan)
     return CatalogEntry(name=f"su({p},{q})", kind="reductive", tower=tower,
-                        lie_basis=basis, nsigma=nsig,
-                        k_mats=k_mats, p_mats=p_mats, cartan_k_mats=cartan,
+                        lie_basis=basis, nsigma=nsig, cartan_k_mats=cartan,
                         group=group)
 
 
@@ -301,13 +274,11 @@ def _sp4_entry(tower: FieldTower) -> CatalogEntry:
     z = [[0, 0], [0, 0]]
     e11, e22, e12s = [[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [1, 0]]
     rot = [[0, 1], [-1, 0]]
-    k_mats = [
+    basis = [
         sp_elt(rot, z, z),
         sp_elt(z, e11, [[-1, 0], [0, 0]]),
         sp_elt(z, e22, [[0, 0], [0, -1]]),
         sp_elt(z, e12s, [[0, -1], [-1, 0]]),
-    ]
-    p_mats = [
         sp_elt(e11, z, z),
         sp_elt(e22, z, z),
         sp_elt([[0, 1], [1, 0]], z, z),
@@ -315,15 +286,13 @@ def _sp4_entry(tower: FieldTower) -> CatalogEntry:
         sp_elt(z, e22, e22),
         sp_elt(z, e12s, e12s),
     ]
-    basis = k_mats + p_mats
     # the two diagonal rotation pairs span a Cartan subalgebra of k
-    cartan = [k_mats[1], k_mats[2]]
-    group = build_reductive(basis, meye(tower, n), k_mats, p_mats, tower,
+    cartan = [basis[1], basis[2]]
+    group = build_reductive(basis, meye(tower, n), tower,
                             cartan_k_mats=cartan)
     return CatalogEntry(name="sp(4,r)", kind="reductive", tower=tower,
                         lie_basis=basis, nsigma=meye(tower, n),
-                        k_mats=k_mats, p_mats=p_mats, cartan_k_mats=cartan,
-                        group=group)
+                        cartan_k_mats=cartan, group=group)
 
 
 # -- non-connected and non-reductive entries ----------------------------------------
@@ -351,11 +320,9 @@ def _o3_entry(tower: FieldTower) -> CatalogEntry:
     )]
     minus = mat_from_ints(tower, [[-1, 0, 0], [0, -1, 0], [0, 0, -1]])
     reps = [meye(tower, 3), minus]
-    group = build_nonconnected(basis, meye(tower, 3), reps, *_Z2, tower,
-                               k_mats=basis, p_mats=[])
+    group = build_nonconnected(basis, meye(tower, 3), reps, *_Z2, tower)
     return CatalogEntry(name="o(3)", kind="nonconnected", tower=tower,
                         lie_basis=basis, nsigma=meye(tower, 3),
-                        k_mats=basis, p_mats=[],
                         component_reps=reps, pi0_table=_Z2[0],
                         pi0_gamma=_Z2[1], group=group)
 
@@ -385,7 +352,7 @@ def _nsl2t_entry(tower: FieldTower, compact: bool) -> CatalogEntry:
 def _gm_affine_entry(tower: FieldTower) -> CatalogEntry:
     d = mat_from_ints(tower, [[1, 0], [0, 0]])
     e = mat_from_ints(tower, [[0, 1], [0, 0]])
-    group = build_levi_split([d, e], meye(tower, 2), [], [], tower)
+    group = build_levi_split([d, e], meye(tower, 2), tower)
     return CatalogEntry(name="gm-affine", kind="nonreductive", tower=tower,
                         lie_basis=[d, e], nsigma=meye(tower, 2), group=group)
 
@@ -396,13 +363,10 @@ def _sl2_c2_entry(tower: FieldTower) -> CatalogEntry:
     y = mat_from_ints(tower, [[0, 0, 0], [1, 0, 0], [0, 0, 0]])
     e1 = mat_from_ints(tower, [[0, 0, 1], [0, 0, 0], [0, 0, 0]])
     e2 = mat_from_ints(tower, [[0, 0, 0], [0, 0, 1], [0, 0, 0]])
-    rot = mat_from_ints(tower, [[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
-    sym = mat_from_ints(tower, [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
     basis = [h, x, y, e1, e2]
-    group = build_levi_split(basis, meye(tower, 3), [rot], [h, sym], tower)
+    group = build_levi_split(basis, meye(tower, 3), tower)
     return CatalogEntry(name="sl2-c2", kind="nonreductive", tower=tower,
-                        lie_basis=basis, nsigma=meye(tower, 3),
-                        k_mats=[rot], p_mats=[h, sym], group=group)
+                        lie_basis=basis, nsigma=meye(tower, 3), group=group)
 
 
 # -- registry ----------------------------------------------------------------------

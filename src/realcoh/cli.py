@@ -11,7 +11,9 @@ Commands
 INPUT is either `catalog:NAME` or a path to a JSON file using the same
 schema the catalog emits: {"kind": torus|reductive|nonreductive|
 nonconnected, "lie_basis": [...], "N_sigma": [...], ...} with matrix
-entries written in the element grammar (e.g. "1/2+3*i", "sqrt(2)").
+entries written in the element grammar (e.g. "1/2+3*i", "sqrt(2)").  The
+Cartan decomposition is computed from lie_basis, and a key the schema does
+not list is ignored.
 
 Exit codes: 0 success, 2 partial result (blocked classes), 1 error.  All
 reports are deterministic: the same input gives the same bytes.  Every
@@ -31,7 +33,8 @@ from . import catalog as _catalog
 from .catalog import CatalogEntry
 from .field import FieldTower, RealcohError, format_element, parse_element
 from .lattice import gamma_decompose
-from .linalg import RealStructure, meq
+from .liealg import _flatten, in_span, rref_rows
+from .linalg import RealStructure, meq, minverse, mmul
 from .nonconnected import (build_nonconnected, h1_nonconnected,
                            solve_problem2_nonconnected)
 from .nonreductive import (build_levi_split, h1_connected,
@@ -110,25 +113,16 @@ def _build_from_data(data: dict, tower: FieldTower) -> CatalogEntry:
             if data.get("conjugator_hint") else None)
     if kind == "torus":
         group = build_presentation(basis, nsig, tower)
-    elif kind in ("reductive", "nonreductive"):
-        k_mats = _parse_mats(data, "k_mats", tower, n)
-        p_mats = _parse_mats(data, "p_mats", tower, n)
-        if kind == "reductive":
-            cartan = (_parse_mats(data, "cartan_k_mats", tower, n)
-                      if data.get("cartan_k_mats") else None)
-            group = build_reductive(basis, nsig, k_mats, p_mats, tower,
-                                    cartan_k_mats=cartan)
-        else:
-            group = build_levi_split(basis, nsig, k_mats, p_mats, tower)
+    elif kind == "reductive":
+        cartan = (_parse_mats(data, "cartan_k_mats", tower, n)
+                  if data.get("cartan_k_mats") else None)
+        group = build_reductive(basis, nsig, tower, cartan_k_mats=cartan)
+    elif kind == "nonreductive":
+        group = build_levi_split(basis, nsig, tower)
     else:
         reps = _parse_mats(data, "component_reps", tower, n)
-        k_mats = (_parse_mats(data, "k_mats", tower, n)
-                  if data.get("k_mats") else None)
-        p_mats = (_parse_mats(data, "p_mats", tower, n)
-                  if data.get("p_mats") else None)
         group = build_nonconnected(basis, nsig, reps, data.get("pi0_table"),
                                    data.get("pi0_gamma"), tower,
-                                   k_mats=k_mats, p_mats=p_mats,
                                    conjugator_hint=hint)
     return CatalogEntry(name=name, kind=kind, tower=tower, lie_basis=basis,
                         nsigma=nsig, conjugator_hint=hint, group=group)
@@ -233,6 +227,14 @@ def _equiv_report(entry: CatalogEntry, z: list) -> dict:
     real = RealStructure(entry.nsigma, entry.tower)
     if not real.is_cocycle(z):
         raise CliError("not-cocycle", "z * gamma(z) != 1")
+    # every element of G normalizes Lie(G); the torus solver checks
+    # membership itself
+    if entry.kind != "torus" and entry.lie_basis:
+        span = rref_rows([_flatten(m) for m in entry.lie_basis])
+        z_inv = minverse(z, entry.tower)
+        if not all(in_span(_flatten(mmul(mmul(z, m), z_inv)), span)
+                   for m in entry.lie_basis):
+            raise CliError("not-member", "z does not normalize Lie(G)")
     if entry.kind == "torus":
         res = h1_torus(entry.group)
         rep, signs, s = trivialize_cocycle(entry.group, z)

@@ -17,9 +17,10 @@ The class list is assembled component-class by component-class:
 
 Classes that fail to lift for a mathematical reason (the 2-cocycle is not
 a coboundary) are reported in `non_lifting`; classes that cannot be decided
-with the supplied data (missing cover, missing conjugator, twisted Cartan
-data) are reported in `blocked` with a machine-readable reason, and the
-remaining classes are still returned.
+with the supplied data (missing cover, missing conjugator, a twisted
+identity component whose basis is not real for the twisted structure) are
+reported in `blocked` with a machine-readable reason, and the remaining
+classes are still returned.
 
 The real-structure matrix N may satisfy N.conj(N) = z for a central z != 1
 (as happens for compact forms presented inside a simply connected group);
@@ -79,8 +80,6 @@ class NonConnectedGroup:
     mode: str                # "finite" | "torus" | "reductive"
     torus: TorusPresentation | None = None
     reductive: ReductiveRealGroup | None = None
-    k_mats: list | None = None
-    p_mats: list | None = None
     conjugator_hint: list | None = None
 
     def in_identity_component(self, mat: list):
@@ -98,7 +97,6 @@ class NonConnectedGroup:
 
 def build_nonconnected(lie_basis: list, nsigma: list, component_reps: list,
                        pi0_table: list, pi0_gamma: list, tower: FieldTower,
-                       k_mats: list = None, p_mats: list = None,
                        conjugator_hint: list = None) -> NonConnectedGroup:
     n = len(nsigma)
     ident = meye(tower, n)
@@ -121,7 +119,7 @@ def build_nonconnected(lie_basis: list, nsigma: list, component_reps: list,
         abelian = all(
             meq(mmul(x, y), mmul(y, x)) for x in lie_basis for y in lie_basis
         )
-        if abelian and k_mats is None and p_mats is None:
+        if abelian:
             pres = build_presentation(lie_basis, nsigma, tower,
                                       allow_defect=True)
             group = NonConnectedGroup(tower, n, lie_basis, real,
@@ -132,15 +130,10 @@ def build_nonconnected(lie_basis: list, nsigma: list, component_reps: list,
                 raise NonConnectedError(
                     "invalid-real-structure",
                     "a central defect needs a torus identity component")
-            km = k_mats if k_mats is not None else list(lie_basis)
-            pm = p_mats if p_mats is not None else []
-            try:
-                red = build_reductive(lie_basis, nsigma, km, pm, tower)
-            except ReductiveError as err:
-                raise NonConnectedError("cartan-data-required", str(err))
+            red = build_reductive(lie_basis, nsigma, tower)
             group = NonConnectedGroup(tower, n, lie_basis, real,
                                       component_reps, pi0, "reductive",
-                                      reductive=red, k_mats=km, p_mats=pm,
+                                      reductive=red,
                                       conjugator_hint=conjugator_hint)
 
     if lie_basis:
@@ -284,8 +277,7 @@ def _twisted_x1(group: NonConnectedGroup, ghat: list):
                           "pres_hat": pres_hat,
                           "patterns": res.sign_patterns}
     try:
-        tw_group = build_reductive(group.lie_basis, real_hat.nsigma,
-                                   group.k_mats, group.p_mats, tower)
+        tw_group = build_reductive(group.lie_basis, real_hat.nsigma, tower)
     except (ReductiveError, TorusError) as err:
         raise NonConnectedError("twist-data-required", str(err))
     tw_classes = h1_connected_reductive(tw_group)

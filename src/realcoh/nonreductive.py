@@ -61,12 +61,11 @@ class LeviSplitGroup:
         return reductive_projection(self.datum, self.levi, g)
 
 
-def build_levi_split(lie_basis: list, nsigma: list, k_mats: list,
-                     p_mats: list, tower: FieldTower) -> LeviSplitGroup:
-    """Split off the unipotent radical and build the reductive complement.
-
-    k_mats/p_mats give a Cartan decomposition of the derived algebra of the
-    reductive complement, as for build_reductive.
+def build_levi_split(lie_basis: list, nsigma: list,
+                     tower: FieldTower) -> LeviSplitGroup:
+    """Split off the unipotent radical and build the reductive complement,
+    whose Cartan decomposition build_reductive computes; the Levi factor
+    must be closed under theta(X) = -conj(X)^T.
     """
     datum = LieAlgebraDatum(lie_basis, tower)
     real = RealStructure(nsigma, tower)
@@ -77,7 +76,7 @@ def build_levi_split(lie_basis: list, nsigma: list, k_mats: list,
     if not r_mats:
         raise NonReductiveError("trivial-reductive-part",
                                 "the reductive complement is zero")
-    reductive = build_reductive(r_mats, nsigma, k_mats, p_mats, tower)
+    reductive = build_reductive(r_mats, nsigma, tower)
     u_rows = rref_rows(datum.mats_to_rows(levi.n_basis))
     return LeviSplitGroup(tower=tower, datum=datum, levi=levi,
                           reductive=reductive, u_rows=u_rows, real=real)

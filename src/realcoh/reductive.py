@@ -2,9 +2,9 @@
 
 A connected reductive group G over the reals is described by a basis of the
 real Lie algebra inside gl(n) together with the matrix N_sigma defining the
-antiholomorphic involution sigma(g) = N_sigma * conj(g) * N_sigma^-1, plus a
-Cartan decomposition k + p of the derived (semisimple) part.  From these we
-construct:
+antiholomorphic involution sigma(g) = N_sigma * conj(g) * N_sigma^-1.  The
+Cartan decomposition k + p of the derived (semisimple) part is computed as
+the eigenspaces of theta(X) = -conj(X)^T.  From these we construct:
 
   * the maximal compact torus T_0 (Lie algebra: a Cartan subalgebra of k
     together with the compact part of the center),
@@ -38,12 +38,14 @@ from .liealg import (
     log_unipotent,
     root_system,
     rref_rows,
+    span_coords,
     span_sum,
 )
 from .linalg import (
     RealStructure,
     echelon_reduce,
     left_kernel,
+    mconj,
     meq,
     meye,
     minverse,
@@ -152,13 +154,49 @@ def _split_center(datum: LieAlgebraDatum, z_rows: list) -> tuple:
     return zc, zs
 
 
-def build_reductive(lie_basis: list, nsigma: list, k_mats: list,
-                    p_mats: list, tower: FieldTower,
+def cartan_decomposition(datum: LieAlgebraDatum, s_rows: list) -> tuple:
+    """(k_rows, p_rows): the +1 and -1 eigenspaces of theta(X) = -conj(X)^T
+    on the derived algebra with rref_rows basis s_rows.
+
+    theta is an involutive automorphism of gl(n) as a real Lie algebra, so
+    on a real semisimple algebra closed under it k + p is a Cartan
+    decomposition; k lies in u(n), where the trace form is negative
+    definite.  Raises cartan-decomposition-unavailable when theta does not
+    map the derived algebra into itself, or does not map its real points
+    (real coordinates, the basis being gamma-fixed) to real points; then
+    the eigenspaces are not gamma-fixed.  The general case is Dietrich,
+    Faccin and de Graaf, J. Symbolic Comput. 56, 2013.
+    """
+    tower = datum.tower
+    theta = []
+    for m in datum.rows_to_mats(s_rows):
+        try:
+            image = datum.coords(mscale(-tower.one(), mconj(mtranspose(m))))
+            theta.append(span_coords(image, s_rows, "not-invariant"))
+        except LieError:
+            raise ReductiveError("cartan-decomposition-unavailable",
+                                 "theta(X) = -conj(X)^T does not map the "
+                                 "derived algebra into itself")
+    if any(not x.imag_part().is_zero() for row in theta for x in row):
+        raise ReductiveError("cartan-decomposition-unavailable",
+                             "theta does not preserve the real form")
+
+    def eigenspace(sign):
+        shifted = [[x - sign if i == j else x for j, x in enumerate(row)]
+                   for i, row in enumerate(theta)]
+        return rref_rows([vmat(c, s_rows)
+                          for c in left_kernel(shifted, tower)])
+
+    return eigenspace(tower.one()), eigenspace(-tower.one())
+
+
+def build_reductive(lie_basis: list, nsigma: list, tower: FieldTower,
                     cartan_k_mats: list = None) -> ReductiveRealGroup:
     """Assemble the fundamental torus, root and Weyl data of the group.
 
-    lie_basis: basis of the real Lie algebra (gamma-fixed matrices);
-    k_mats/p_mats: a Cartan decomposition of the derived subalgebra.
+    lie_basis: basis of the real Lie algebra (gamma-fixed matrices), whose
+    derived algebra theta(X) = -conj(X)^T maps into itself; k and p come
+    from `cartan_decomposition`.
     cartan_k_mats: optional matrices spanning a Cartan subalgebra of k;
     when given they are verified and used instead of the fixed draw of
     `cartan_subalgebra`, which keeps the eigenvalues of the adjoint action
@@ -177,23 +215,7 @@ def build_reductive(lie_basis: list, nsigma: list, k_mats: list,
     if len(s_rows) + len(z_rows) != datum.dim or \
             len(span_sum(s_rows, z_rows)) != datum.dim:
         raise ReductiveError("not-reductive")
-
-    if not all(real.fixes(m) for m in k_mats + p_mats):
-        raise ReductiveError("not-cartan-decomposition",
-                             "k/p matrices must be real")
-    k_rows = rref_rows(datum.mats_to_rows(k_mats))
-    p_rows = rref_rows(datum.mats_to_rows(p_mats))
-    if len(k_rows) + len(p_rows) != len(s_rows) or \
-            not all(in_span(v, s_rows) for v in k_rows + p_rows):
-        raise ReductiveError("not-cartan-decomposition",
-                             "k + p must be the derived subalgebra")
-    for a, b, target in ((k_rows, k_rows, k_rows), (k_rows, p_rows, p_rows),
-                         (p_rows, p_rows, k_rows)):
-        for u in a:
-            for v in b:
-                if not in_span(alg.bracket(u, v), target):
-                    raise ReductiveError("not-cartan-decomposition",
-                                         "bracket relations fail")
+    k_rows, _ = cartan_decomposition(datum, s_rows)
 
     zc_rows, zs_rows = _split_center(datum, z_rows)
 
@@ -407,13 +429,13 @@ def _coords_in(datum: LieAlgebraDatum, mats: list, span: list):
     return rows
 
 
-def realify_torus_conjugator(g: ReductiveRealGroup, t0p_mats: list,
+def realify_torus_conjugator(g: ReductiveRealGroup, t0p_basis: list,
                              conj: list, table: WeylOrbitTable,
                              require_equal: bool = True) -> list:
     """Replace conj by a real conjugator carrying the compact torus into T_0.
 
     conj is an element of G(C) whose conjugation action maps the torus with
-    Lie algebra t0p_mats into T_0.  The result g_r = conj * n * t is fixed by
+    Lie algebra t0p_basis into T_0.  The result g_r = conj * n * t is fixed by
     gamma and induces the same conjugation on the torus, verified exactly;
     n t comes from _pattern_search on the table of weyl_action(g).
     """
@@ -431,7 +453,7 @@ def realify_torus_conjugator(g: ReductiveRealGroup, t0p_mats: list,
     t0_span = rref_rows(g.t0_rows)
     ginv = minverse(g_r, tower)
     images = _coords_in(g.datum, [mmul(mmul(ginv, m), g_r)
-                                  for m in t0p_mats], t0_span)
+                                  for m in t0p_basis], t0_span)
     if images is None or (require_equal and
                           len(rref_rows(images)) != len(t0_span)):
         raise ReductiveError("realification-failed")
@@ -487,12 +509,12 @@ def solve_problem2_reductive(g: ReductiveRealGroup, cocycle: list,
 
         s1, _, t1 = trivialize_cocycle(tp, s_part)
 
-        t0p_mats = compact_part_lie(tp)
-        if _coords_in(datum, t0p_mats,
+        t0p_basis = compact_part_lie(tp)
+        if _coords_in(datum, t0p_basis,
                       rref_rows(g.t_rows)) is not None:
             v_conj = ident
         elif conjugator_hint is not None:
-            v_conj = realify_torus_conjugator(g, t0p_mats, conjugator_hint,
+            v_conj = realify_torus_conjugator(g, t0p_basis, conjugator_hint,
                                               classes.table,
                                               require_equal=False)
         else:

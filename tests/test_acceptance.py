@@ -163,7 +163,7 @@ def test_criterion_01_so_pq_class_counts():
                            "x86-64 host with Python 3.11)")
 def test_criterion_01_stretch_so_6_9():
     tower = FieldTower()
-    basis, k_mats, p_mats = catalog._sopq_data(6, 9, tower)
+    basis = catalog._sopq_data(6, 9, tower)
     cartan = []
     for i in range(3):
         m = mzeros(tower, 15, 15)
@@ -176,7 +176,7 @@ def test_criterion_01_stretch_so_6_9():
         m[6 + 2 * j + 1][6 + 2 * j] = tower.from_rational(-1)
         cartan.append(m)
     from realcoh.reductive import build_reductive
-    group = build_reductive(basis, meye(tower, 15), k_mats, p_mats, tower,
+    group = build_reductive(basis, meye(tower, 15), tower,
                             cartan_k_mats=cartan)
     res = h1_connected_reductive(group)
     assert res.order() == 8

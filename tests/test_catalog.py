@@ -4,10 +4,10 @@ import pytest
 
 from realcoh.catalog import CatalogError, get, list_names
 from realcoh.h2nab import chevalley_cover
-from realcoh.linalg import meq, meye, mmul
+from realcoh.linalg import mconj, meq, meye, mmul, mscale, mtranspose
 from realcoh.nonconnected import h1_nonconnected
 from realcoh.nonreductive import h1_connected
-from realcoh.reductive import h1_connected_reductive
+from realcoh.reductive import cartan_decomposition, h1_connected_reductive
 from realcoh.torus import h1_torus
 
 # heavier entries (so(4,5) and friends) are exercised by the acceptance
@@ -127,3 +127,31 @@ def test_abelian_so_pq_points_to_torus(name, torus):
         get(name)
     assert err.value.code == "unknown-name"
     assert torus in str(err.value)
+
+
+# dim k of the computed Cartan decomposition: so(p) + so(q) for so(p,q),
+# so(n) for sl(n,r), s(u(p) + u(q)) for su(p,q), u(2) for sp(4,r), so(3) for
+# o(3) and so(2) for the Levi factor sl(2,r) of sl2-c2
+DIM_K = {
+    "so(1,2)": 1, "so(2,3)": 4, "so(3,4)": 9, "so(4,5)": 16,
+    "sl(2,r)": 1, "sl(3,r)": 3, "sl(4,r)": 6,
+    "su(2,0)": 3, "su(1,1)": 1, "su(3,0)": 8, "su(2,1)": 4,
+    "sp(4,r)": 4, "o(3)": 3, "sl2-c2": 1,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIM_K))
+def test_cartan_decomposition_closed_forms(name):
+    entry = get(name)
+    group = entry.group if entry.kind == "reductive" else entry.group.reductive
+    datum = group.datum
+    full = datum.sc.basis_rows()
+    s_rows = datum.sc.product_space(full, full)
+    k_rows, p_rows = cartan_decomposition(datum, s_rows)
+    assert len(k_rows) == DIM_K[name]
+    assert len(k_rows) + len(p_rows) == len(s_rows)
+    minus = -entry.tower.one()
+    for m in datum.rows_to_mats(k_rows):
+        assert meq(mtranspose(mconj(m)), mscale(minus, m))
+    for m in datum.rows_to_mats(p_rows):
+        assert meq(mtranspose(mconj(m)), m)

@@ -78,6 +78,33 @@ def test_h1_blocked_classes_exit_partial(capsys, monkeypatch):
                                 "code": "square-root-unavailable"}]
 
 
+def test_h1_o12_file_needs_no_cartan_data(tmp_path, capsys):
+    # O(1,2): identity component SO(1,2)^0, components diag(+-1, +-1, 1),
+    # pi0 = Z/2 x Z/2 with trivial gamma; the Cartan decomposition is
+    # computed, and the three twisted components stay blocked
+    _, emitted = run(capsys, "catalog", "emit", "so(1,2)")
+    so12 = json.loads(emitted)
+
+    def diag(a, b):
+        return [[str(a), "0", "0"], ["0", str(b), "0"], ["0", "0", "1"]]
+
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({
+        "kind": "nonconnected", "lie_basis": so12["lie_basis"],
+        "N_sigma": so12["N_sigma"],
+        "component_reps": [diag(1, 1), diag(1, -1), diag(-1, 1),
+                           diag(-1, -1)],
+        "pi0_table": [[i ^ j for j in range(4)] for i in range(4)],
+        "pi0_gamma": [0, 1, 2, 3]}))
+    code, out = run(capsys, "h1", str(path))
+    assert code == 2
+    data = json.loads(out)
+    assert data["order"] == 2
+    assert data["verified"] is True
+    assert data["blocked"] == [{"component": c, "code": "twist-data-required"}
+                               for c in (1, 2, 3)]
+
+
 # -- equiv -------------------------------------------------------------------------
 
 
@@ -119,6 +146,20 @@ def test_equiv_rejects_non_cocycle(tmp_path, capsys):
                     "--cocycle", str(z))
     assert code == 1
     assert json.loads(out)["error"]["code"] == "not-cocycle"
+
+
+@pytest.mark.parametrize("name,z", [
+    ("o(2)", [["1", "i"], ["0", "1"]]),
+    ("gm-affine", [["0", "1"], ["1", "0"]]),
+])
+def test_equiv_rejects_cocycle_outside_group(tmp_path, capsys, name, z):
+    # z is a cocycle but does not normalize Lie(G), so it is not in G
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps(z))
+    code, out = run(capsys, "equiv", f"catalog:{name}", "--cocycle",
+                    str(path))
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "not-member"
 
 
 def test_equiv_nonconnected(tmp_path, capsys):
@@ -178,8 +219,6 @@ PI0 = {"kind": "nonconnected", "lie_basis": [], "N_sigma": [["1"]],
             "N_sigma": [["1", "0"], ["0", "1"]]}, "bad-matrix"),
     ("h1", {"kind": "torus", "lie_basis": [[["1/0"]]], "N_sigma": [["1"]]},
      "parse-error"),
-    ("h1", {"kind": "reductive", "lie_basis": [[["1"]]], "N_sigma": [["1"]],
-            "k_mats": 3}, "bad-input"),
     ("lattice-decompose", {"tau": [[1, 2], [3]]}, "bad-input"),
     ("lattice-decompose", {"tau": [[0, 1], [1, 0], [1, 1]]}, "bad-input"),
     ("lattice-decompose", {"tau": [["a"]]}, "bad-input"),
@@ -199,8 +238,8 @@ PI0 = {"kind": "nonconnected", "lie_basis": [], "N_sigma": [["1"]],
             "N_sigma": [["1", "0"], ["0", "0"]], "k_mats": [], "p_mats": []},
      "singular"),
     ("h1", dict(PI0, N_sigma=[["0"]]), "singular"),
-], ids=["array", "basis-size", "zero-denominator", "k-mats-int",
-        "tau-ragged", "tau-not-square", "tau-not-integer",
+], ids=["array", "basis-size", "zero-denominator", "tau-ragged",
+        "tau-not-square", "tau-not-integer",
         "character-short", "character-not-integer", "character-long",
         "pi0-table-not-square", "pi0-gamma-out-of-range",
         "pi0-gamma-length", "pi0-gamma-not-integer", "pi0-row-not-list",
@@ -225,6 +264,21 @@ def test_non_semisimple_torus_is_a_coded_error(tmp_path, capsys, basis):
     assert code == 1
     assert json.loads(out) == {"error": {"code": "not-semisimple",
                                          "message": "not-semisimple"}}
+
+
+def test_non_theta_stable_algebra_is_a_coded_error(tmp_path, capsys):
+    # so(3) conjugated by [[1, 1, 0], [0, 1, 0], [0, 0, 1]]: the Cartan
+    # decomposition from theta(X) = -conj(X)^T is not available
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"kind": "reductive", "lie_basis": [
+        [["-1", "2", "0"], ["-1", "1", "0"], ["0", "0", "0"]],
+        [["0", "0", "1"], ["0", "0", "0"], ["-1", "1", "0"]],
+        [["0", "0", "1"], ["0", "0", "1"], ["0", "-1", "0"]],
+    ], "N_sigma": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}))
+    code, out = run(capsys, "h1", str(path))
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == \
+        "cartan-decomposition-unavailable"
 
 
 # -- catalog and options ------------------------------------------------------------
@@ -274,3 +328,18 @@ def test_nonconnected_empty_cartan_keys_are_absent(tmp_path, capsys, extra):
     code, out = run(capsys, "h1", str(path))
     assert code == 0
     assert out == want
+
+
+@pytest.mark.parametrize("name", ["so(2,3)", "sl2-c2", "o(3)"])
+def test_stale_cartan_keys_are_ignored(tmp_path, capsys, name):
+    # files written when the Cartan decomposition was an input carry
+    # k_mats and p_mats; they are ignored, whatever they hold
+    _, want = run(capsys, "h1", f"catalog:{name}")
+    _, emitted = run(capsys, "catalog", "emit", name)
+    data = json.loads(emitted)
+    for extra in ({"k_mats": data["lie_basis"], "p_mats": []},
+                  {"k_mats": 3}):
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps({**data, **extra}))
+        code, out = run(capsys, "h1", str(path))
+        assert (code, out) == (0, want)

@@ -25,15 +25,12 @@ def sl2r(tower):
     h = mat_from_ints(tower, [[1, 0], [0, -1]])
     e = mat_from_ints(tower, [[0, 1], [0, 0]])
     f = mat_from_ints(tower, [[0, 0], [1, 0]])
-    rot = mat_from_ints(tower, [[0, 1], [-1, 0]])
-    sym = mat_from_ints(tower, [[0, 1], [1, 0]])
-    return build_reductive([h, e, f], meye(tower, 2), [rot], [h, sym],
-                           tower)
+    return build_reductive([h, e, f], meye(tower, 2), tower)
 
 
 def split_gm(tower):
     return build_reductive([mat_from_ints(tower, [[1]])], meye(tower, 1),
-                           [], [], tower)
+                           tower)
 
 
 def gl2_basis(tower):

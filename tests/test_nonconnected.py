@@ -44,8 +44,7 @@ def o3(tower):
     minus = mat_from_ints(tower, [[-1, 0, 0], [0, -1, 0], [0, 0, -1]])
     return build_nonconnected(basis, meye(tower, 3),
                               [meye(tower, 3), minus],
-                              Z2_TABLE, Z2_ID, tower,
-                              k_mats=basis, p_mats=[])
+                              Z2_TABLE, Z2_ID, tower)
 
 
 def torus_normalizer_split(tower):

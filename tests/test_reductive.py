@@ -37,10 +37,7 @@ def sl2r(tower):
     h = mat_from_ints(tower, [[1, 0], [0, -1]])
     e = mat_from_ints(tower, [[0, 1], [0, 0]])
     f = mat_from_ints(tower, [[0, 0], [1, 0]])
-    rot = mat_from_ints(tower, [[0, 1], [-1, 0]])
-    sym = mat_from_ints(tower, [[0, 1], [1, 0]])
-    return build_reductive([h, e, f], meye(tower, 2), [rot], [h, sym],
-                           tower)
+    return build_reductive([h, e, f], meye(tower, 2), tower)
 
 
 def iota(m, tower):
@@ -67,26 +64,21 @@ def su2(tower):
     for j in range(2):
         nsig[j][2 + j] = one
         nsig[2 + j][j] = one
-    return build_reductive(basis, nsig, basis, [], tower)
+    return build_reductive(basis, nsig, tower)
 
 
 def so23(tower, cartan_k_mats=None):
     # antisymmetric-with-respect-to-diag(1,1,-1,-1,-1) matrices
     sig = [1, 1, -1, -1, -1]
-    basis, k_mats, p_mats = [], [], []
+    basis = []
     for i in range(5):
         for j in range(i + 1, 5):
             rows = [[0] * 5 for _ in range(5)]
             rows[i][j] = sig[j]
             rows[j][i] = -sig[i]
-            m = mat_from_ints(tower, rows)
-            basis.append(m)
-            if (i < 2) == (j < 2):
-                k_mats.append(m)
-            else:
-                p_mats.append(m)
-    return build_reductive(basis, meye(tower, 5), k_mats, p_mats,
-                           tower, cartan_k_mats=cartan_k_mats)
+            basis.append(mat_from_ints(tower, rows))
+    return build_reductive(basis, meye(tower, 5), tower,
+                           cartan_k_mats=cartan_k_mats)
 
 
 # -- structure --------------------------------------------------------------------
@@ -126,16 +118,39 @@ def test_so23_structure():
     assert a[0][1] * a[1][0] == 2
 
 
-def test_rejects_bad_cartan_decomposition():
+def so3_sheared(tower):
+    """so(3) conjugated by a rational unitriangular matrix: a compact real
+    form whose matrices theta(X) = -X^T does not preserve."""
+    u = mat_from_ints(tower, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    u_inv = minverse(u, tower)
+    return [mmul(mmul(u, mat_from_ints(tower, m)), u_inv) for m in (
+        [[0, 1, 0], [-1, 0, 0], [0, 0, 0]],
+        [[0, 0, 1], [0, 0, 0], [-1, 0, 0]],
+        [[0, 0, 0], [0, 0, 1], [0, -1, 0]],
+    )]
+
+
+def test_rejects_non_theta_stable_algebra():
     tower = FieldTower()
-    h = mat_from_ints(tower, [[1, 0], [0, -1]])
-    e = mat_from_ints(tower, [[0, 1], [0, 0]])
-    f = mat_from_ints(tower, [[0, 0], [1, 0]])
-    rot = mat_from_ints(tower, [[0, 1], [-1, 0]])
     with pytest.raises(ReductiveError) as err:
-        build_reductive([h, e, f], meye(tower, 2), [rot], [h],
-                        tower)
-    assert err.value.code == "not-cartan-decomposition"
+        build_reductive(so3_sheared(tower), meye(tower, 3), tower)
+    assert err.value.code == "cartan-decomposition-unavailable"
+
+
+def test_rejects_theta_not_preserving_real_form():
+    # sl(2,r) conjugated by h = [[1, i], [0, 1]], real for N = h conj(h)^-1:
+    # the complex span sl(2,c) is closed under theta, but theta does not
+    # map the real points to real points
+    tower = FieldTower()
+    one, zero, i = tower.one(), tower.zero(), tower.i()
+    h = [[one, i], [zero, one]]
+    h_inv = minverse(h, tower)
+    basis = [mmul(mmul(h, mat_from_ints(tower, m)), h_inv) for m in (
+        [[1, 0], [0, -1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]])]
+    nsigma = [[one, i + i], [zero, one]]
+    with pytest.raises(ReductiveError) as err:
+        build_reductive(basis, nsigma, tower)
+    assert err.value.code == "cartan-decomposition-unavailable"
 
 
 # -- class counts -----------------------------------------------------------------
@@ -318,15 +333,14 @@ def test_so55_unequal_rank_count():
     # count would be 9); the Schreier generators give the quadratic-form
     # count, signatures (10 - q', q') with q' odd
     tower = FieldTower()
-    basis, k_mats, p_mats = catalog._sopq_data(5, 5, tower)
+    basis = catalog._sopq_data(5, 5, tower)
     cartan = []
     for i in (0, 2, 5, 7):
         m = mzeros(tower, 10, 10)
         m[i][i + 1] = tower.one()
         m[i + 1][i] = tower.from_rational(-1)
         cartan.append(m)
-    g = build_reductive(basis, meye(tower, 10), k_mats, p_mats, tower,
-                        cartan_k_mats=cartan)
+    g = build_reductive(basis, meye(tower, 10), tower, cartan_k_mats=cartan)
     res = h1_connected_reductive(g)
     assert res.order() == 5
     for z in res.representatives:
