@@ -118,22 +118,19 @@ def test_so23_structure():
     assert a[0][1] * a[1][0] == 2
 
 
-def so3_sheared(tower):
-    """so(3) conjugated by a rational unitriangular matrix: a compact real
-    form whose matrices theta(X) = -X^T does not preserve."""
+def test_rejects_non_theta_stable_algebra():
+    # so(3) conjugated by a rational unitriangular matrix: a compact real
+    # form that theta(X) = -X^T does not map into itself
+    tower = FieldTower()
     u = mat_from_ints(tower, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     u_inv = minverse(u, tower)
-    return [mmul(mmul(u, mat_from_ints(tower, m)), u_inv) for m in (
+    basis = [mmul(mmul(u, mat_from_ints(tower, m)), u_inv) for m in (
         [[0, 1, 0], [-1, 0, 0], [0, 0, 0]],
         [[0, 0, 1], [0, 0, 0], [-1, 0, 0]],
         [[0, 0, 0], [0, 0, 1], [0, -1, 0]],
     )]
-
-
-def test_rejects_non_theta_stable_algebra():
-    tower = FieldTower()
     with pytest.raises(ReductiveError) as err:
-        build_reductive(so3_sheared(tower), meye(tower, 3), tower)
+        build_reductive(basis, meye(tower, 3), tower)
     assert err.value.code == "cartan-decomposition-unavailable"
 
 
