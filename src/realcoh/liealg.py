@@ -25,6 +25,7 @@ from .field import (
     split_poly,
 )
 from .linalg import (
+    _nonzero,
     charpoly,
     echelon_reduce,
     left_kernel,
@@ -340,7 +341,7 @@ class SCAlgebra:
         if not h:
             return True
         series = self.lower_central_series(h)
-        return series[-1] == [] or not series[-1]
+        return not series[-1]
 
     def regular_element(self, h: list) -> list:
         """x in the Cartan subalgebra h with null component exactly h."""
@@ -550,7 +551,14 @@ def _flatten(mat: list) -> list:
 
 
 class LieAlgebraDatum:
-    """A Lie subalgebra of gl(n) given by a basis of matrices."""
+    """A Lie subalgebra of gl(n) given by a basis of matrices.
+
+    A matrix enters as the map {i*n + j: entry} of its nonzero entries.  The
+    flattened basis is reduced once, and only the sparse forms are kept:
+    the rref row of each pivot column, the nonzero entries of each rref row
+    off its pivot, and the nonzero entries of each transform row.  The
+    structure constants come from the nonzero entries of the basis
+    matrices."""
 
     def __init__(self, basis: list, tower: FieldTower,
                  check_jacobi: bool = False):
@@ -558,32 +566,80 @@ class LieAlgebraDatum:
             raise LieError("empty-basis")
         self.tower = tower
         self.basis = basis
-        self.n = len(basis[0])
-        self.dim = len(basis)
-        flat = [_flatten(m) for m in basis]
-        self._rref, self._trans, pivots = row_reduce_transform(flat, tower)
-        if len(pivots) != self.dim:
+        self.n = n = len(basis[0])
+        self.dim = dim = len(basis)
+        rref, trans, pivots = row_reduce_transform(
+            [_flatten(m) for m in basis], tower)
+        if len(pivots) != dim:
             raise LieError("dependent-basis")
-        zero = [tower.zero()] * self.dim
-        table = [[zero] * self.dim for _ in range(self.dim)]
-        for a in range(self.dim):
-            for b in range(a + 1, self.dim):
-                ab = self.coords(self.bracket(basis[a], basis[b]))
-                table[a][b] = ab
-                table[b][a] = [-x for x in ab]
+        self._pivot_row = {p: r for r, p in enumerate(pivots)}
+        self._rref = [[(j, x) for j, x in _nonzero(row) if j != p]
+                      for row, p in zip(rref, pivots)]
+        self._trans = [_nonzero(row) for row in trans]
+        rows = [[_nonzero(row) for row in m] for m in basis]
+        zero = tower.zero()
+        zero_row = [zero] * dim
+        table = [[zero_row] * dim for _ in range(dim)]
+        for a in range(dim):
+            for b in range(a + 1, dim):
+                acc = {}
+                for i, row in enumerate(rows[a]):
+                    for k, x in row:
+                        for j, y in rows[b][k]:
+                            t = i * n + j
+                            p = x * y
+                            acc[t] = acc[t] + p if t in acc else p
+                for i, row in enumerate(rows[b]):
+                    for k, x in row:
+                        for j, y in rows[a][k]:
+                            t = i * n + j
+                            p = x * y
+                            acc[t] = acc[t] - p if t in acc else -p
+                ab = self._reduce(acc)
+                table[a][b] = [ab.get(c, zero) for c in range(dim)]
+                table[b][a] = [-ab[c] if c in ab else zero
+                               for c in range(dim)]
         self.sc = SCAlgebra(table, tower, check=check_jacobi)
+
+    def _reduce(self, v: dict) -> dict:
+        """Coordinates {index: coefficient} of the matrix with flat entries
+        v ({i*n + j: entry}); an absent index is zero either way.  Raises
+        LieError("not-in-algebra") when the matrix lies outside the span.
+
+        The coefficients of the rref rows are the entries of v at the
+        pivots, so v lies in the span exactly when they reproduce v off the
+        pivots; the transform rows turn them into coordinates."""
+        rest, coeffs = {}, []
+        for t, x in v.items():
+            r = self._pivot_row.get(t)
+            if r is None:
+                rest[t] = x
+            elif not x.is_zero():
+                coeffs.append((r, x))
+        for r, c in coeffs:
+            for t, y in self._rref[r]:
+                p = c * y
+                rest[t] = rest[t] - p if t in rest else -p
+        if any(not x.is_zero() for x in rest.values()):
+            raise LieError("not-in-algebra")
+        out = {}
+        for r, c in coeffs:
+            for j, y in self._trans[r]:
+                p = c * y
+                out[j] = out[j] + p if j in out else p
+        return out
 
     @cached_property
     def real_form(self) -> bool:
         """Whether the span is closed under entrywise conjugation."""
         return all(self.contains(mconj(m)) for m in self.basis)
 
-    def bracket(self, a: list, b: list) -> list:
-        return msub(mmul(a, b), mmul(b, a))
-
     def coords(self, mat: list) -> list:
-        return vmat(span_coords(_flatten(mat), self._rref, "not-in-algebra"),
-                    self._trans)
+        n = self.n
+        out = self._reduce({i * n + j: x for i, row in enumerate(mat)
+                            for j, x in _nonzero(row)})
+        zero = self.tower.zero()
+        return [out.get(c, zero) for c in range(self.dim)]
 
     def contains(self, mat: list) -> bool:
         try:
@@ -967,16 +1023,9 @@ def root_system(datum: LieAlgebraDatum, cartan_mats: list) -> RootDatum:
         if not any(_tuple_eq(neg, other) for other in roots):
             raise LieError("roots-not-symmetric")
     positive = [i for i, tup in enumerate(roots) if _tuple_positive(tup)]
-    simple = []
-    for i in positive:
-        decomposable = False
-        for j in positive:
-            for k in positive:
-                s = [a + b for a, b in zip(roots[j], roots[k])]
-                if _tuple_eq(s, roots[i]):
-                    decomposable = True
-        if not decomposable:
-            simple.append(i)
+    sums = {tuple(a + b for a, b in zip(roots[j], roots[k]))
+            for j in positive for k in positive}
+    simple = [i for i in positive if tuple(roots[i]) not in sums]
     # canonical order: lexicographic on the eigenvalue tuples
     order = list(simple)
     for i in range(1, len(order)):

@@ -96,12 +96,55 @@ def split_so5(tw):
 # -- datum construction ------------------------------------------------------
 
 
+def _mat_bracket(x, y):
+    """[x, y] = xy - yx of two matrices, computed densely."""
+    return msub(mmul(x, y), mmul(y, x))
+
+
 def test_non_closed_basis_rejected():
+    # [E12, E21] = H lies outside the span
     tw = tower()
     e12 = mat_from_ints(tw, [[0, 1], [0, 0]])
     e21 = mat_from_ints(tw, [[0, 0], [1, 0]])
-    with pytest.raises(LieError):
+    with pytest.raises(LieError) as err:
         LieAlgebraDatum([e12, e21], tw)
+    assert err.value.code == "not-in-algebra"
+
+
+def test_empty_basis_rejected():
+    with pytest.raises(LieError) as err:
+        LieAlgebraDatum([], tower())
+    assert err.value.code == "empty-basis"
+
+
+def test_dependent_basis_rejected():
+    tw = tower()
+    h = mat_from_ints(tw, [[1, 0], [0, -1]])
+    x = mat_from_ints(tw, [[0, 1], [0, 0]])
+    hx = mat_from_ints(tw, [[2, 3], [0, -2]])
+    with pytest.raises(LieError) as err:
+        LieAlgebraDatum([h, x, hx], tw)
+    assert err.value.code == "dependent-basis"
+
+
+# matrices outside sl(2), whose reduced basis has its pivots at E11, E12
+# and E21: E11 shows it only through the -1 that h = E11 - E22 puts at
+# E22; the identity and 5*E22 have an entry off the pivots
+OUTSIDE_SL2 = [[[1, 0], [0, 0]], [[1, 0], [0, 1]], [[0, 0], [0, 5]]]
+
+
+@pytest.mark.parametrize("ints", OUTSIDE_SL2, ids=["e11", "one", "e22"])
+def test_coords_outside_span_rejected(ints):
+    tw = tower()
+    datum = sl2(tw)
+    mat = mat_from_ints(tw, ints)
+    assert datum.contains(datum.basis[0])
+    with pytest.raises(LieError) as err:
+        datum.coords(mat)
+    assert err.value.code == "not-in-algebra"
+    with pytest.raises(LieError):
+        datum.mats_to_rows([datum.basis[1], mat])
+    assert not datum.contains(mat)
 
 
 def test_real_form_flag():
@@ -340,18 +383,18 @@ def test_root_system_sl2():
     assert rd.cartan_matrix == [[2]]
     x = rd.x_gens[0]
     y = rd.y_gens[0]
-    h = datum.bracket(x, y)
+    h = _mat_bracket(x, y)
     two_x = [[tw.from_rational(2) * v for v in row] for row in x]
-    assert meq(datum.bracket(h, x), two_x)
+    assert meq(_mat_bracket(h, x), two_x)
 
 
 def _check_cartan_matrix(datum, rd):
     """[h_i, x_j] = A[i][j] x_j for the coroots h_i = [x_i, y_i]."""
     for i, (x, y) in enumerate(zip(rd.x_gens, rd.y_gens)):
-        h = datum.bracket(x, y)
+        h = _mat_bracket(x, y)
         for j, xj in enumerate(rd.x_gens):
             a = datum.tower.from_rational(rd.cartan_matrix[i][j])
-            assert meq(datum.bracket(h, xj),
+            assert meq(_mat_bracket(h, xj),
                        [[a * v for v in row] for row in xj])
 
 
@@ -421,8 +464,18 @@ def test_sparse_bracket_matches_dense(catalog_datum):
         assert sc.bracket(u, v) == _dense_bracket(sc, u, v)
 
 
-def test_antisymmetric_table_matches_full_table(catalog_datum):
-    basis = catalog_datum.basis
-    full = [[catalog_datum.coords(catalog_datum.bracket(x, y)) for y in basis]
-            for x in basis]
-    assert catalog_datum.sc.table == full
+# every catalog name but mu2, a finite group with an empty lie_basis
+LIE_NAMES = [name for name in catalog.list_names() if name != "mu2"]
+
+
+@pytest.mark.parametrize("name", LIE_NAMES)
+def test_antisymmetric_table_matches_full_table(name):
+    """Each structure constant [e_a, e_b], read back as a matrix through
+    from_coords, is the dense matrix bracket of the basis matrices; the
+    coordinate reduction of LieAlgebraDatum is not used."""
+    entry = catalog.get(name)
+    datum = LieAlgebraDatum(entry.lie_basis, entry.tower)
+    for a, x in enumerate(datum.basis):
+        for b, y in enumerate(datum.basis):
+            assert meq(datum.from_coords(datum.sc.table[a][b]),
+                       _mat_bracket(x, y))
