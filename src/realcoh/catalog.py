@@ -1,5 +1,5 @@
-"""Built-in group data: verified bases, real structures, Cartan subalgebra
-hints and component data for the shipped families.
+"""Built-in group data: verified bases, real structures and component data
+for the shipped families.
 
 Families:
   * torus:<word>   products of indecomposable real tori, one letter per
@@ -49,7 +49,6 @@ class CatalogEntry:
     tower: FieldTower
     lie_basis: list
     nsigma: list
-    cartan_k_mats: list | None = None   # Cartan subalgebra of k, reductive
     component_reps: list | None = None
     pi0_table: list | None = None
     pi0_gamma: list | None = None
@@ -67,8 +66,6 @@ class CatalogEntry:
             "lie_basis": [fmt(m) for m in self.lie_basis],
             "N_sigma": fmt(self.nsigma),
         }
-        if self.cartan_k_mats is not None:
-            data["cartan_k_mats"] = [fmt(m) for m in self.cartan_k_mats]
         if self.kind == "nonconnected":
             data["component_reps"] = [fmt(m) for m in self.component_reps]
             data["pi0_table"] = self.pi0_table
@@ -150,24 +147,10 @@ def _sopq_entry(p: int, q: int, tower: FieldTower) -> CatalogEntry:
             f"so({p},{q}) is a one-dimensional torus: use "
             + ("catalog:torus:e" if p == q else "catalog:torus:f"))
     basis = _sopq_data(p, q, tower)
-    # standard block rotations: a Cartan subalgebra of so(p) x so(q) whose
-    # adjoint eigenvalues stay inside the square-root tower
-    cartan = []
-    for i in range(p // 2):
-        m = mzeros(tower, p + q, p + q)
-        m[2 * i][2 * i + 1] = tower.one()
-        m[2 * i + 1][2 * i] = tower.from_rational(-1)
-        cartan.append(m)
-    for j in range(q // 2):
-        m = mzeros(tower, p + q, p + q)
-        m[p + 2 * j][p + 2 * j + 1] = tower.one()
-        m[p + 2 * j + 1][p + 2 * j] = tower.from_rational(-1)
-        cartan.append(m)
-    group = build_reductive(basis, meye(tower, p + q), tower,
-                            cartan_k_mats=cartan)
+    group = build_reductive(basis, meye(tower, p + q), tower)
     return CatalogEntry(name=f"so({p},{q})", kind="reductive", tower=tower,
                         lie_basis=basis, nsigma=meye(tower, p + q),
-                        cartan_k_mats=cartan, group=group)
+                        group=group)
 
 
 def _slnr_entry(n: int, tower: FieldTower) -> CatalogEntry:
@@ -188,18 +171,9 @@ def _slnr_entry(n: int, tower: FieldTower) -> CatalogEntry:
         d[i][i] = tower.one()
         d[i + 1][i + 1] = tower.from_rational(-1)
         basis.append(d)
-    # block rotations spanning a Cartan subalgebra of so(n)
-    cartan = []
-    for i in range(n // 2):
-        m = mzeros(tower, n, n)
-        m[2 * i][2 * i + 1] = tower.one()
-        m[2 * i + 1][2 * i] = tower.from_rational(-1)
-        cartan.append(m)
-    group = build_reductive(basis, meye(tower, n), tower,
-                            cartan_k_mats=cartan)
+    group = build_reductive(basis, meye(tower, n), tower)
     return CatalogEntry(name=f"sl({n},r)", kind="reductive", tower=tower,
-                        lie_basis=basis, nsigma=meye(tower, n),
-                        cartan_k_mats=cartan, group=group)
+                        lie_basis=basis, nsigma=meye(tower, n), group=group)
 
 
 def _su_basis(p: int, q: int, tower: FieldTower) -> list:
@@ -248,12 +222,9 @@ def _su_entry(p: int, q: int, tower: FieldTower) -> CatalogEntry:
     for i in range(n):
         nsig[i][n + i] = tower.from_rational(sign[i])
         nsig[n + i][i] = tower.from_rational(sign[i])
-    # the embedded diagonal matrices span a Cartan subalgebra of k
-    cartan = basis[:n - 1]
-    group = build_reductive(basis, nsig, tower, cartan_k_mats=cartan)
+    group = build_reductive(basis, nsig, tower)
     return CatalogEntry(name=f"su({p},{q})", kind="reductive", tower=tower,
-                        lie_basis=basis, nsigma=nsig, cartan_k_mats=cartan,
-                        group=group)
+                        lie_basis=basis, nsigma=nsig, group=group)
 
 
 def _sp4_entry(tower: FieldTower) -> CatalogEntry:
@@ -286,13 +257,9 @@ def _sp4_entry(tower: FieldTower) -> CatalogEntry:
         sp_elt(z, e22, e22),
         sp_elt(z, e12s, e12s),
     ]
-    # the two diagonal rotation pairs span a Cartan subalgebra of k
-    cartan = [basis[1], basis[2]]
-    group = build_reductive(basis, meye(tower, n), tower,
-                            cartan_k_mats=cartan)
+    group = build_reductive(basis, meye(tower, n), tower)
     return CatalogEntry(name="sp(4,r)", kind="reductive", tower=tower,
-                        lie_basis=basis, nsigma=meye(tower, n),
-                        cartan_k_mats=cartan, group=group)
+                        lie_basis=basis, nsigma=meye(tower, n), group=group)
 
 
 # -- non-connected and non-reductive entries ----------------------------------------

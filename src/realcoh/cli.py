@@ -114,9 +114,7 @@ def _build_from_data(data: dict, tower: FieldTower) -> CatalogEntry:
     if kind == "torus":
         group = build_presentation(basis, nsig, tower)
     elif kind == "reductive":
-        cartan = (_parse_mats(data, "cartan_k_mats", tower, n)
-                  if data.get("cartan_k_mats") else None)
-        group = build_reductive(basis, nsig, tower, cartan_k_mats=cartan)
+        group = build_reductive(basis, nsig, tower)
     elif kind == "nonreductive":
         group = build_levi_split(basis, nsig, tower)
     else:

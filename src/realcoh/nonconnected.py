@@ -371,12 +371,16 @@ def _quotient_by_components(group: NonConnectedGroup, cc: _ComponentClass):
 def solve_problem2_nonconnected(group: NonConnectedGroup, g: list,
                                 classes: NonConnectedH1Result = None) -> tuple:
     """(index into the class list, witness b) with b^-1 g gamma(b) equal to
-    the listed representative, verified exactly."""
+    the listed representative, verified exactly.  When no class matches and
+    a twisted component could not decide membership for want of a torus
+    conjugator, raises that conjugator-unavailable error rather than
+    no-equivalent-class."""
     tower = group.tower
     if not group.real.is_cocycle(g):
         raise NonConnectedError("not-cocycle")
     if classes is None:
         classes = h1_nonconnected(group)
+    undecided = None
     for cc in classes.classes:
         ghat_inv = minverse(cc.ghat, tower)
         for e in range(group.pi0.size):
@@ -389,7 +393,9 @@ def solve_problem2_nonconnected(group: NonConnectedGroup, g: list,
                 continue
             try:
                 t, s_conn = cc.classify(tower, w)
-            except (NonConnectedError, ReductiveError, TorusError):
+            except (NonConnectedError, ReductiveError, TorusError) as err:
+                if err.code == "conjugator-unavailable":
+                    undecided = err
                 continue
             rep_t = cc.orbit_rep[t]
             b = mmul(mmul(s, s_conn), cc.transport[t])
@@ -397,6 +403,8 @@ def solve_problem2_nonconnected(group: NonConnectedGroup, g: list,
             target = classes.representatives[idx]
             if meq(group.real.twist(b, g), target):
                 return idx, b
+    if undecided is not None:
+        raise undecided
     if classes.blocked:
         raise NonConnectedError(
             "no-match-with-blocked-classes",

@@ -190,18 +190,19 @@ def cartan_decomposition(datum: LieAlgebraDatum, s_rows: list) -> tuple:
     return eigenspace(tower.one()), eigenspace(-tower.one())
 
 
-def build_reductive(lie_basis: list, nsigma: list, tower: FieldTower,
-                    cartan_k_mats: list = None) -> ReductiveRealGroup:
+def build_reductive(lie_basis: list, nsigma: list,
+                    tower: FieldTower) -> ReductiveRealGroup:
     """Assemble the fundamental torus, root and Weyl data of the group.
 
     lie_basis: basis of the real Lie algebra (gamma-fixed matrices), whose
     derived algebra theta(X) = -conj(X)^T maps into itself; k and p come
-    from `cartan_decomposition`.
-    cartan_k_mats: optional matrices spanning a Cartan subalgebra of k;
-    when given they are verified and used instead of the fixed draw of
-    `cartan_subalgebra`, which keeps the eigenvalues of the adjoint action
-    inside the square-root tower for groups whose drawn compact elements
-    need larger extensions.
+    from `cartan_decomposition`.  k lies in u(n) and is compact, so a
+    maximal abelian subalgebra of k is a Cartan subalgebra of k.  It is
+    built greedily: while the centralizer c of h in k is larger than h,
+    the rref row of c outside h whose matrix has the fewest nonzero
+    entries (the first on a tie) joins h.  Sparse basis elements such as
+    block rotations keep the adjoint eigenvalues inside the square-root
+    tower.
     """
     datum = LieAlgebraDatum(lie_basis, tower)
     real = RealStructure(nsigma, tower)
@@ -219,25 +220,15 @@ def build_reductive(lie_basis: list, nsigma: list, tower: FieldTower,
 
     zc_rows, zs_rows = _split_center(datum, z_rows)
 
-    if k_rows:
-        sub, embed, coords = alg.subalgebra(k_rows)
-        if cartan_k_mats is not None:
-            h = []
-            for m in cartan_k_mats:
-                row, rest = echelon_reduce(datum.coords(m), k_rows)
-                if any(not x.is_zero() for x in rest):
-                    raise ReductiveError("not-cartan-subalgebra",
-                                         "hint matrix not in k")
-                h.append(row)
-            h = rref_rows(h)
-            if not sub._confirm_cartan(h):
-                raise ReductiveError("not-cartan-subalgebra",
-                                     "hint is not a Cartan subalgebra of k")
-        else:
-            h = sub.cartan_subalgebra()
-        that0_rows = rref_rows([embed(v) for v in h])
-    else:
-        that0_rows = []
+    def weight(v):
+        return sum(not x.is_zero() for row in datum.from_coords(v)
+                   for x in row)
+
+    that0_rows, c = [], k_rows
+    while len(c) > len(that0_rows):
+        v = min((u for u in c if not in_span(u, that0_rows)), key=weight)
+        that0_rows = rref_rows(that0_rows + [v])
+        c = alg.centralizer(c, [v])
     t0_rows = rref_rows(that0_rows + zc_rows)
     t_rows = alg.centralizer(full, t0_rows)
     if not alg._confirm_cartan(t_rows):

@@ -164,20 +164,8 @@ def test_criterion_01_so_pq_class_counts():
 def test_criterion_01_stretch_so_6_9():
     tower = FieldTower()
     basis = catalog._sopq_data(6, 9, tower)
-    cartan = []
-    for i in range(3):
-        m = mzeros(tower, 15, 15)
-        m[2 * i][2 * i + 1] = tower.one()
-        m[2 * i + 1][2 * i] = tower.from_rational(-1)
-        cartan.append(m)
-    for j in range(4):
-        m = mzeros(tower, 15, 15)
-        m[6 + 2 * j][6 + 2 * j + 1] = tower.one()
-        m[6 + 2 * j + 1][6 + 2 * j] = tower.from_rational(-1)
-        cartan.append(m)
     from realcoh.reductive import build_reductive
-    group = build_reductive(basis, meye(tower, 15), tower,
-                            cartan_k_mats=cartan)
+    group = build_reductive(basis, meye(tower, 15), tower)
     res = h1_connected_reductive(group)
     assert res.order() == 8
     _report(1, f"stretch so(6,9)={res.order()}")

@@ -51,11 +51,27 @@ def test_h1_nonconnected_reports_non_lifting(capsys):
 
 @pytest.mark.parametrize("name", list_names())
 def test_h1_from_emitted_json_round_trip(tmp_path, capsys, name):
-    # the emitted file carries the Cartan hint, so h1 on it reproduces the
-    # catalog report byte for byte
+    # h1 on the emitted file reproduces the catalog report byte for byte
     _, emitted = run(capsys, "catalog", "emit", name)
     path = tmp_path / "group.json"
     path.write_text(emitted)
+    code, out = run(capsys, "h1", str(path))
+    assert code == 0
+    assert out == run(capsys, "h1", f"catalog:{name}")[1]
+
+
+@pytest.mark.parametrize("name", ["so(2,3)", "so(3,4)", "so(4,5)",
+                                  "sl(4,r)", "su(3,0)", "su(2,1)"])
+def test_h1_from_basis_and_real_structure_only(tmp_path, capsys, name):
+    # the Cartan subalgebra of k is computed from the basis alone, so a file
+    # with no other group data gives the catalog report byte for byte; on
+    # these names the fixed draw of SCAlgebra.cartan_subalgebra would leave
+    # the square-root tower or give other representatives
+    _, emitted = run(capsys, "catalog", "emit", name)
+    data = json.loads(emitted)
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({key: data[key] for key in (
+        "name", "kind", "n", "lie_basis", "N_sigma")}))
     code, out = run(capsys, "h1", str(path))
     assert code == 0
     assert out == run(capsys, "h1", f"catalog:{name}")[1]
@@ -160,6 +176,20 @@ def test_equiv_rejects_cocycle_outside_group(tmp_path, capsys, name, z):
                     str(path))
     assert code == 1
     assert json.loads(out)["error"]["code"] == "not-member"
+
+
+def test_equiv_nonconnected_undecided_is_not_a_false_answer(tmp_path,
+                                                          capsys):
+    # diag(1, -1, -1) is a cocycle of O(3), equivalent to the listed
+    # diag(-1, -1, 1), but its torus is not conjugated into T without a
+    # conjugator: the answer is conjugator-unavailable, never
+    # no-equivalent-class
+    z = tmp_path / "z.json"
+    z.write_text(json.dumps([["1", "0", "0"], ["0", "-1", "0"],
+                             ["0", "0", "-1"]]))
+    code, out = run(capsys, "equiv", "catalog:o(3)", "--cocycle", str(z))
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "conjugator-unavailable"
 
 
 def test_equiv_nonconnected(tmp_path, capsys):
@@ -332,13 +362,15 @@ def test_nonconnected_empty_cartan_keys_are_absent(tmp_path, capsys, extra):
 
 @pytest.mark.parametrize("name", ["so(2,3)", "sl2-c2", "o(3)"])
 def test_stale_cartan_keys_are_ignored(tmp_path, capsys, name):
-    # files written when the Cartan decomposition was an input carry
-    # k_mats and p_mats; they are ignored, whatever they hold
+    # files written when the Cartan decomposition or a Cartan subalgebra of
+    # k was an input carry k_mats and p_mats or cartan_k_mats; they are
+    # ignored, whatever they hold
     _, want = run(capsys, "h1", f"catalog:{name}")
     _, emitted = run(capsys, "catalog", "emit", name)
     data = json.loads(emitted)
     for extra in ({"k_mats": data["lie_basis"], "p_mats": []},
-                  {"k_mats": 3}):
+                  {"k_mats": 3}, {"cartan_k_mats": data["lie_basis"]},
+                  {"cartan_k_mats": 3}):
         path = tmp_path / "group.json"
         path.write_text(json.dumps({**data, **extra}))
         code, out = run(capsys, "h1", str(path))

@@ -24,6 +24,7 @@ import io
 import json
 import pathlib
 import tempfile
+from fractions import Fraction
 
 import pytest
 
@@ -113,6 +114,40 @@ def test_h1_catalog_matches_golden(name):
 def test_equiv_catalog_matches_golden(name, tmp_path):
     assert equiv_results(name, _golden()[name], tmp_path) == \
         _equiv_golden()[name]
+
+
+def _inertia(rep: list) -> tuple:
+    """(positive, negative) eigenvalue counts of a rational symmetric
+    matrix, with Fractions only: the characteristic polynomial from the
+    Faddeev-LeVerrier recursion, then Descartes' rule of signs, which is
+    exact for a polynomial whose roots are all real."""
+    a = [[Fraction(x) for x in row] for row in rep]
+    n = len(a)
+    coeffs = [Fraction(1)]          # x^n, x^(n-1), ..., 1
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = [[sum(a[i][t] * m[t][j] for t in range(n))
+              + (coeffs[-1] if i == j else 0) for j in range(n)]
+             for i in range(n)]
+        coeffs.append(-sum(a[i][t] * m[t][i] for i in range(n)
+                           for t in range(n)) / k)
+
+    def sign_changes(cs):
+        signs = [c > 0 for c in cs if c != 0]
+        return sum(x != y for x, y in zip(signs, signs[1:]))
+
+    flipped = [c * (-1) ** (n - d) for d, c in enumerate(coeffs)]
+    return sign_changes(coeffs), sign_changes(flipped)
+
+
+def test_o3_classes_are_the_four_signatures():
+    # H^1(R, O(3)) is the set of real quadratic forms of rank 3: every
+    # listed representative is real symmetric, one per inertia
+    classes = json.loads(_golden()["o(3)"])["classes"]
+    reps = [c["representative"] for c in classes]
+    assert all(r[i][j] == r[j][i] for r in reps
+               for i in range(3) for j in range(3))
+    assert [_inertia(r) for r in reps] == [(3, 0), (1, 2), (0, 3), (2, 1)]
 
 
 def _write(path: pathlib.Path, table: dict) -> None:

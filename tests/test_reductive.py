@@ -14,7 +14,6 @@ from realcoh.linalg import (
     minverse,
     mmul,
     mtranspose,
-    mzeros,
     vmat,
 )
 from realcoh.reductive import (
@@ -67,8 +66,9 @@ def su2(tower):
     return build_reductive(basis, nsig, tower)
 
 
-def so23(tower, cartan_k_mats=None):
-    # antisymmetric-with-respect-to-diag(1,1,-1,-1,-1) matrices
+def so23_basis(tower):
+    # antisymmetric-with-respect-to-diag(1,1,-1,-1,-1) matrices e_ij, i < j,
+    # in lexicographic order
     sig = [1, 1, -1, -1, -1]
     basis = []
     for i in range(5):
@@ -77,8 +77,11 @@ def so23(tower, cartan_k_mats=None):
             rows[i][j] = sig[j]
             rows[j][i] = -sig[i]
             basis.append(mat_from_ints(tower, rows))
-    return build_reductive(basis, meye(tower, 5), tower,
-                           cartan_k_mats=cartan_k_mats)
+    return basis
+
+
+def so23(tower):
+    return build_reductive(so23_basis(tower), meye(tower, 5), tower)
 
 
 # -- structure --------------------------------------------------------------------
@@ -181,15 +184,20 @@ def test_so23_three_classes():
 
 
 def test_so23_count_independent_of_cartan_choice():
-    # k = so(2) + so(3); span{e01, e24} is a Cartan subalgebra of k other
-    # than the one the fixed draw finds
+    # k = so(2) + so(3) = span{e01, e23, e24, e34}.  The greedy rule picks
+    # span{e01, e23} from the lexicographic basis; with e24 listed before
+    # e23 it picks span{e01, e24}, another Cartan subalgebra of k
     tower = FieldTower()
-    e01 = mat_from_ints(tower, [[0, 1, 0, 0, 0], [-1, 0, 0, 0, 0],
-                                [0] * 5, [0] * 5, [0] * 5])
-    e24 = mat_from_ints(tower, [[0] * 5, [0] * 5, [0, 0, 0, 0, -1],
-                                [0] * 5, [0, 0, 1, 0, 0]])
-    g = so23(tower, cartan_k_mats=[e01, e24])
-    assert not span_eq(g.t0_rows, so23(tower).t0_rows)
+    basis = so23_basis(tower)
+    basis[7], basis[8] = basis[8], basis[7]
+    g = build_reductive(basis, meye(tower, 5), tower)
+    default = so23(tower)
+
+    def t0_span(group):
+        return rref_rows([[x for row in m for x in row]
+                          for m in group.datum.rows_to_mats(group.t0_rows)])
+
+    assert not span_eq(t0_span(g), t0_span(default))
     res = h1_connected_reductive(g)
     assert res.order() == 3
     assert all(g.real.is_cocycle(z) for z in res.representatives)
@@ -331,13 +339,7 @@ def test_so55_unequal_rank_count():
     # count, signatures (10 - q', q') with q' odd
     tower = FieldTower()
     basis = catalog._sopq_data(5, 5, tower)
-    cartan = []
-    for i in (0, 2, 5, 7):
-        m = mzeros(tower, 10, 10)
-        m[i][i + 1] = tower.one()
-        m[i + 1][i] = tower.from_rational(-1)
-        cartan.append(m)
-    g = build_reductive(basis, meye(tower, 10), tower, cartan_k_mats=cartan)
+    g = build_reductive(basis, meye(tower, 10), tower)
     res = h1_connected_reductive(g)
     assert res.order() == 5
     for z in res.representatives:
