@@ -36,6 +36,7 @@ from .linalg import (
     mmul,
     msub,
     mtrace,
+    mtranspose,
     mzeros,
     row_reduce,
     row_reduce_transform,
@@ -139,12 +140,11 @@ class SCAlgebra:
     def basis_rows(self) -> list:
         return [self._e(i) for i in range(self.dim)]
 
-    def bracket(self, u: list, v: list) -> list:
-        v_nz = [(b, y) for b, y in enumerate(v) if not y.is_zero()]
+    def _bracket_terms(self, u_nz: list, v_nz: list) -> dict:
+        """{c: coefficient} of [u, v] from the nonzero (index, entry) pairs
+        of u and v; a coefficient may cancel to zero."""
         acc = {}
-        for a, x in enumerate(u):
-            if x.is_zero():
-                continue
+        for a, x in u_nz:
             row = self._terms[a]
             for b, y in v_nz:
                 terms = row[b]
@@ -153,6 +153,10 @@ class SCAlgebra:
                 f = x * y
                 for c, s in terms:
                     acc[c] = acc[c] + f * s if c in acc else f * s
+        return acc
+
+    def bracket(self, u: list, v: list) -> list:
+        acc = self._bracket_terms(_nonzero(u), _nonzero(v))
         zero = self.tower.zero()
         return [acc.get(c, zero) for c in range(self.dim)]
 
@@ -161,7 +165,17 @@ class SCAlgebra:
         return [self.bracket(u, self._e(j)) for j in range(self.dim)]
 
     def product_space(self, a: list, b: list) -> list:
-        vecs = [self.bracket(x, y) for x in a for y in b]
+        """rref_rows basis of [span(a), span(b)]; the nonzero entries of each
+        vector are read once and zero brackets are dropped."""
+        b_nz = [_nonzero(y) for y in b]
+        zero = self.tower.zero()
+        vecs = []
+        for x in a:
+            x_nz = _nonzero(x)
+            for y_nz in b_nz:
+                acc = self._bracket_terms(x_nz, y_nz)
+                if any(not v.is_zero() for v in acc.values()):
+                    vecs.append([acc.get(c, zero) for c in range(self.dim)])
         return rref_rows(vecs)
 
     def derived_series(self, a: list) -> list:
@@ -199,18 +213,32 @@ class SCAlgebra:
         return left_kernel(gram, self.tower)
 
     def centralizer(self, a: list, b: list) -> list:
-        """{x in span(a) : [x, y] = 0 for all y in span(b)}."""
+        """{x in span(a) : [x, y] = 0 for all y in span(b)}.
+
+        Row i of the linear system holds the brackets [a_i, b_j] side by
+        side; only the columns with a nonzero entry are kept, since a zero
+        column adds no condition."""
         if not a:
             return []
         if not b:
             return rref_rows(a)
-        cols = []
+        b_nz = [_nonzero(y) for y in b]
+        rows, cols = [], set()
         for x in a:
-            row = []
-            for y in b:
-                row.extend(self.bracket(x, y))
-            cols.append(row)
-        return rref_rows([vmat(c, a) for c in left_kernel(cols, self.tower)])
+            x_nz = _nonzero(x)
+            row = {}
+            for j, y_nz in enumerate(b_nz):
+                for c, v in self._bracket_terms(x_nz, y_nz).items():
+                    if not v.is_zero():
+                        row[j, c] = v
+            rows.append(row)
+            cols.update(row)
+        if not cols:
+            return rref_rows(a)
+        cols = sorted(cols)
+        zero = self.tower.zero()
+        system = [[row.get(col, zero) for col in cols] for row in rows]
+        return rref_rows([vmat(k, a) for k in left_kernel(system, self.tower)])
 
     def center_of(self, a: list) -> list:
         return self.centralizer(a, a)
@@ -557,8 +585,8 @@ class LieAlgebraDatum:
     flattened basis is reduced once, and only the sparse forms are kept:
     the rref row of each pivot column, the nonzero entries of each rref row
     off its pivot, and the nonzero entries of each transform row.  The
-    structure constants come from the nonzero entries of the basis
-    matrices."""
+    structure constants and from_coords use the nonzero entries of the
+    basis matrices, kept row by row."""
 
     def __init__(self, basis: list, tower: FieldTower,
                  check_jacobi: bool = False):
@@ -576,7 +604,7 @@ class LieAlgebraDatum:
         self._rref = [[(j, x) for j, x in _nonzero(row) if j != p]
                       for row, p in zip(rref, pivots)]
         self._trans = [_nonzero(row) for row in trans]
-        rows = [[_nonzero(row) for row in m] for m in basis]
+        self._rows = rows = [[_nonzero(row) for row in m] for m in basis]
         zero = tower.zero()
         zero_row = [zero] * dim
         table = [[zero_row] * dim for _ in range(dim)]
@@ -649,11 +677,14 @@ class LieAlgebraDatum:
             return False
 
     def from_coords(self, v: list) -> list:
+        """The matrix sum_b v_b X_b, from the nonzero entries of each X_b."""
         out = mzeros(self.tower, self.n, self.n)
-        for i, c in enumerate(v):
-            if not c.is_zero():
-                out = [[x + c * y for x, y in zip(ra, rb)]
-                       for ra, rb in zip(out, self.basis[i])]
+        for c, rows in zip(v, self._rows):
+            if c.is_zero():
+                continue
+            for i, row in enumerate(rows):
+                for j, y in row:
+                    out[i][j] = out[i][j] + c * y
         return out
 
     def mats_to_rows(self, mats: list) -> list:
@@ -956,10 +987,6 @@ def _tuple_positive(t: list) -> bool:
     return False
 
 
-def _tuple_eq(a: list, b: list) -> bool:
-    return all(x == y for x, y in zip(a, b))
-
-
 def joint_eigenspaces(ops: list, tower: FieldTower, dim: int) -> list:
     """Common eigenspaces of commuting semisimple operators on row space.
 
@@ -1002,26 +1029,95 @@ def joint_eigenspaces(ops: list, tower: FieldTower, dim: int) -> list:
     return spaces
 
 
-def root_system(datum: LieAlgebraDatum, cartan_mats: list) -> RootDatum:
+def root_system(datum: LieAlgebraDatum, cartan_mats: list, c: list,
+                cinv: list) -> RootDatum:
+    """Root data of g with respect to t = span(cartan_mats), read off a
+    matrix C for which every C^-1 t_m C is diagonal (checked).
+
+    With d_m the diagonal of C^-1 t_m C, the matrix unit E_ij has weight
+    (d_mi - d_mj)_m under ad(t) on gl(n).  g is ad(t)-stable, so its weight
+    space for alpha is the image of g under the projection P_alpha onto the
+    cells of weight alpha, taken in the basis C: spanned by P_alpha(Y_b),
+    Y_b = C^-1 X_b C for the basis matrices X_b.  A nonzero weight whose
+    space is a line is a root, with vector the coordinate row of
+    C P_alpha(Y_b) C^-1 scaled to leading coefficient 1; a larger space
+    raises root-multiplicity.  t is abelian and toral because C diagonalizes
+    it, so it is a Cartan subalgebra exactly when the zero weight space has
+    its dimension (cartan-failed otherwise)."""
     tower = datum.tower
     alg = datum.sc
-    t_rows = datum.mats_to_rows(cartan_mats)
-    ops = [alg.ad(v) for v in t_rows]
-    spaces = joint_eigenspaces(ops, tower, alg.dim)
-    roots = []
-    vectors = []
-    for tup, s in spaces:
-        if all(x.is_zero() for x in tup):
+    n = datum.n
+    diags = []
+    for m in cartan_mats:
+        dm = mmul(mmul(cinv, m), c)
+        if any(not x.is_zero() for i, row in enumerate(dm)
+               for j, x in enumerate(row) if i != j):
+            raise LieError("not-diagonalized")
+        diags.append([dm[i][i] for i in range(n)])
+    # the weight of each matrix unit, keyed by the normal forms of its values
+    cell_key, weights = {}, {}
+    for i in range(n):
+        for j in range(n):
+            w = [d[i] - d[j] for d in diags]
+            key = tuple(x._key() for x in w)
+            cell_key[i, j] = key
+            weights.setdefault(key, w)
+    c_rows = [_nonzero(row) for row in c]
+    c_cols = [_nonzero(col) for col in mtranspose(c)]
+    cinv_rows = [_nonzero(row) for row in cinv]
+    cinv_cols = [_nonzero(col) for col in mtranspose(cinv)]
+    # proj[key][b]: the entries of Y_b in the cells of weight key
+    proj = {}
+    for b, mat in enumerate(datum._rows):
+        acc = {}
+        for k, row in enumerate(mat):
+            for l, x in row:
+                for i, a in cinv_cols[k]:
+                    f = a * x
+                    for j, y in c_rows[l]:
+                        p = f * y
+                        acc[i, j] = acc[i, j] + p if (i, j) in acc else p
+        for cell, y in acc.items():
+            if not y.is_zero():
+                proj.setdefault(cell_key[cell], {}).setdefault(b, {})[cell] = y
+    zero = tower.zero()
+
+    def rank(parts):
+        cells = sorted({cell for part in parts for cell in part})
+        return len(rref_rows([[part.get(cell, zero) for cell in cells]
+                              for part in parts]))
+
+    zero_key = cell_key[0, 0]
+    if rank(list(proj.get(zero_key, {}).values())) != len(cartan_mats):
+        raise LieError("cartan-failed")
+    roots, vectors, index = [], [], {}
+    for key, w in weights.items():
+        if key == zero_key or key not in proj:
             continue
-        if len(s) != 1:
+        parts = list(proj[key].values())
+        if rank(parts) != 1:
             raise LieError("root-multiplicity")
-        roots.append(tup)
-        vectors.append(s[0])
+        flat = {}
+        for (i, j), y in parts[0].items():
+            for r, a in c_cols[i]:
+                f = a * y
+                for s, x in cinv_rows[j]:
+                    t = r * n + s
+                    p = f * x
+                    flat[t] = flat[t] + p if t in flat else p
+        out = datum._reduce(flat)
+        v = [out.get(col, zero) for col in range(datum.dim)]
+        lead = next(x for x in v if not x.is_zero()).inverse()
+        index[key] = len(roots)
+        roots.append(w)
+        vectors.append([x * lead for x in v])
     # closure under negation
+    neg = []
     for tup in roots:
-        neg = [-x for x in tup]
-        if not any(_tuple_eq(neg, other) for other in roots):
+        j = index.get(tuple((-x)._key() for x in tup))
+        if j is None:
             raise LieError("roots-not-symmetric")
+        neg.append(j)
     positive = [i for i, tup in enumerate(roots) if _tuple_positive(tup)]
     sums = {tuple(a + b for a, b in zip(roots[j], roots[k]))
             for j in positive for k in positive}
@@ -1039,10 +1135,8 @@ def root_system(datum: LieAlgebraDatum, cartan_mats: list) -> RootDatum:
     simple = order
     x_rows, y_rows, h_rows = [], [], []
     for i in simple:
-        neg = [-x for x in roots[i]]
-        j = next(k for k, tup in enumerate(roots) if _tuple_eq(tup, neg))
         x = vectors[i]
-        y0 = vectors[j]
+        y0 = vectors[neg[i]]
         h0 = alg.bracket(x, y0)
         if all(v.is_zero() for v in h0):
             raise LieError("degenerate-root-pair")

@@ -3,13 +3,18 @@
 A connected reductive group G over the reals is described by a basis of the
 real Lie algebra inside gl(n) together with the matrix N_sigma defining the
 antiholomorphic involution sigma(g) = N_sigma * conj(g) * N_sigma^-1.  The
-Cartan decomposition k + p of the derived (semisimple) part is computed as
-the eigenspaces of theta(X) = -conj(X)^T.  From these we construct:
+derived algebra and the center come from the nonzero structure constants.
+The Cartan decomposition k + p of the derived (semisimple) part is computed
+as the eigenspaces of theta(X) = -conj(X)^T.  From these we construct:
 
   * the maximal compact torus T_0 (Lie algebra: a Cartan subalgebra of k
     together with the compact part of the center),
   * the fundamental torus T = Z_G(T_0) with its canonical presentation,
-  * the root system of the complexified algebra with respect to T,
+  * the root system of the complexified algebra with respect to T, read
+    off the matrix C that diagonalizes Lie(T) in the presentation: a
+    matrix unit E_ij in the basis C has weight d_i - d_j.  The zero weight
+    space having the dimension of Lie(T) is the check that Lie(T) is a
+    Cartan subalgebra,
   * normalizer representatives of the simple reflections of the Weyl group
     W, keyed by their permutations of the roots, and generators of the
     subgroup W_0 that stabilizes the Cartan subalgebra of k; W is never
@@ -231,8 +236,6 @@ def build_reductive(lie_basis: list, nsigma: list,
         c = alg.centralizer(c, [v])
     t0_rows = rref_rows(that0_rows + zc_rows)
     t_rows = alg.centralizer(full, t0_rows)
-    if not alg._confirm_cartan(t_rows):
-        raise ReductiveError("cartan-failed")
 
     if t0_rows:
         pres0 = build_presentation(datum.rows_to_mats(t0_rows), nsigma, tower)
@@ -241,7 +244,7 @@ def build_reductive(lie_basis: list, nsigma: list,
 
     t_mats = datum.rows_to_mats(t_rows)
     torus = build_presentation(t_mats, nsigma, tower)
-    root = root_system(datum, t_mats)
+    root = root_system(datum, t_mats, torus.c, torus.cinv)
 
     root_index = {tuple(r): i for i, r in enumerate(root.roots)}
     simple, actions = [], []

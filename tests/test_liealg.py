@@ -18,14 +18,17 @@ from realcoh.liealg import (
     log_unipotent,
     reductive_projection,
     root_system,
+    rref_rows,
 )
 from realcoh.linalg import (
+    left_kernel,
     mat_from_ints,
     meq,
     meye,
     minverse,
     mmul,
     msub,
+    vmat,
 )
 
 
@@ -377,7 +380,7 @@ def test_reductive_projection_semidirect():
 def test_root_system_sl2():
     tw = tower()
     datum = sl2(tw)
-    rd = root_system(datum, [datum.basis[0]])
+    rd = root_system(datum, [datum.basis[0]], meye(tw, 2), meye(tw, 2))
     assert len(rd.roots) == 2
     assert len(rd.x_gens) == 1
     assert rd.cartan_matrix == [[2]]
@@ -401,7 +404,7 @@ def _check_cartan_matrix(datum, rd):
 def test_root_system_sl3():
     tw = tower()
     datum, h1, h2 = sl3(tw)
-    rd = root_system(datum, [h1, h2])
+    rd = root_system(datum, [h1, h2], meye(tw, 3), meye(tw, 3))
     assert len(rd.roots) == 6
     assert len(rd.x_gens) == 2
     cm = rd.cartan_matrix
@@ -413,13 +416,49 @@ def test_root_system_sl3():
 def test_root_system_so5():
     tw = tower()
     datum, h1, h2 = split_so5(tw)
-    rd = root_system(datum, [h1, h2])
+    rd = root_system(datum, [h1, h2], meye(tw, 5), meye(tw, 5))
     assert len(rd.roots) == 8
     assert len(rd.x_gens) == 2
     cm = rd.cartan_matrix
     assert cm[0][0] == 2 and cm[1][1] == 2
     assert cm[0][1] * cm[1][0] == 2
     _check_cartan_matrix(datum, rd)
+
+
+def _diag_units(tw, units, diag):
+    """The datum spanned by diag(diag) and the matrix units E_ij."""
+    n = len(diag)
+    h = mat_from_ints(tw, [[diag[i] if i == j else 0 for j in range(n)]
+                           for i in range(n)])
+    mats = [mat_from_ints(tw, [[int((i, j) == unit) for j in range(n)]
+                               for i in range(n)]) for unit in units]
+    return LieAlgebraDatum([h] + mats, tw, check_jacobi=True), h
+
+
+@pytest.mark.parametrize("units,diag,code", [
+    # E_12 and E_13 both have weight 1 for diag(1, 0, 0)
+    ([(0, 1), (0, 2)], [1, 0, 0], "root-multiplicity"),
+    # E_12 has weight 1 for diag(1, 0), and nothing has weight -1
+    ([(0, 1)], [1, 0], "roots-not-symmetric"),
+    # the identity centralizes E_12: its zero weight space is 2-dimensional
+    ([(0, 1)], [1, 1], "cartan-failed"),
+], ids=["multiplicity", "not-symmetric", "not-cartan"])
+def test_root_system_error_codes(units, diag, code):
+    tw = tower()
+    datum, h = _diag_units(tw, units, diag)
+    n = len(diag)
+    with pytest.raises(LieError) as err:
+        root_system(datum, [h], meye(tw, n), meye(tw, n))
+    assert err.value.code == code
+
+
+def test_root_system_needs_a_diagonalizing_matrix():
+    tw = tower()
+    datum = sl2(tw)
+    c = mat_from_ints(tw, [[1, 1], [0, 1]])
+    with pytest.raises(LieError) as err:
+        root_system(datum, [datum.basis[0]], c, minverse(c, tw))
+    assert err.value.code == "not-diagonalized"
 
 
 def test_cartan_subalgebra_sl2():
@@ -436,10 +475,12 @@ def catalog_datum(request):
 
 
 def _dense_bracket(sc, u, v):
-    """[u, v] summed over every pair of coordinates and every entry of the
-    structure-constant table."""
+    """[u, v] summed over every pair of nonzero coordinates and every entry
+    of the structure-constant table."""
     out = [sc.tower.zero()] * sc.dim
     for a in range(sc.dim):
+        if u[a].is_zero():
+            continue
         for b in range(sc.dim):
             f = u[a] * v[b]
             out = [x + f * y for x, y in zip(out, sc.table[a][b])]
@@ -479,3 +520,62 @@ def test_antisymmetric_table_matches_full_table(name):
         for b, y in enumerate(datum.basis):
             assert meq(datum.from_coords(datum.sc.table[a][b]),
                        _mat_bracket(x, y))
+
+
+def _dense_product_space(sc, a, b):
+    return rref_rows([_dense_bracket(sc, x, y) for x in a for y in b])
+
+
+def _dense_centralizer(sc, a, b):
+    """The kernel of x |-> ([x, y] for y in b) on span(a), from the full
+    row of dense brackets of each a_i."""
+    if not a:
+        return []
+    if not b:
+        return rref_rows(a)
+    system = [[z for y in b for z in _dense_bracket(sc, x, y)] for x in a]
+    return rref_rows([vmat(k, a) for k in left_kernel(system, sc.tower)])
+
+
+@pytest.mark.parametrize("name", LIE_NAMES)
+def test_sparse_subspace_operations_match_dense(name):
+    """product_space, centralizer and center_of against dense brackets and
+    left_kernel: on the whole algebra, and on seeded random subspaces."""
+    entry = catalog.get(name)
+    sc = LieAlgebraDatum(entry.lie_basis, entry.tower).sc
+    tower = sc.tower
+    full = sc.basis_rows()
+    assert sc.product_space(full, full) == _dense_product_space(sc, full,
+                                                                full)
+    assert sc.center_of(full) == _dense_centralizer(sc, full, full)
+    rng = random.Random(29)
+
+    def vector(terms):
+        v = [tower.zero()] * sc.dim
+        for c in rng.sample(range(sc.dim), min(terms, sc.dim)):
+            v[c] = (tower.from_rational(Fraction(rng.choice([-3, -1, 1, 2]),
+                                                 rng.randint(1, 2)))
+                    + tower.from_rational(rng.randint(-1, 1)) * tower.i())
+        return v
+
+    for size in (1, 2, 3):
+        a = [vector(2) for _ in range(size + 1)]
+        b = [vector(1) for _ in range(size)]
+        assert sc.product_space(a, b) == _dense_product_space(sc, a, b)
+        assert sc.centralizer(a, b) == _dense_centralizer(sc, a, b)
+        assert sc.center_of(a) == _dense_centralizer(sc, a, a)
+        assert sc.centralizer(full, b) == _dense_centralizer(sc, full, b)
+
+
+def test_center_of_gl2_matches_dense():
+    """A center that is neither 0 nor the whole algebra: the scalars of
+    gl(2)."""
+    tw = tower()
+    units = [mat_from_ints(tw, [[int((i, j) == unit) for j in range(2)]
+                                for i in range(2)])
+             for unit in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    sc = LieAlgebraDatum(units, tw).sc
+    full = sc.basis_rows()
+    center = sc.center_of(full)
+    assert len(center) == 1
+    assert center == _dense_centralizer(sc, full, full)

@@ -5,9 +5,16 @@ import pytest
 import realcoh.reductive as reductive
 from realcoh import catalog
 from realcoh.field import FieldTower, format_element
-from realcoh.liealg import in_span, rref_rows, span_eq
+from realcoh.liealg import (
+    LieError,
+    SCAlgebra,
+    in_span,
+    rref_rows,
+    span_eq,
+)
 from realcoh.linalg import (
     echelon_reduce,
+    left_kernel,
     mat_from_ints,
     meq,
     meye,
@@ -330,6 +337,109 @@ def test_w0_generators_when_w0_is_not_w(name, order_w, order_w0):
     w0_keys = _stabilizer(g).keys()
     assert (len(w_keys), len(w0_keys)) == (order_w, order_w0)
     assert _generated(g, g.w0).keys() == w0_keys
+
+
+# -- root data, checked with dense matrix brackets --------------------------------
+
+# Cartan type of the root system of each entry's reductive part
+ROOT_TYPES = {"so(1,2)": ("B", 1), "so(2,3)": ("B", 2), "so(3,4)": ("B", 3),
+              "so(4,5)": ("B", 4), "sl(2,r)": ("A", 1), "sl(3,r)": ("A", 2),
+              "sl(4,r)": ("A", 3), "su(2,0)": ("A", 1), "su(1,1)": ("A", 1),
+              "su(3,0)": ("A", 2), "su(2,1)": ("A", 2), "sp(4,r)": ("C", 2),
+              "o(3)": ("B", 1), "sl2-c2": ("A", 1)}
+# (number of roots, determinant of the Cartan matrix) of each type of rank r
+TYPE_INVARIANTS = {"A": lambda r: (r * (r + 1), r + 1),
+                   "B": lambda r: (2 * r * r, 2),
+                   "C": lambda r: (2 * r * r, 2),
+                   "D": lambda r: (2 * r * (r - 1), 4)}
+
+
+def _dense_bracket(x, y):
+    """xy - yx, every entry summed over the whole row and column."""
+    n = len(x)
+    zero = x[0][0].tower.zero()
+    out = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[i][j] = out[i][j] + x[i][k] * y[k][j] - y[i][k] * x[k][j]
+    return out
+
+
+def _int_det(a):
+    if not a:
+        return 1
+    return sum((-1) ** j * a[0][j] * _int_det([row[:j] + row[j + 1:]
+                                               for row in a[1:]])
+               for j in range(len(a)))
+
+
+def _eigenspace_dim(g, ad_t, alpha):
+    """dim {X in g : [t_m, X] = alpha_m X for every m}, from the dense
+    brackets ad_t[m][b] = [t_m, X_b] of the basis matrices X_b."""
+    rows = []
+    for b, x in enumerate(g.datum.basis):
+        rows.append([u - a * v for m, a in enumerate(alpha)
+                     for ru, rv in zip(ad_t[m][b], x)
+                     for u, v in zip(ru, rv)])
+    keep = [j for j in range(len(rows[0]))
+            if any(not row[j].is_zero() for row in rows)]
+    if not keep:
+        return len(rows)
+    return len(left_kernel([[row[j] for j in keep] for row in rows],
+                           g.tower))
+
+
+@pytest.mark.parametrize("name", REDUCTIVE_NAMES + ["o(3)", "sl2-c2"])
+def test_root_data_against_dense_brackets(name):
+    g = catalog_reductive(name)
+    datum, root = g.datum, g.root
+    t_mats = datum.rows_to_mats(g.t_rows)
+    ad_t = [[_dense_bracket(t, x) for x in datum.basis] for t in t_mats]
+    keys = {tuple(format_element(x) for x in alpha) for alpha in root.roots}
+    assert len(keys) == len(root.roots)
+    # each root has a line of root vectors, and with t they fill g
+    for alpha in root.roots:
+        assert _eigenspace_dim(g, ad_t, alpha) == 1
+    assert len(root.roots) + len(g.t_rows) == datum.dim
+    # x_i and y_i are root vectors for opposite roots
+    for x, y in zip(root.x_gens, root.y_gens):
+        brackets = [_dense_bracket(t, x) for t in t_mats]
+        alphas = [alpha for alpha in root.roots if all(
+            meq(br, [[a * v for v in row] for row in x])
+            for br, a in zip(brackets, alpha))]
+        assert len(alphas) == 1
+        for t, a in zip(t_mats, alphas[0]):
+            assert meq(_dense_bracket(t, y), [[-a * v for v in row]
+                                              for row in y])
+    kind, rank = ROOT_TYPES[name]
+    n_roots, det = TYPE_INVARIANTS[kind](rank)
+    assert len(root.cartan_matrix) == rank
+    assert len(root.roots) == n_roots
+    assert _int_det(root.cartan_matrix) == det
+
+
+def test_cartan_check_rejects_a_torus_smaller_than_its_centralizer(
+        monkeypatch):
+    """sl(3,r): k = so(3) has rank 1, so t_0 is a line, while a Cartan
+    subalgebra has dimension 2.  With the centralizer of t_0 in g replaced
+    by t_0 itself, t is toral but its zero weight space is larger than t."""
+    entry = catalog.get("sl(3,r)", FieldTower())
+    assert len(entry.group.t_rows) == 2
+    centralizer = SCAlgebra.centralizer
+    replaced = []
+
+    def t0_as_t(self, a, b):
+        if len(a) == self.dim and 0 < len(b) < self.dim:
+            replaced.append(len(b))
+            return rref_rows(b)
+        return centralizer(self, a, b)
+
+    monkeypatch.setattr(SCAlgebra, "centralizer", t0_as_t)
+    with pytest.raises(LieError) as err:
+        build_reductive(entry.lie_basis, entry.nsigma, entry.tower)
+    assert err.value.code == "cartan-failed"
+    assert replaced == [1]
 
 
 def test_so55_unequal_rank_count():
