@@ -1029,6 +1029,20 @@ def joint_eigenspaces(ops: list, tower: FieldTower, dim: int) -> list:
     return spaces
 
 
+def _sandwich(cols: list, entries, rows: list) -> dict:
+    """{(i, j): entry} of L X R, for X given by its nonzero ((k, l), x)
+    entries, cols[k] the nonzero (i, L_ik) of column k of L and rows[l] the
+    nonzero (j, R_lj) of row l of R."""
+    acc = {}
+    for (k, l), x in entries:
+        for i, a in cols[k]:
+            f = a * x
+            for j, y in rows[l]:
+                p = f * y
+                acc[i, j] = acc[i, j] + p if (i, j) in acc else p
+    return acc
+
+
 def root_system(datum: LieAlgebraDatum, cartan_mats: list, c: list,
                 cinv: list) -> RootDatum:
     """Root data of g with respect to t = span(cartan_mats), read off a
@@ -1069,15 +1083,9 @@ def root_system(datum: LieAlgebraDatum, cartan_mats: list, c: list,
     # proj[key][b]: the entries of Y_b in the cells of weight key
     proj = {}
     for b, mat in enumerate(datum._rows):
-        acc = {}
-        for k, row in enumerate(mat):
-            for l, x in row:
-                for i, a in cinv_cols[k]:
-                    f = a * x
-                    for j, y in c_rows[l]:
-                        p = f * y
-                        acc[i, j] = acc[i, j] + p if (i, j) in acc else p
-        for cell, y in acc.items():
+        y_b = _sandwich(cinv_cols, [((k, l), x) for k, row in enumerate(mat)
+                                    for l, x in row], c_rows)
+        for cell, y in y_b.items():
             if not y.is_zero():
                 proj.setdefault(cell_key[cell], {}).setdefault(b, {})[cell] = y
     zero = tower.zero()
@@ -1097,15 +1105,8 @@ def root_system(datum: LieAlgebraDatum, cartan_mats: list, c: list,
         parts = list(proj[key].values())
         if rank(parts) != 1:
             raise LieError("root-multiplicity")
-        flat = {}
-        for (i, j), y in parts[0].items():
-            for r, a in c_cols[i]:
-                f = a * y
-                for s, x in cinv_rows[j]:
-                    t = r * n + s
-                    p = f * x
-                    flat[t] = flat[t] + p if t in flat else p
-        out = datum._reduce(flat)
+        mat = _sandwich(c_cols, parts[0].items(), cinv_rows)
+        out = datum._reduce({i * n + j: x for (i, j), x in mat.items()})
         v = [out.get(col, zero) for col in range(datum.dim)]
         lead = next(x for x in v if not x.is_zero()).inverse()
         index[key] = len(roots)
