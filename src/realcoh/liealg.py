@@ -664,10 +664,31 @@ class LieAlgebraDatum:
 
     def coords(self, mat: list) -> list:
         n = self.n
-        out = self._reduce({i * n + j: x for i, row in enumerate(mat)
-                            for j, x in _nonzero(row)})
+        return self.entry_coords({i * n + j: x for i, row in enumerate(mat)
+                                  for j, x in _nonzero(row)})
+
+    def entry_coords(self, v: dict) -> list:
+        """Coordinates of the matrix with flat entries v ({i*n + j: entry});
+        raises LieError("not-in-algebra") when it lies outside the span."""
+        out = self._reduce(v)
         zero = self.tower.zero()
         return [out.get(c, zero) for c in range(self.dim)]
+
+    def entries(self, v: list) -> dict:
+        """The flat entries {i*n + j: entry} of sum_b v_b X_b, summed over
+        the nonzero entries of each X_b; an entry that cancels stays, as a
+        zero."""
+        n = self.n
+        out = {}
+        for c, rows in zip(v, self._rows):
+            if c.is_zero():
+                continue
+            for i, row in enumerate(rows):
+                for j, y in row:
+                    t = i * n + j
+                    p = c * y
+                    out[t] = out[t] + p if t in out else p
+        return out
 
     def contains(self, mat: list) -> bool:
         try:
@@ -678,13 +699,10 @@ class LieAlgebraDatum:
 
     def from_coords(self, v: list) -> list:
         """The matrix sum_b v_b X_b, from the nonzero entries of each X_b."""
-        out = mzeros(self.tower, self.n, self.n)
-        for c, rows in zip(v, self._rows):
-            if c.is_zero():
-                continue
-            for i, row in enumerate(rows):
-                for j, y in row:
-                    out[i][j] = out[i][j] + c * y
+        n = self.n
+        out = mzeros(self.tower, n, n)
+        for t, x in self.entries(v).items():
+            out[t // n][t % n] = x
         return out
 
     def mats_to_rows(self, mats: list) -> list:

@@ -254,9 +254,36 @@ class RealStructure:
             s_inv = minverse(s, self.tower)
         return mmul(mmul(s_inv, z), self.gamma(s))
 
+    @cached_property
+    def _columns(self) -> list:
+        """The (row, entry) pairs of the nonzero entries of each column of
+        N."""
+        cols = [[] for _ in self.nsigma]
+        for i, row in enumerate(self.nsigma):
+            for j, x in _nonzero(row):
+                cols[j].append((i, x))
+        return cols
+
+    @cached_property
+    def _rows(self) -> list:
+        return [_nonzero(row) for row in self.nsigma]
+
     def fixes(self, m: list) -> bool:
-        """gamma(m) = m, e.g. m is a real Lie algebra basis element."""
-        return meq(self.gamma(m), m)
+        """gamma(m) = m, e.g. m is a real Lie algebra basis element: the
+        entries of N * conj(m) - m * N, summed over the nonzero entries of
+        m and of N, all vanish."""
+        self._inverse  # a singular N raises FieldError("singular"), as gamma
+        acc = {}
+        for l, row in enumerate(m):
+            for j, x in _nonzero(row):
+                xc = x.conj()
+                for i, y in self._columns[l]:
+                    p = y * xc
+                    acc[i, j] = acc[i, j] + p if (i, j) in acc else p
+                for k, y in self._rows[j]:
+                    p = x * y
+                    acc[l, k] = acc[l, k] - p if (l, k) in acc else -p
+        return all(x.is_zero() for x in acc.values())
 
     def defect(self) -> list:
         """N * conj(N): gamma^2 is conjugation by it, so it is 1 for a

@@ -20,10 +20,14 @@ as the eigenspaces of theta(X) = -conj(X)^T.  From these we construct:
     subgroup W_0 that stabilizes the Cartan subalgebra of k; W is never
     listed.
 
-H^1(R, G) is the set of W_0-orbits on the sign-pattern representatives of
-H^1(R, T).  Every class comes with an explicit cocycle representative, and
-the equivalence solver returns a witness h with h^-1 * g * gamma(h) equal to
-the chosen representative, verified exactly before returning.
+H^1(R, G) is the set of W_0-orbits on the sign-pattern classes of
+H^1(R, T).  Each generator of W_0 acts in the coordinates of T: an integer
+matrix on the cocharacters and one torus element, both checked exactly
+(torus.normalizer_action), so the orbits come from coordinate vectors and
+no matrix is twisted.  Every class comes with an explicit cocycle
+representative, checked to be a cocycle, and the equivalence solver returns
+a witness h with h^-1 * g * gamma(h) equal to the chosen representative,
+verified exactly before returning.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ from .linalg import (
     RealStructure,
     echelon_reduce,
     left_kernel,
-    mconj,
     meq,
     meye,
     minverse,
@@ -61,11 +64,13 @@ from .linalg import (
 )
 from .torus import (
     TorusError,
-    TorusH1Result,
     TorusPresentation,
     build_presentation,
+    cocycle_signs,
     compact_part_lie,
-    h1_torus,
+    mono_apply,
+    normalizer_action,
+    sign_patterns,
     simultaneous_diagonalize,
     trivialize_cocycle,
 )
@@ -107,7 +112,6 @@ class WeylOrbitTable:
     patterns: list   # H^1(T) sign patterns, canonical order
     perms: list      # one permutation of the patterns per element of w0
     orbits: list     # sorted index lists, ordered by smallest member
-    torus_h1: TorusH1Result  # the patterns' representatives
 
 
 @dataclass
@@ -133,6 +137,13 @@ def _realify_rows(rows: list) -> list:
     return rref_rows(out)
 
 
+def _diagonals(mats: list, c: list, cinv: list) -> list:
+    """The diagonal of C^-1 m C for each m, for matrices that C
+    diagonalizes: their eigenvalues."""
+    return [[row[i] for i, row in enumerate(mmul(mmul(cinv, m), c))]
+            for m in mats]
+
+
 def _split_center(datum: LieAlgebraDatum, z_rows: list) -> tuple:
     """Split the center into compact and split parts by eigenvalue type."""
     tower = datum.tower
@@ -140,11 +151,7 @@ def _split_center(datum: LieAlgebraDatum, z_rows: list) -> tuple:
         return [], []
     z_mats = datum.rows_to_mats(z_rows)
     c = simultaneous_diagonalize(z_mats, tower, datum.n)
-    cinv = minverse(c, tower)
-    diags = []
-    for m in z_mats:
-        dm = mmul(mmul(cinv, m), c)
-        diags.append([dm[i][i] for i in range(datum.n)])
+    diags = _diagonals(z_mats, c, minverse(c, tower))
     im_parts = [[x.imag_part() for x in d] for d in diags]
     re_parts = [[x.real_part() for x in d] for d in diags]
 
@@ -169,14 +176,18 @@ def cartan_decomposition(datum: LieAlgebraDatum, s_rows: list) -> tuple:
     definite.  Raises cartan-decomposition-unavailable when theta does not
     map the derived algebra into itself, or does not map its real points
     (real coordinates, the basis being gamma-fixed) to real points; then
-    the eigenspaces are not gamma-fixed.  The general case is Dietrich,
+    the eigenspaces are not gamma-fixed.  theta of each row of s_rows is
+    formed from the nonzero entries of its matrix: the entry at (i, j)
+    goes to (j, i), conjugated and negated.  The general case is Dietrich,
     Faccin and de Graaf, J. Symbolic Comput. 56, 2013.
     """
     tower = datum.tower
+    n = datum.n
     theta = []
-    for m in datum.rows_to_mats(s_rows):
+    for v in s_rows:
         try:
-            image = datum.coords(mscale(-tower.one(), mconj(mtranspose(m))))
+            image = datum.entry_coords({(t % n) * n + t // n: -x.conj()
+                                        for t, x in datum.entries(v).items()})
             theta.append(span_coords(image, s_rows, "not-invariant"))
         except LieError:
             raise ReductiveError("cartan-decomposition-unavailable",
@@ -237,13 +248,14 @@ def build_reductive(lie_basis: list, nsigma: list,
     t0_rows = rref_rows(that0_rows + zc_rows)
     t_rows = alg.centralizer(full, t0_rows)
 
-    if t0_rows:
-        pres0 = build_presentation(datum.rows_to_mats(t0_rows), nsigma, tower)
-        if pres0.l != 0 or pres0.r != 0:
-            raise ReductiveError("t0-not-compact")
-
     t_mats = datum.rows_to_mats(t_rows)
     torus = build_presentation(t_mats, nsigma, tower)
+    # t0 is abelian, so t contains it and C diagonalizes it; it is the Lie
+    # algebra of a compact torus exactly when its real basis elements have
+    # purely imaginary eigenvalues
+    if any(not x.real_part().is_zero() for d in _diagonals(
+            datum.rows_to_mats(t0_rows), torus.c, torus.cinv) for x in d):
+        raise ReductiveError("t0-not-compact")
     root = root_system(datum, t_mats, torus.c, torus.cinv)
 
     root_index = {tuple(r): i for i, r in enumerate(root.roots)}
@@ -316,28 +328,30 @@ def weyl_action(g: ReductiveRealGroup) -> WeylOrbitTable:
     """Permutation action of W_0 on the H^1(T) sign-pattern classes.
 
     Orbits are fixed by a generating set, so only the generators in g.w0
-    are evaluated, one permutation each.  The twist
-    z -> n^-1 z gamma(n) is affine on the sign group: since T(C) is
-    abelian, phi(z z') phi(1) = phi(z) phi(z') holds exactly as matrices,
-    so the class map satisfies P(eps eps') = P(eps) P(eps') P(1)^-1.  Each
-    element is therefore evaluated on the identity pattern and the k
-    one-sign-flip patterns only; the rest of the permutation follows by
-    componentwise sign multiplication.
+    are evaluated, one permutation each.  Each generator e, with
+    representative n, acts in torus coordinates: normalizer_action gives
+    (W_e, c_e) with n^-1 lam(x) gamma(n) = lam(mono_apply(x, W_e) * c_e),
+    both identities checked exactly, and cocycle_signs reads the class of
+    the twisted coordinates; no matrix is twisted.  The twist is affine on
+    the sign group: since T(C) is abelian, the class map satisfies
+    P(eps eps') = P(eps) P(eps') P(1)^-1.  Each element is therefore
+    evaluated on the identity pattern and the k one-sign-flip patterns
+    only; the rest of the permutation follows by componentwise sign
+    multiplication.
     """
-    res = h1_torus(g.torus)
-    patterns = res.sign_patterns
-    k = g.torus.k
+    t = g.torus
+    k = t.k
+    patterns = sign_patterns(k)
     index_of = {tuple(p): i for i, p in enumerate(patterns)}
-    probe = [patterns.index([1] * k)] if k else [0]
-    probe += [patterns.index([1] * j + [-1] + [1] * (k - 1 - j))
-              for j in range(k)]
+    probes = [t.mu_to_lam(t.pattern_mu([1] * k))]
+    probes += [t.mu_to_lam(t.pattern_mu([1] * j + [-1] + [1] * (k - 1 - j)))
+               for j in range(k)]
     perms = []
     for e in g.w0:
-        images = []
-        for idx in probe:
-            zp = _twist(g, e, res.representatives[idx])
-            _, signs, _ = trivialize_cocycle(g.torus, zp)
-            images.append(signs)
+        w, c = normalizer_action(t, e.n, e.n_inv)
+        images = [cocycle_signs(t, [x * y for x, y in
+                                    zip(mono_apply(coords, w), c)])[0]
+                  for coords in probes]
         base = images[0]
         # sign image of the j-th basis flip relative to the base point
         deltas = [[a * b for a, b in zip(images[1 + j], base)]
@@ -364,7 +378,7 @@ def weyl_action(g: ReductiveRealGroup) -> WeylOrbitTable:
                     seen.add(perm[j])
                     orbit.append(perm[j])
         orbits.append(sorted(orbit))
-    return WeylOrbitTable(patterns, perms, orbits, res)
+    return WeylOrbitTable(patterns, perms, orbits)
 
 
 def h1_connected_reductive(g: ReductiveRealGroup) -> ReductiveH1Result:
@@ -373,7 +387,7 @@ def h1_connected_reductive(g: ReductiveRealGroup) -> ReductiveH1Result:
     class_indices = [orbit[0] for orbit in table.orbits]
     reps = []
     for idx in class_indices:
-        z = table.torus_h1.representatives[idx]
+        z = g.torus.mu(g.torus.pattern_mu(table.patterns[idx]))
         if not g.real.is_cocycle(z):
             raise ReductiveError("not-cocycle")
         reps.append(z)

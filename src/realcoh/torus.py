@@ -155,6 +155,11 @@ class TorusPresentation:
     def membership(self, mat: list) -> bool:
         return self.lambda_inverse(mat) is not None
 
+    def pattern_mu(self, signs: list) -> list:
+        """mu-coordinates (eps_1..eps_k, 1, ..) of the sign pattern eps."""
+        return [self.tower.from_rational(s) for s in signs] + \
+            [self.tower.one()] * (self.d - self.k)
+
     def mu(self, u: list) -> list:
         return self.lam(self.mu_to_lam(u))
 
@@ -342,17 +347,32 @@ class TorusH1Result:
         return len(self.representatives)
 
 
+def sign_patterns(k: int) -> list:
+    """The 2^k sign patterns of k compact factors, in canonical order."""
+    return [list(signs) for signs in product((1, -1), repeat=k)]
+
+
 def h1_torus(t: TorusPresentation) -> TorusH1Result:
     """Representatives mu(eps_1..eps_k, 1, ..) over all sign patterns."""
-    one = t.tower.one()
-    patterns = []
-    mats = []
-    for signs in product((1, -1), repeat=t.k):
-        u = [t.tower.from_rational(s) for s in signs] + \
-            [one] * (t.d - t.k)
-        patterns.append(list(signs))
-        mats.append(t.mu(u))
-    return TorusH1Result(patterns, mats)
+    patterns = sign_patterns(t.k)
+    return TorusH1Result(patterns, [t.mu(t.pattern_mu(p)) for p in patterns])
+
+
+def cocycle_signs(t: TorusPresentation, coords: list) -> tuple:
+    """(signs, u) for the coordinates of a 1-cocycle in T(C): u holds its
+    mu-coordinates and signs the sign pattern of its class in H^1(T), read
+    off the compact factors.  Raises not-cocycle unless z * gamma(z) = 1
+    and every compact mu-coordinate is real."""
+    gz = t.gamma_coords(coords)
+    if any(x * y != 1 for x, y in zip(coords, gz)):
+        raise TorusError("not-cocycle")
+    u = t.lam_to_mu(coords)
+    signs = []
+    for ui in u[: t.k]:
+        if not ui.is_real():
+            raise TorusError("not-cocycle")
+        signs.append(1 if ui.is_positive() else -1)
+    return signs, u
 
 
 def trivialize_cocycle(t: TorusPresentation, z) -> tuple:
@@ -366,23 +386,9 @@ def trivialize_cocycle(t: TorusPresentation, z) -> tuple:
         else t.lambda_inverse(z)
     if coords is None:
         raise TorusError("not-member")
-    gz = t.gamma_coords(coords)
-    prod_c = [x * y for x, y in zip(coords, gz)]
-    if any(x != 1 for x in prod_c):
-        raise TorusError("not-cocycle")
-    u = t.lam_to_mu(coords)
-    v = [tower.one()] * t.d
-    signs = []
-    for i in range(t.k):
-        ui = u[i]
-        if not ui.is_real():
-            raise TorusError("not-cocycle")
-        if ui.is_positive():
-            v[i] = tower.sqrt(ui)
-            signs.append(1)
-        else:
-            v[i] = tower.sqrt(-ui)
-            signs.append(-1)
+    signs, u = cocycle_signs(t, coords)
+    v = [tower.sqrt(ui if sg == 1 else -ui) for sg, ui in zip(signs, u)] + \
+        [tower.one()] * (t.d - t.k)
     for i in range(t.k, t.k + t.l):
         ui = u[i]
         if ui == 1:
@@ -395,13 +401,48 @@ def trivialize_cocycle(t: TorusPresentation, z) -> tuple:
         v[pos] = u[pos]
         # second slot stays 1
     s = t.mu(v)
-    rep_u = [tower.from_rational(sg) for sg in signs] + \
-        [tower.one()] * (t.d - t.k)
-    rep = t.mu(rep_u)
+    rep = t.mu(t.pattern_mu(signs))
     if not meq(t.real.twist(s, t.lam(coords)), rep):
         raise TorusError("witness-verification-failed",
                          "s^-1 * z * gamma(s) != rep")
     return rep, signs, s
+
+
+def normalizer_action(t: TorusPresentation, n: list, ninv: list) -> tuple:
+    """(w, c) with n^-1 * lam(x) * gamma(n) = lam(mono_apply(x, w) * c),
+    the product taken coordinatewise, for an invertible n normalizing T.
+
+    w in GL_d(Z) is the action of n^-1 (.) n on X_*(T).  With Q = C^-1 n C,
+    the Lie element C diag(M_i) C^-1 of the i-th basis cocharacter goes to
+    C Q^-1 diag(M_i) Q C^-1, which is diagonal in C, say diag(D_i), exactly
+    when diag(M_i) Q = Q diag(D_i): every nonzero Q[l][b] needs
+    M_i[l] = D_i[b].  D_i is then integral, and D_i = w_i M exactly when
+    D_i P^T = (w_i, 0).  T is connected, so x -> n^-1 lam(x) n and
+    x -> lam(mono_apply(x, w)) agree once their differentials do.
+    c = lambda_inverse(n^-1 gamma(n)).  Every condition is checked exactly;
+    a failing one raises not-normalizer.
+    """
+    q = mmul(mmul(t.cinv, n), t.c)
+    support = [[l for l in range(t.n) if not q[l][b].is_zero()]
+               for b in range(t.n)]
+    w = []
+    for mi in t.m:
+        diag = []
+        for rows in support:
+            values = {mi[l] for l in rows}
+            if len(values) != 1:
+                raise TorusError("not-normalizer",
+                                 "n^-1 t n is not diagonal in C")
+            diag.extend(values)
+        image = [sum(x * pj for x, pj in zip(diag, prow)) for prow in t.p]
+        if any(image[t.d:]):
+            raise TorusError("not-normalizer",
+                             "n^-1 t n is not a cocharacter of T")
+        w.append(image[: t.d])
+    c = t.lambda_inverse(mmul(ninv, t.real.gamma(n)))
+    if c is None:
+        raise TorusError("not-normalizer", "n^-1 gamma(n) is not in T")
+    return w, c
 
 
 # -- quasi-torus H^2 -------------------------------------------------------------

@@ -9,8 +9,9 @@ import pytest
 
 from realcoh.field import FieldError, FieldTower
 from realcoh.liealg import LieAlgebraDatum, rref_rows
-from realcoh.linalg import echelon_reduce, mat_from_ints, meq, meye, \
-    minverse, mmul, row_reduce, row_reduce_transform, solve_left, vmat
+from realcoh.linalg import RealStructure, echelon_reduce, mat_from_ints, \
+    meq, meye, minverse, mmul, row_reduce, row_reduce_transform, \
+    solve_left, vmat
 
 
 def _dense_mmul(a, b):
@@ -210,3 +211,46 @@ def test_lie_coords_round_trip_through_from_coords():
     for _ in range(10):
         v = [rng.choice(pool) for _ in range(3)]
         assert datum.coords(datum.from_coords(v)) == v
+    # the flat entries of sum_b v_b X_b are those of from_coords, and
+    # entry_coords reads them back
+    for _ in range(10):
+        v = [rng.choice(pool) for _ in range(3)]
+        m = datum.from_coords(v)
+        flat = datum.entries(v)
+        assert all(flat.get(r * 2 + c, tower.zero()) == x
+                   for r, row in enumerate(m) for c, x in enumerate(row))
+        assert datum.entry_coords(flat) == v
+
+
+def test_fixes_matches_dense_gamma():
+    # N * conj(m) = m * N from the nonzero entries against the dense
+    # gamma(m) = N * conj(m) * N^-1, on random m and on m + gamma(m), which
+    # gamma fixes when N * conj(N) = 1 (the identity and the swap), for
+    # those two N and four random invertible ones
+    rng = random.Random(15)
+    tower = FieldTower()
+    pool = _gaussian_pool(rng, tower)
+    structures = [meye(tower, 3), mat_from_ints(tower, [[0, 0, 1], [0, 1, 0],
+                                                        [1, 0, 0]])]
+    while len(structures) < 6:
+        a = _rand_matrix(rng, pool, 3, 3, 0.7)
+        if _sympy_matrix(a).det() != 0:
+            structures.append(a)
+    fixed = 0
+    for nsigma in structures:
+        real = RealStructure(nsigma, tower)
+        for density in (0.0, 0.3, 1.0):
+            m = _rand_matrix(rng, pool, 3, 3, density)
+            for cand in (m, [[x + y for x, y in zip(ra, rb)]
+                             for ra, rb in zip(m, real.gamma(m))]):
+                assert real.fixes(cand) == meq(real.gamma(cand), cand)
+                fixed += real.fixes(cand)
+    assert fixed >= 6
+
+
+def test_fixes_with_singular_structure_is_coded_error():
+    tower = FieldTower()
+    real = RealStructure(mat_from_ints(tower, [[1, 0], [0, 0]]), tower)
+    with pytest.raises(FieldError) as err:
+        real.fixes(mat_from_ints(tower, [[0, 1], [0, 0]]))
+    assert err.value.code == "singular"

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from realcoh.field import FieldTower, format_element
 from realcoh.liealg import (
     LieError,
     SCAlgebra,
+    exp_nilpotent,
     in_span,
     rref_rows,
     span_eq,
@@ -33,7 +35,13 @@ from realcoh.reductive import (
     weyl_action,
     weyl_walk,
 )
-from realcoh.torus import h1_torus
+from realcoh.torus import (
+    TorusError,
+    cocycle_signs,
+    h1_torus,
+    mono_apply,
+    normalizer_action,
+)
 
 
 # -- fixtures ---------------------------------------------------------------------
@@ -324,6 +332,75 @@ def test_w0_generators_give_the_w0_orbits(name):
     table = weyl_action(g)
     assert len(table.perms) == len(g.w0)
     assert table.orbits == _reference_orbits(g)
+
+
+@pytest.mark.parametrize("name", REDUCTIVE_NAMES + REDUCTIVE_PART_NAMES)
+def test_coordinate_twist_matches_dense_twist(name):
+    """For every generator e of W_0 and every sign pattern eps, the
+    coordinate twist mono_apply(x, W_e) * c_e of x = mu(eps) is the dense
+    matrix twist n^-1 * mu(eps) * gamma(n), and its signs are those of
+    trivialize_cocycle on that matrix, at the place weyl_action puts them."""
+    g = catalog_reductive(name)
+    t = g.torus
+    table = weyl_action(g)
+    assert table.patterns == h1_torus(t).sign_patterns
+    for e, perm in zip(g.w0, table.perms):
+        w, c = normalizer_action(t, e.n, e.n_inv)
+        ninv, gn = minverse(e.n, g.tower), g.real.gamma(e.n)
+        for i, pattern in enumerate(table.patterns):
+            x = t.mu_to_lam(t.pattern_mu(pattern))
+            twisted = [a * b for a, b in zip(mono_apply(x, w), c)]
+            dense = mmul(mmul(ninv, t.lam(x)), gn)
+            assert meq(t.lam(twisted), dense)
+            signs = cocycle_signs(t, twisted)[0]
+            assert signs == trivialize_cocycle(t, dense)[1]
+            assert table.patterns[perm[i]] == signs
+
+
+def test_weyl_action_twists_no_matrix(monkeypatch):
+    # the W_0 action is read in torus coordinates: no matrix twist and no
+    # trivialization witness
+    g = catalog_reductive("so(2,3)")
+
+    def refuse(*args):
+        raise AssertionError("weyl_action twisted a matrix")
+
+    monkeypatch.setattr(reductive, "_twist", refuse)
+    monkeypatch.setattr(reductive, "trivialize_cocycle", refuse)
+    assert weyl_action(g).orbits == [[0, 3], [1], [2]]
+
+
+@pytest.mark.parametrize("name,bad", [("so(2,3)", "unipotent"),
+                                      ("sl(3,r)", "simple-reflection")])
+def test_weyl_action_rejects_a_non_normalizer(name, bad):
+    """A W_0 generator whose representative does not normalize T (a root
+    group element), or whose gamma-displacement n^-1 gamma(n) leaves T (a
+    simple reflection of sl(3,r) outside W_0), is refused."""
+    g = catalog_reductive(name)
+    if bad == "unipotent":
+        n = exp_nilpotent(g.root.x_gens[0], g.tower)
+        e = reductive.WeylElement([0], n, g.w0[0].perm)
+    else:
+        e = g.weyl[0]
+    with pytest.raises(TorusError) as err:
+        weyl_action(dataclasses.replace(g, w0=[e]))
+    assert err.value.code == "not-normalizer"
+
+
+def test_t0_check_rejects_a_split_torus(monkeypatch):
+    """sl(2,r) with k and p exchanged: the greedy rule grows t_0 inside p,
+    a split line, and the compactness check refuses it."""
+    entry = catalog.get("sl(2,r)", FieldTower())
+    decompose = reductive.cartan_decomposition
+
+    def swapped(datum, s_rows):
+        k_rows, p_rows = decompose(datum, s_rows)
+        return p_rows, k_rows
+
+    monkeypatch.setattr(reductive, "cartan_decomposition", swapped)
+    with pytest.raises(ReductiveError) as err:
+        build_reductive(entry.lie_basis, entry.nsigma, entry.tower)
+    assert err.value.code == "t0-not-compact"
 
 
 @pytest.mark.parametrize("name,order_w,order_w0",

@@ -14,6 +14,8 @@ from realcoh.torus import (
     h1_torus,
     h2_is_coboundary,
     h2_quasitorus,
+    mono_apply,
+    normalizer_action,
     root_of_minus_one,
     simultaneous_diagonalize,
     trivialize_cocycle,
@@ -219,6 +221,48 @@ def test_trivialize_induced():
     z = [u, u.conj().inverse()]
     rep, signs, s = trivialize_cocycle(t, z)
     assert meq(rep, meye(tower, 2))
+
+
+@pytest.mark.parametrize("make,n", [
+    (split_gm, [[0, 1], [1, 0]]),
+    (compact_gm, [[1, 0], [0, -1]]),
+], ids=["split-swap", "compact-reflection"])
+def test_normalizer_action_inverts_a_rank_one_torus(make, n):
+    # both n invert the torus and are real, so W = -1 and c = 1; the
+    # coordinate twist agrees with the matrix twist n^-1 lam(x) gamma(n)
+    tower = FieldTower()
+    t = make(tower)
+    n = mat_from_ints(tower, n)
+    ninv = minverse(n, tower)
+    w, c = normalizer_action(t, n, ninv)
+    assert w == [[-1]]
+    assert c == [tower.one()]
+    x = [tower.from_rational(3) + tower.i()]
+    twisted = [a * b for a, b in zip(mono_apply(x, w), c)]
+    assert meq(t.lam(twisted), mmul(mmul(ninv, t.lam(x)), t.real.gamma(n)))
+
+
+@pytest.mark.parametrize("basis,n,message", [
+    # a unipotent n does not keep the torus diagonal
+    ([[1, 0], [0, -1]], [["1", "1"], ["0", "1"]],
+     "n^-1 t n is not diagonal in C"),
+    # the swap keeps diagonal matrices diagonal, but moves {diag(t, 1)}
+    # to {diag(1, t)}, which is not a subtorus of T
+    ([[1, 0], [0, 0]], [["0", "1"], ["1", "0"]],
+     "n^-1 t n is not a cocharacter of T"),
+    # n inverts {diag(t, 1/t)}, but n^-1 gamma(n) = diag(-1, 1) is not in T
+    ([[1, 0], [0, -1]], [["0", "1"], ["i", "0"]],
+     "n^-1 gamma(n) is not in T"),
+], ids=["not-diagonal", "not-a-cocharacter", "displacement-outside-T"])
+def test_normalizer_action_rejects_a_non_normalizer(basis, n, message):
+    tower = FieldTower()
+    t = build_presentation([mat_from_ints(tower, basis)], meye(tower, 2),
+                           tower)
+    n = [[parse_element(x, tower) for x in row] for row in n]
+    with pytest.raises(TorusError) as err:
+        normalizer_action(t, n, minverse(n, tower))
+    assert err.value.code == "not-normalizer"
+    assert str(err.value) == message
 
 
 def test_trivialize_rejects_non_cocycle():
