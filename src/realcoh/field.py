@@ -512,11 +512,15 @@ class FieldElement:
             return total
 
     def is_positive(self) -> bool:
-        """Exact sign of a nonzero real element via interval refinement."""
+        """Exact sign of a nonzero real element: a rational's from its
+        numerator, any other's by interval refinement."""
         if not self.is_real():
             raise FieldError("not-real")
         if self.is_zero():
             return False
+        if len(self._num) == 1 and _ONE_MONO in self._num:
+            # a rational: _den > 0 in the normal form
+            return self._num[_ONE_MONO] > 0
         prec = 64
         while True:
             box = self._real_interval(prec)
@@ -686,16 +690,6 @@ def poly_normalize(p: list) -> list:
 
 def poly_degree(p: list) -> int:
     return len(p) - 1
-
-
-def poly_mul(p: list, q: list, tower: FieldTower) -> list:
-    if not p or not q:
-        return []
-    out = [tower.zero() for _ in range(len(p) + len(q) - 1)]
-    for a, ca in enumerate(p):
-        for b, cb in enumerate(q):
-            out[a + b] = out[a + b] + ca * cb
-    return poly_normalize(out)
 
 
 def poly_divmod(p: list, q: list, tower: FieldTower):

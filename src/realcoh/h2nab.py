@@ -34,16 +34,17 @@ from math import lcm
 
 from .field import FieldTower, RealcohError, format_element
 from .lattice import (LatticeError, det, diagonal_form, rational_inverse,
-                      solve_integer, transpose)
+                      transpose)
 from .liealg import exp_nilpotent, in_span, rref_rows
-from .linalg import (RealStructure, mconj, meq, meye, minverse, mmul, mscale,
-                     mzeros)
+from .linalg import RealStructure, mconj, meq, meye, minverse, mmul, mscale
 from .reductive import ReductiveRealGroup, weyl_walk
 from .torus import (
     QuasiTorusDatum,
+    TorusError,
     TorusPresentation,
     build_presentation,
     characters_to_lattice_map,
+    cocharacter_action,
     h2_is_coboundary,
     mono_apply,
 )
@@ -301,37 +302,6 @@ def _proportionality(v: list, w: list):
     return c
 
 
-def _torus_conj_action(pres: TorusPresentation, n: list):
-    """Integer matrix R with n^-1 lam(u) n = lam(mono_apply(u, R)), or None
-    when n does not normalize the torus."""
-    tower = pres.tower
-    ninv = minverse(n, tower)
-    rows = []
-    for j in range(pres.d):
-        full = mzeros(tower, pres.n, pres.n)
-        for l in range(pres.n):
-            full[l][l] = tower.from_rational(pres.m[j][l])
-        xj = mmul(mmul(pres.c, full), pres.cinv)
-        yd = mmul(mmul(pres.cinv, mmul(mmul(ninv, xj), n)), pres.c)
-        diag = []
-        for l in range(pres.n):
-            for l2 in range(pres.n):
-                if l != l2 and not yd[l][l2].is_zero():
-                    return None
-            entry = yd[l][l]
-            if not entry.is_rational():
-                return None
-            rat = entry.as_rational()
-            if rat.denominator != 1:
-                return None
-            diag.append(int(rat))
-        sol = solve_integer(pres.m, diag)
-        if sol is None:
-            return None
-        rows.append(sol)
-    return rows
-
-
 def _sqrt_in_torus(pres: TorusPresentation, z: list, fmap):
     """f-real square root of z inside the torus, or None."""
     tower = pres.tower
@@ -403,8 +373,9 @@ def _real_square_root(group: ReductiveRealGroup, pres: TorusPresentation,
         uq = pres.lambda_inverse(q)
         if uq is None:
             continue
-        r = _torus_conj_action(pres, n)
-        if r is None:
+        try:
+            r = cocharacter_action(pres, n)
+        except TorusError:
             continue
         ri = [[r[i][j] + int(i == j) for j in range(pres.d)]
               for i in range(pres.d)]

@@ -6,6 +6,10 @@ Matrices live in gl(n) over a square-root-closed field tower.  Internally
 most algorithms run on structure-constant algebras; elements are coordinate
 row vectors with respect to a fixed basis, and linear maps act on the right
 (rows-are-images), matching the conventions of the rest of the package.
+
+The Jordan decomposition needs no eigenvalue: the semisimple part is found
+by Newton's iteration, inside the field of the matrix entries.  Only
+joint_eigenspaces splits polynomials, and so may extend the tower.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ from math import factorial
 from .field import (
     FieldTower,
     RealcohError,
+    poly_derivative,
     poly_divmod,
-    poly_mul,
-    poly_normalize,
+    poly_gcd,
     split_poly,
 )
 from .linalg import (
@@ -102,33 +106,35 @@ def _restrict(op: list, basis: list) -> list:
 
 
 class SCAlgebra:
-    """Lie algebra given by structure constants on a fixed basis."""
+    """Lie algebra given by structure constants on a fixed basis.
 
-    def __init__(self, table: list, tower: FieldTower, check: bool = False):
-        self.table = table  # table[a][b] = coords of [e_a, e_b]
+    brackets maps each pair a < b to {c: coefficient} of [e_a, e_b] (an
+    absent pair is zero); only the nonzero terms are kept, and [e_b, e_a]
+    is their negation."""
+
+    def __init__(self, dim: int, brackets: dict, tower: FieldTower,
+                 check: bool = False):
         self.tower = tower
-        self.dim = len(table)
-        # the nonzero (c, coefficient) pairs of each table[a][b]
-        self._terms = [[[(c, x) for c, x in enumerate(entry) if not x.is_zero()]
-                        for entry in row] for row in table]
+        self.dim = dim
+        # the nonzero (c, coefficient) pairs of each [e_a, e_b]
+        self._terms = terms = [[[] for _ in range(dim)] for _ in range(dim)]
+        for (a, b), ab in brackets.items():
+            nz = [(c, x) for c, x in ab.items() if not x.is_zero()]
+            terms[a][b] = nz
+            terms[b][a] = [(c, -x) for c, x in nz]
         if check:
             self._check()
 
     def _check(self):
-        n = self.dim
-        for a in range(n):
-            for b in range(n):
-                s = [x + y for x, y in zip(self.table[a][b], self.table[b][a])]
-                if any(not x.is_zero() for x in s):
-                    raise LieError("not-antisymmetric")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    jac = self.bracket(self.table[a][b], self._e(c))
-                    jac = [x + y for x, y in zip(
-                        jac, self.bracket(self.table[b][c], self._e(a)))]
-                    jac = [x + y for x, y in zip(
-                        jac, self.bracket(self.table[c][a], self._e(b)))]
+        e = self.basis_rows()
+        for a in range(self.dim):
+            for b in range(a + 1, self.dim):
+                ab = self.bracket(e[a], e[b])
+                for c in range(b + 1, self.dim):
+                    jac = [x + y + z for x, y, z in zip(
+                        self.bracket(ab, e[c]),
+                        self.bracket(self.bracket(e[b], e[c]), e[a]),
+                        self.bracket(self.bracket(e[c], e[a]), e[b]))]
                     if any(not x.is_zero() for x in jac):
                         raise LieError("jacobi-fails")
 
@@ -266,9 +272,11 @@ class SCAlgebra:
                 v[j] = w[idx]
             return v
 
-        table = [[proj(self.bracket(self._e(free[a]), self._e(free[b])))
-                  for b in range(len(free))] for a in range(len(free))]
-        return SCAlgebra(table, self.tower), proj, lift
+        m = len(free)
+        brackets = {(a, b): dict(enumerate(
+            proj(self.bracket(self._e(free[a]), self._e(free[b])))))
+            for a in range(m) for b in range(a + 1, m)}
+        return SCAlgebra(m, brackets, self.tower), proj, lift
 
     def subalgebra(self, rows: list):
         """Algebra on the span of rows (must be closed under the bracket).
@@ -285,9 +293,10 @@ class SCAlgebra:
         def coords(v):
             return span_coords(v, basis, "not-in-subalgebra")
 
-        table = [[coords(self.bracket(basis[a], basis[b]))
-                  for b in range(m)] for a in range(m)]
-        return SCAlgebra(table, self.tower), embed, coords
+        brackets = {(a, b): dict(enumerate(
+            coords(self.bracket(basis[a], basis[b]))))
+            for a in range(m) for b in range(a + 1, m)}
+        return SCAlgebra(m, brackets, self.tower), embed, coords
 
     # -- Fitting decomposition --------------------------------------------------
 
@@ -605,9 +614,7 @@ class LieAlgebraDatum:
                       for row, p in zip(rref, pivots)]
         self._trans = [_nonzero(row) for row in trans]
         self._rows = rows = [[_nonzero(row) for row in m] for m in basis]
-        zero = tower.zero()
-        zero_row = [zero] * dim
-        table = [[zero_row] * dim for _ in range(dim)]
+        brackets = {}
         for a in range(dim):
             for b in range(a + 1, dim):
                 acc = {}
@@ -623,11 +630,8 @@ class LieAlgebraDatum:
                             t = i * n + j
                             p = x * y
                             acc[t] = acc[t] - p if t in acc else -p
-                ab = self._reduce(acc)
-                table[a][b] = [ab.get(c, zero) for c in range(dim)]
-                table[b][a] = [-ab[c] if c in ab else zero
-                               for c in range(dim)]
-        self.sc = SCAlgebra(table, tower, check=check_jacobi)
+                brackets[a, b] = self._reduce(acc)
+        self.sc = SCAlgebra(dim, brackets, tower, check=check_jacobi)
 
     def _reduce(self, v: dict) -> dict:
         """Coordinates {index: coefficient} of the matrix with flat entries
@@ -837,37 +841,6 @@ def log_unipotent(u: list, tower: FieldTower) -> list:
     raise LieError("not-unipotent")
 
 
-def _poly_sub(p: list, q: list, tower: FieldTower) -> list:
-    out = [tower.zero()] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        out[i] = out[i] + c
-    for i, c in enumerate(q):
-        out[i] = out[i] - c
-    return poly_normalize(out)
-
-
-def _poly_inverse_mod(a: list, mod: list, tower: FieldTower) -> list:
-    """u with a*u = 1 modulo mod (they must be coprime)."""
-    old_r, r = poly_normalize(list(mod)), poly_normalize(list(a))
-    old_u, u = [], [tower.one()]
-    while r:
-        q, rem = poly_divmod(old_r, r, tower)
-        old_r, r = r, rem
-        old_u, u = u, _poly_sub(old_u, poly_mul(q, u, tower), tower)
-    if len(old_r) != 1:
-        raise LieError("not-coprime")
-    inv = old_r[0].inverse()
-    _, reduced = poly_divmod([c * inv for c in old_u], mod, tower)
-    return reduced
-
-
-def _poly_power(base: list, e: int, tower: FieldTower) -> list:
-    out = [tower.one()]
-    for _ in range(e):
-        out = poly_mul(out, base, tower)
-    return out
-
-
 def _mat_poly_eval(p: list, mat: list, tower: FieldTower) -> list:
     n = len(mat)
     out = mzeros(tower, n, n)
@@ -879,38 +852,24 @@ def _mat_poly_eval(p: list, mat: list, tower: FieldTower) -> list:
 
 
 def semisimple_part(mat: list, tower: FieldTower) -> list:
-    """The semisimple summand of the additive Jordan decomposition,
-    obtained as a polynomial in the matrix."""
-    n = len(mat)
+    """The semisimple summand of the additive Jordan decomposition, by
+    Newton's iteration s <- s - p(s) p'(s)^-1 from s = mat, where
+    p = chi / gcd(chi, chi') is the square-free part of the characteristic
+    polynomial (Couty, Esterle and Zarouf, Gazette des Mathematiciens 129,
+    2011).  Each s is a polynomial in mat with mat - s nilpotent, so p'(s) is
+    invertible, and the nilpotency index of p(s) at least doubles per step.
+    p is square-free, so p(s) = 0 certifies that s is semisimple; no
+    eigenvalue is computed and the tower is not extended."""
     cp = charpoly(mat, tower)
-    roots = []
-    for f in split_poly(cp, tower):
-        root = -f[0]
-        for pair in roots:
-            if pair[0] == root:
-                pair[1] += 1
-                break
-        else:
-            roots.append([root, 1])
-    if len(roots) == 1:
-        lam = roots[0][0]
-        out = mzeros(tower, n, n)
-        for i in range(n):
-            out[i][i] = lam
-        return out
-    p = []
-    for i, (lam, mult) in enumerate(roots):
-        mi = [tower.one()]
-        for j, (lam2, mult2) in enumerate(roots):
-            if j != i:
-                mi = poly_mul(mi, _poly_power([-lam2, tower.one()], mult2,
-                                              tower), tower)
-        modi = _poly_power([-lam, tower.one()], mult, tower)
-        ni = _poly_inverse_mod(mi, modi, tower)
-        ei = poly_mul(mi, ni, tower)
-        _, ei = poly_divmod(ei, cp, tower)
-        p = _poly_sub(p, [-lam * c for c in ei], tower)
-    return _mat_poly_eval(p, mat, tower)
+    p, _ = poly_divmod(cp, poly_gcd(cp, poly_derivative(cp), tower), tower)
+    dp = poly_derivative(p)
+    s = mat
+    for _ in range(len(mat) + 1):
+        ps = _mat_poly_eval(p, s, tower)
+        if all(x.is_zero() for row in ps for x in row):
+            return s
+        s = msub(s, mmul(ps, minverse(_mat_poly_eval(dp, s, tower), tower)))
+    raise LieError("jordan-failed")
 
 
 def additive_jordan(mat: list, tower: FieldTower) -> tuple:

@@ -264,10 +264,11 @@ def _read_tau(pres_b: list, pres_binv: list, m: list, p: list, n: int,
 
 
 def compact_part_lie(t: TorusPresentation) -> list:
-    """Lie algebra generators of the maximal compact subtorus.
+    """One Lie algebra matrix per compact factor: the tangent direction of
+    its cocharacter in the canonical coordinates.
 
-    One matrix per compact factor: the tangent direction of the
-    corresponding cocharacter of the canonical coordinates.
+    These span the maximal compact subtorus only when T has no induced
+    factor: the compact direction of an induced pair gets no matrix.
     """
     out = []
     for i in range(t.k):
@@ -408,19 +409,17 @@ def trivialize_cocycle(t: TorusPresentation, z) -> tuple:
     return rep, signs, s
 
 
-def normalizer_action(t: TorusPresentation, n: list, ninv: list) -> tuple:
-    """(w, c) with n^-1 * lam(x) * gamma(n) = lam(mono_apply(x, w) * c),
-    the product taken coordinatewise, for an invertible n normalizing T.
+def cocharacter_action(t: TorusPresentation, n: list) -> list:
+    """w in GL_d(Z) with n^-1 lam(x) n = lam(mono_apply(x, w)), the action
+    of n^-1 (.) n on X_*(T), for an invertible n normalizing T.
 
-    w in GL_d(Z) is the action of n^-1 (.) n on X_*(T).  With Q = C^-1 n C,
-    the Lie element C diag(M_i) C^-1 of the i-th basis cocharacter goes to
-    C Q^-1 diag(M_i) Q C^-1, which is diagonal in C, say diag(D_i), exactly
-    when diag(M_i) Q = Q diag(D_i): every nonzero Q[l][b] needs
-    M_i[l] = D_i[b].  D_i is then integral, and D_i = w_i M exactly when
-    D_i P^T = (w_i, 0).  T is connected, so x -> n^-1 lam(x) n and
-    x -> lam(mono_apply(x, w)) agree once their differentials do.
-    c = lambda_inverse(n^-1 gamma(n)).  Every condition is checked exactly;
-    a failing one raises not-normalizer.
+    With Q = C^-1 n C, the Lie element C diag(M_i) C^-1 of the i-th basis
+    cocharacter goes to C Q^-1 diag(M_i) Q C^-1, which is diagonal in C, say
+    diag(D_i), exactly when diag(M_i) Q = Q diag(D_i): every nonzero
+    Q[l][b] needs M_i[l] = D_i[b].  D_i is then integral, and D_i = w_i M
+    exactly when D_i P^T = (w_i, 0).  T is connected, so x -> n^-1 lam(x) n
+    and x -> lam(mono_apply(x, w)) agree once their differentials do.  A
+    failing condition raises not-normalizer.
     """
     q = mmul(mmul(t.cinv, n), t.c)
     support = [[l for l in range(t.n) if not q[l][b].is_zero()]
@@ -439,6 +438,16 @@ def normalizer_action(t: TorusPresentation, n: list, ninv: list) -> tuple:
             raise TorusError("not-normalizer",
                              "n^-1 t n is not a cocharacter of T")
         w.append(image[: t.d])
+    return w
+
+
+def normalizer_action(t: TorusPresentation, n: list, ninv: list) -> tuple:
+    """(w, c) with n^-1 * lam(x) * gamma(n) = lam(mono_apply(x, w) * c),
+    the product taken coordinatewise, for an invertible n normalizing T:
+    w = cocharacter_action(t, n) and c = lambda_inverse(n^-1 gamma(n)),
+    each checked exactly; a failing one raises not-normalizer.
+    """
+    w = cocharacter_action(t, n)
     c = t.lambda_inverse(mmul(ninv, t.real.gamma(n)))
     if c is None:
         raise TorusError("not-normalizer", "n^-1 gamma(n) is not in T")

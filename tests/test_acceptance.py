@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from realcoh import catalog
+from realcoh import catalog, liealg
 from realcoh.field import FieldTower
 from realcoh.gammacoh import (ComplexSES, GammaModule, ShortComplex,
                               connecting_hyper, hyper, tate)
@@ -580,6 +580,33 @@ def test_criterion_07_problem2_completeness():
     _report(7, f"{solved} classifications across {len(_P2_GROUPS)} catalog "
                f"groups in {dt:.0f}s ({redrawn} non-regular redraws), "
                f"all witnesses exact")
+
+
+def test_criterion_07_jordan_needs_no_factoring(monkeypatch):
+    """The Jordan decomposition that Problem 2 starts from never factors a
+    polynomial or adjoins a square root: with liealg.split_poly and
+    FieldTower.sqrt raising, jordan splits every listed representative and
+    one seeded twist per criterion-07 group.  The groups are built first,
+    since their tori are diagonalized through both."""
+    rng = random.Random(7)
+    cases = []
+    for name in _P2_GROUPS:
+        entry = catalog.get(name)
+        reps = _class_list(entry).representatives
+        s0 = _random_group_element(entry, rng)
+        gamma = _gamma_fn(entry.nsigma, entry.tower)
+        twist = mmul(mmul(minverse(s0, entry.tower),
+                          reps[rng.randrange(len(reps))]), gamma(s0))
+        cases += [(name, g, entry.tower) for g in reps + [twist]]
+
+    def refuse(*args):
+        raise AssertionError("a polynomial was split or a root adjoined")
+
+    monkeypatch.setattr(liealg, "split_poly", refuse)
+    monkeypatch.setattr(FieldTower, "sqrt", refuse)
+    for name, g, tower in cases:
+        jp = liealg.jordan(g, tower)
+        assert meq(mmul(jp.s, jp.u), g), name
 
 
 # -- criterion 8 --------------------------------------------------------------------

@@ -12,7 +12,6 @@ from realcoh.field import (
     FieldTower,
     format_element,
     parse_element,
-    poly_mul,
     split_poly,
 )
 
@@ -20,6 +19,15 @@ from realcoh.field import (
 @pytest.fixture()
 def tower():
     return FieldTower()
+
+
+def poly_mul(p, q):
+    """Product of two nonzero polynomials (coefficients low degree first)."""
+    out = [p[0].tower.zero()] * (len(p) + len(q) - 1)
+    for a, ca in enumerate(p):
+        for b, cb in enumerate(q):
+            out[a + b] = out[a + b] + ca * cb
+    return out
 
 
 def test_norm_identity(tower):
@@ -113,6 +121,31 @@ def test_sign_test(tower):
     assert not y.is_positive()
 
 
+def test_rational_sign_without_intervals(tower, monkeypatch):
+    # a rational's sign is read off its numerator: no interval is built
+    def no_interval(self, prec):
+        raise AssertionError("interval arithmetic on a rational")
+
+    monkeypatch.setattr(field.FieldElement, "_real_interval", no_interval)
+    big, tiny = Fraction(10 ** 400), Fraction(1, 10 ** 30)
+    values = [Fraction(-1), Fraction(4), Fraction(-3, 7), Fraction(5, 2),
+              big, -big, big + 1 - big, tiny, -tiny, 1 + tiny - 1,
+              Fraction(1, 3) - Fraction(1, 3) - tiny, big * tiny,
+              -big / 3 + tiny]
+    rng = random.Random(5)
+    values += [Fraction(rng.randint(-10 ** 40, 10 ** 40),
+                        rng.randint(1, 10 ** 30)) for _ in range(50)]
+    for q in values:
+        if q:
+            assert tower.from_rational(q).is_positive() == (q > 0), q
+    assert tower.from_rational(big + tiny) - tower.from_rational(big) \
+        == tower.from_rational(tiny)
+    assert (tower.from_rational(big + tiny)
+            - tower.from_rational(big)).is_positive()
+    assert not (tower.from_rational(big - tiny)
+                - tower.from_rational(big)).is_positive()
+
+
 def test_roundtrip_grammar(tower):
     x = tower.sqrt(2) / 3 - 5 * tower.i() * tower.sqrt(7) + Fraction(2, 9)
     assert parse_element(format_element(x), tower) == x
@@ -145,7 +178,7 @@ def test_split_cubic_fails(tower):
 def test_split_reducible_cubic(tower):
     one = tower.one()
     # (x-1)(x^2+1)
-    p = poly_mul([-one, one], [one, tower.zero(), one], tower)
+    p = poly_mul([-one, one], [one, tower.zero(), one])
     factors = split_poly(p, tower)
     assert len(factors) == 3
 
@@ -153,8 +186,8 @@ def test_split_reducible_cubic(tower):
 def test_split_repeated_roots(tower):
     one = tower.one()
     # (x-1)^2 (x+2)
-    p = poly_mul(poly_mul([-one, one], [-one, one], tower),
-                 [tower.from_rational(2), one], tower)
+    p = poly_mul(poly_mul([-one, one], [-one, one]),
+                 [tower.from_rational(2), one])
     factors = split_poly(p, tower)
     assert len(factors) == 3
     roots = sorted(f[0].as_rational() * -1 for f in factors)
@@ -366,9 +399,9 @@ def _gaussian_products(seed, count):
             roots.add((rat(), rat()))
         p = [tower.one()]
         for a, b in sorted(roots):
-            p = poly_mul(p, [-gauss(a, b), tower.one()], tower)
+            p = poly_mul(p, [-gauss(a, b), tower.one()])
         if quadratic:
-            p = poly_mul(p, rng.choice(quadratics), tower)
+            p = poly_mul(p, rng.choice(quadratics))
         out.append((p, tower))
     return out
 
@@ -401,6 +434,6 @@ def test_factor_gaussian_huge_coefficients(tower):
     # (x - 10^400)(x - i)(x + 1): too large for a float
     one = tower.one()
     p = poly_mul(poly_mul([-tower.from_rational(10 ** 400), one],
-                          [-tower.i(), one], tower), [one, one], tower)
+                          [-tower.i(), one]), [one, one])
     assert _same_factors(field._factor_gaussian(p, tower),
                          field._factor_sympy(p, tower))

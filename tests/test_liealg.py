@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -19,6 +20,7 @@ from realcoh.liealg import (
     reductive_projection,
     root_system,
     rref_rows,
+    semisimple_part,
 )
 from realcoh.linalg import (
     left_kernel,
@@ -28,6 +30,7 @@ from realcoh.linalg import (
     minverse,
     mmul,
     msub,
+    mzeros,
     vmat,
 )
 
@@ -344,6 +347,105 @@ def test_additive_jordan():
     assert meq(n, mat_from_ints(tw, [[0, 1], [0, 0]]))
 
 
+def _companion(tw, coeffs):
+    """Companion matrix of the monic x^d + c_{d-1} x^{d-1} + ... + c_0,
+    coeffs = [c_0, ..., c_{d-1}]."""
+    d = len(coeffs)
+    rows = [[int(j == i + 1) for j in range(d)] for i in range(d - 1)]
+    return mat_from_ints(tw, rows + [[-c for c in coeffs]])
+
+
+def _block_diag(tw, blocks):
+    n = sum(len(b) for b in blocks)
+    out = mzeros(tw, n, n)
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at:at + len(b)] = row
+        at += len(b)
+    return out
+
+
+def _jordan_part(tw, a, k):
+    """(D, N) for the k-fold Jordan block over the semisimple matrix a:
+    D = diag(a, ..., a), and N has identity blocks on the block
+    superdiagonal, so [D, N] = 0 and N^k = 0."""
+    d = len(a)
+    dmat = _block_diag(tw, [a] * k)
+    nmat = mzeros(tw, d * k, d * k)
+    for i in range(d * (k - 1)):
+        nmat[i][i + d] = tw.one()
+    return dmat, nmat
+
+
+# (block, number of copies in a Jordan block) for each part of D + N:
+# "a", "b" are seeded Gaussian scalars, "q" the companion of x^2 - 3 and
+# "c" that of the irreducible x^3 - 2; a block that appears twice, or in
+# more than one copy, is a repeated eigenvalue
+JORDAN_LAYOUTS = [
+    [("c", 2), ("a", 4)],
+    [("c", 1), ("c", 1), ("a", 3), ("a", 1)],
+    [("c", 1), ("q", 2), ("a", 2), ("b", 1)],
+    [("c", 2), ("q", 1), ("a", 1), ("b", 1), ("b", 1)],
+]
+
+
+@pytest.mark.parametrize("seed", range(len(JORDAN_LAYOUTS)))
+def test_semisimple_part_of_conjugated_jordan_form(seed):
+    """semisimple_part(C (D + N) C^-1) = C D C^-1 exactly, with seeded
+    Gaussian-rational C, D from JORDAN_LAYOUTS and N made of Jordan blocks
+    of size up to 4; the tower is not extended."""
+    tw = tower()
+    rng = random.Random(seed)
+
+    def gauss():
+        return (tw.from_rational(Fraction(rng.randint(-3, 3),
+                                          rng.randint(1, 2)))
+                + tw.from_rational(rng.randint(1, 2)) * tw.i())
+
+    blocks = {"a": [[gauss()]], "b": [[gauss()]],
+              "q": _companion(tw, [-3, 0]), "c": _companion(tw, [-2, 0, 0])}
+    ds, ns = zip(*[_jordan_part(tw, blocks[name], k)
+                   for name, k in JORDAN_LAYOUTS[seed]])
+    dmat, nmat = _block_diag(tw, ds), _block_diag(tw, ns)
+    n = len(dmat)
+    while True:
+        c = [[gauss() for _ in range(n)] for _ in range(n)]
+        if len(rref_rows(c)) == n:
+            break
+    cinv = minverse(c, tw)
+    mat = mmul(mmul(c, [[x + y for x, y in zip(r, q)]
+                        for r, q in zip(dmat, nmat)]), cinv)
+    assert meq(semisimple_part(mat, tw), mmul(mmul(c, dmat), cinv))
+    assert tw.gens == []
+
+
+def test_additive_jordan_irreducible_cubic():
+    """(companion of x^3 - 2) + [[1, 1], [0, 1]]: the cubic does not split
+    over the tower, and no root of it is needed."""
+    tw = tower()
+    cubic = _companion(tw, [-2, 0, 0])
+    m = _block_diag(tw, [cubic, mat_from_ints(tw, [[1, 1], [0, 1]])])
+    s, n = additive_jordan(m, tw)
+    assert meq(s, _block_diag(tw, [cubic, meye(tw, 2)]))
+    assert meq(n, _block_diag(tw, [mzeros(tw, 3, 3),
+                                   mat_from_ints(tw, [[0, 1], [0, 0]])]))
+
+
+def test_jordan_keeps_the_tower():
+    """g has the eigenvalues +-sqrt(2), each in a 2x2 Jordan block (the
+    companion of (x^2 - 2)^2); s and u stay over Q(i)."""
+    tw = tower()
+    g = _companion(tw, [4, 0, -4, 0])
+    jp = jordan(g, tw)
+    assert len(tw.gens) == 0
+    assert meq(mmul(jp.s, jp.u), g)
+    assert not meq(jp.u, meye(tw, 4))
+    two = mat_from_ints(tw, [[2 * int(i == j) for j in range(4)]
+                             for i in range(4)])
+    assert meq(mmul(jp.s, jp.s), two)
+
+
 # -- reductive projection ---------------------------------------------------------
 
 
@@ -468,27 +570,39 @@ def test_cartan_subalgebra_sl2():
     assert len(h) == 1
 
 
-@pytest.fixture(scope="module", params=["so(3,4)", "sl(4,r)", "su(2,1)"])
-def catalog_datum(request):
-    entry = catalog.get(request.param)
+@lru_cache(maxsize=None)
+def _catalog_datum(name):
+    entry = catalog.get(name)
     return LieAlgebraDatum(entry.lie_basis, entry.tower)
 
 
-def _dense_bracket(sc, u, v):
+@lru_cache(maxsize=None)
+def _dense_table(name):
+    """table[a][b] = coordinates of [X_a, X_b] for the basis matrices of the
+    catalog entry, from their dense matrix brackets through datum.coords;
+    SCAlgebra is not used."""
+    datum = _catalog_datum(name)
+    return [[datum.coords(_mat_bracket(x, y)) for y in datum.basis]
+            for x in datum.basis]
+
+
+def _dense_bracket(table, u, v):
     """[u, v] summed over every pair of nonzero coordinates and every entry
-    of the structure-constant table."""
-    out = [sc.tower.zero()] * sc.dim
-    for a in range(sc.dim):
-        if u[a].is_zero():
+    of a dense structure-constant table."""
+    out = [u[0].tower.zero()] * len(table)
+    for a, x in enumerate(u):
+        if x.is_zero():
             continue
-        for b in range(sc.dim):
-            f = u[a] * v[b]
-            out = [x + f * y for x, y in zip(out, sc.table[a][b])]
+        for b, y in enumerate(v):
+            f = x * y
+            out = [o + f * t for o, t in zip(out, table[a][b])]
     return out
 
 
-def test_sparse_bracket_matches_dense(catalog_datum):
-    sc = catalog_datum.sc
+@pytest.mark.parametrize("name", ["so(3,4)", "sl(4,r)", "su(2,1)"])
+def test_sparse_bracket_matches_dense(name):
+    sc = _catalog_datum(name).sc
+    table = _dense_table(name)
     tower = sc.tower
     rng = random.Random(11)
 
@@ -502,7 +616,7 @@ def test_sparse_bracket_matches_dense(catalog_datum):
     for _ in range(4):
         u = [coord() for _ in range(sc.dim)]
         v = [coord() for _ in range(sc.dim)]
-        assert sc.bracket(u, v) == _dense_bracket(sc, u, v)
+        assert sc.bracket(u, v) == _dense_bracket(table, u, v)
 
 
 # every catalog name but mu2, a finite group with an empty lie_basis
@@ -514,40 +628,42 @@ def test_antisymmetric_table_matches_full_table(name):
     """Each structure constant [e_a, e_b], read back as a matrix through
     from_coords, is the dense matrix bracket of the basis matrices; the
     coordinate reduction of LieAlgebraDatum is not used."""
-    entry = catalog.get(name)
-    datum = LieAlgebraDatum(entry.lie_basis, entry.tower)
+    datum = _catalog_datum(name)
+    sc = datum.sc
+    e = sc.basis_rows()
     for a, x in enumerate(datum.basis):
         for b, y in enumerate(datum.basis):
-            assert meq(datum.from_coords(datum.sc.table[a][b]),
+            assert meq(datum.from_coords(sc.bracket(e[a], e[b])),
                        _mat_bracket(x, y))
 
 
-def _dense_product_space(sc, a, b):
-    return rref_rows([_dense_bracket(sc, x, y) for x in a for y in b])
+def _dense_product_space(table, a, b):
+    return rref_rows([_dense_bracket(table, x, y) for x in a for y in b])
 
 
-def _dense_centralizer(sc, a, b):
+def _dense_centralizer(table, a, b):
     """The kernel of x |-> ([x, y] for y in b) on span(a), from the full
     row of dense brackets of each a_i."""
     if not a:
         return []
     if not b:
         return rref_rows(a)
-    system = [[z for y in b for z in _dense_bracket(sc, x, y)] for x in a]
-    return rref_rows([vmat(k, a) for k in left_kernel(system, sc.tower)])
+    system = [[z for y in b for z in _dense_bracket(table, x, y)] for x in a]
+    return rref_rows([vmat(k, a)
+                      for k in left_kernel(system, a[0][0].tower)])
 
 
 @pytest.mark.parametrize("name", LIE_NAMES)
 def test_sparse_subspace_operations_match_dense(name):
     """product_space, centralizer and center_of against dense brackets and
     left_kernel: on the whole algebra, and on seeded random subspaces."""
-    entry = catalog.get(name)
-    sc = LieAlgebraDatum(entry.lie_basis, entry.tower).sc
+    sc = _catalog_datum(name).sc
+    table = _dense_table(name)
     tower = sc.tower
     full = sc.basis_rows()
-    assert sc.product_space(full, full) == _dense_product_space(sc, full,
+    assert sc.product_space(full, full) == _dense_product_space(table, full,
                                                                 full)
-    assert sc.center_of(full) == _dense_centralizer(sc, full, full)
+    assert sc.center_of(full) == _dense_centralizer(table, full, full)
     rng = random.Random(29)
 
     def vector(terms):
@@ -561,10 +677,10 @@ def test_sparse_subspace_operations_match_dense(name):
     for size in (1, 2, 3):
         a = [vector(2) for _ in range(size + 1)]
         b = [vector(1) for _ in range(size)]
-        assert sc.product_space(a, b) == _dense_product_space(sc, a, b)
-        assert sc.centralizer(a, b) == _dense_centralizer(sc, a, b)
-        assert sc.center_of(a) == _dense_centralizer(sc, a, a)
-        assert sc.centralizer(full, b) == _dense_centralizer(sc, full, b)
+        assert sc.product_space(a, b) == _dense_product_space(table, a, b)
+        assert sc.centralizer(a, b) == _dense_centralizer(table, a, b)
+        assert sc.center_of(a) == _dense_centralizer(table, a, a)
+        assert sc.centralizer(full, b) == _dense_centralizer(table, full, b)
 
 
 def test_center_of_gl2_matches_dense():
@@ -574,8 +690,9 @@ def test_center_of_gl2_matches_dense():
     units = [mat_from_ints(tw, [[int((i, j) == unit) for j in range(2)]
                                 for i in range(2)])
              for unit in ((0, 0), (0, 1), (1, 0), (1, 1))]
-    sc = LieAlgebraDatum(units, tw).sc
-    full = sc.basis_rows()
-    center = sc.center_of(full)
+    datum = LieAlgebraDatum(units, tw)
+    table = [[datum.coords(_mat_bracket(x, y)) for y in units] for x in units]
+    full = datum.sc.basis_rows()
+    center = datum.sc.center_of(full)
     assert len(center) == 1
-    assert center == _dense_centralizer(sc, full, full)
+    assert center == _dense_centralizer(table, full, full)
