@@ -43,7 +43,7 @@ from .reductive import (build_reductive, h1_connected_reductive,
                         solve_problem2_reductive)
 from .torus import (QuasiTorusDatum, build_presentation,
                     characters_to_lattice_map, h1_torus, h2_quasitorus,
-                    trivialize_cocycle)
+                    sign_patterns, trivialize_cocycle)
 
 
 class CliError(RealcohError):
@@ -234,10 +234,8 @@ def _equiv_report(entry: CatalogEntry, z: list) -> dict:
                    for m in entry.lie_basis):
             raise CliError("not-member", "z does not normalize Lie(G)")
     if entry.kind == "torus":
-        res = h1_torus(entry.group)
-        rep, signs, s = trivialize_cocycle(entry.group, z)
-        index = res.sign_patterns.index(signs)
-        listed = res.representatives[index]
+        listed, signs, s = trivialize_cocycle(entry.group, z)
+        index = sign_patterns(entry.group.k).index(signs)
     elif entry.kind == "reductive":
         res = h1_connected_reductive(entry.group)
         index, s = solve_problem2_reductive(

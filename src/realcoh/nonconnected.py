@@ -388,9 +388,6 @@ def solve_problem2_nonconnected(group: NonConnectedGroup, g: list,
             w = mmul(group.real.twist(s, g), ghat_inv)
             if not cc.real.is_cocycle(w):
                 continue
-            member = _in_twisted_component(group, cc, w)
-            if member is False:
-                continue
             try:
                 t, s_conn = cc.classify(tower, w)
             except (NonConnectedError, ReductiveError, TorusError) as err:
@@ -412,11 +409,3 @@ def solve_problem2_nonconnected(group: NonConnectedGroup, g: list,
             + ", ".join(f"{c}:{code}" for c, code in classes.blocked))
     raise NonConnectedError("no-equivalent-class")
 
-
-def _in_twisted_component(group: NonConnectedGroup, cc: _ComponentClass,
-                          w: list):
-    if cc.mode == "finite":
-        return meq(w, meye(group.tower, group.n))
-    if cc.mode == "torus":
-        return cc.pres_hat.membership(w)
-    return None

@@ -394,17 +394,17 @@ def h1_connected_reductive(g: ReductiveRealGroup) -> ReductiveH1Result:
     return ReductiveH1Result(table, class_indices, reps)
 
 
-def _pattern_search(g: ReductiveRealGroup, table: WeylOrbitTable, z: list,
-                    targets: set):
+def _pattern_search(g: ReductiveRealGroup, table: WeylOrbitTable,
+                    trivial: tuple, targets: set):
     """(index, m) with m^-1 z gamma(m) the H^1(T) representative of a
-    pattern index in targets, for a cocycle z in T, or None: a breadth-first
-    search over the sign patterns along table.perms, the identity first,
-    gives a word in g.w0 with representative n, and m = n s for the
-    trivialize_cocycle witness s of the one twist n^-1 z gamma(n)."""
-    try:
-        _, signs, s = trivialize_cocycle(g.torus, z)
-    except TorusError:
-        return None
+    pattern index in targets, or None, for a cocycle z in T given by its
+    trivialization (rep, signs, s) = trivialize_cocycle(g.torus, z), which
+    the caller already holds.  A breadth-first search over the sign
+    patterns along table.perms, the identity first, gives a word in g.w0;
+    the empty word keeps m = s, and otherwise, with n its representative,
+    m = s n s' for the trivialize_cocycle witness s' of the one twist
+    n^-1 rep gamma(n)."""
+    rep, signs, s = trivial
     queue = [table.patterns.index(signs)]
     words = {queue[0]: []}   # pattern -> word in the generators g.w0
     for i in queue:
@@ -418,8 +418,8 @@ def _pattern_search(g: ReductiveRealGroup, table: WeylOrbitTable, z: list,
         return None
     if words[i]:
         e = reduce(_product, [g.w0[j] for j in words[i]])
-        _, signs, s = trivialize_cocycle(g.torus, _twist(g, e, z))
-        s = mmul(e.n, s)
+        _, signs, s2 = trivialize_cocycle(g.torus, _twist(g, e, rep))
+        s = mmul(mmul(s, e.n), s2)
     i = table.patterns.index(signs)
     return (i, s) if i in targets else None
 
@@ -449,8 +449,11 @@ def realify_torus_conjugator(g: ReductiveRealGroup, t0p_basis: list,
     """
     tower = g.tower
     z = mmul(minverse(conj, tower), g.real.gamma(conj))
-    found = _pattern_search(g, table, z,
-                            {table.patterns.index([1] * g.torus.k)})
+    try:
+        found = _pattern_search(g, table, trivialize_cocycle(g.torus, z),
+                                {table.patterns.index([1] * g.torus.k)})
+    except TorusError:
+        found = None
     if found is None:
         raise ReductiveError("realification-failed",
                              "gamma displacement is not a torus cocycle "
@@ -468,43 +471,60 @@ def realify_torus_conjugator(g: ReductiveRealGroup, t0p_basis: list,
     return g_r
 
 
+def _torus_trivialization(t: TorusPresentation, z: list):
+    """trivialize_cocycle(t, z), or None when z is not in T; every other
+    torus error is raised."""
+    try:
+        return trivialize_cocycle(t, z)
+    except TorusError as err:
+        if err.code != "not-member":
+            raise
+        return None
+
+
 def solve_problem2_reductive(g: ReductiveRealGroup, cocycle: list,
                              classes: ReductiveH1Result = None,
                              conjugator_hint: list = None) -> tuple:
     """Class index and witness for a 1-cocycle in G(C).
 
     Returns (index, h) with h^-1 * cocycle * gamma(h) equal to the stored
-    representative of class `index`, verified exactly.  When the semisimple
-    part generates a compact torus not inside T and no conjugator_hint is
-    supplied, raises ReductiveError("conjugator-unavailable").
+    representative of class `index`, verified exactly.  The cocycle is
+    first trivialized in T: one in T is semisimple, so it needs no Jordan
+    decomposition.  Otherwise its semisimple part s, when the unipotent
+    part is not 1, is trivialized in T next; an s outside T is trivialized
+    in a maximal torus T' of its centralizer, moved into T and trivialized
+    there.  The trivialization found in T is the one _pattern_search
+    starts from.  When the semisimple part generates a compact torus not
+    inside T and no conjugator_hint is supplied, raises
+    ReductiveError("conjugator-unavailable").
     """
     tower = g.tower
     datum = g.datum
-    ident = meye(tower, datum.n)
     if not g.real.is_cocycle(cocycle):
         raise ReductiveError("not-cocycle")
     if classes is None:
         classes = h1_connected_reductive(g)
 
-    jp = jordan(cocycle, tower)
-    s_part, u_part = jp.s, jp.u
-    if meq(u_part, ident):
-        uhalf = ident
-    else:
-        lu = log_unipotent(u_part, tower)
-        if not datum.contains(lu):
-            raise ReductiveError("not-in-group")
-        uhalf = exp_nilpotent(
-            mscale(tower.from_rational(Fraction(1, 2)), lu), tower)
-    if not meq(g.real.twist(uhalf, cocycle), s_part):
-        raise ReductiveError("jordan-twist-failed")
+    factors = []   # h is their product times the _pattern_search witness
+    s_part = cocycle
+    trivial = _torus_trivialization(g.torus, cocycle)
+    if trivial is None:
+        jp = jordan(cocycle, tower)
+        s_part = jp.s
+        if not meq(jp.u, meye(tower, datum.n)):
+            lu = log_unipotent(jp.u, tower)
+            if not datum.contains(lu):
+                raise ReductiveError("not-in-group")
+            uhalf = exp_nilpotent(
+                mscale(tower.from_rational(Fraction(1, 2)), lu), tower)
+            if not meq(g.real.twist(uhalf, cocycle), s_part):
+                raise ReductiveError("jordan-twist-failed")
+            factors.append(uhalf)
+            # s may lie in the fundamental torus, and then T itself is a
+            # maximal torus of the centralizer of s
+            trivial = _torus_trivialization(g.torus, s_part)
 
-    if g.torus.membership(s_part):
-        # s already lies in the fundamental torus, so T itself is a maximal
-        # torus of the centralizer of s and no conjugation is needed
-        s1, _, t1 = trivialize_cocycle(g.torus, s_part)
-        v_conj = ident
-    else:
+    if trivial is None:
         c_rows = _commutant_rows(datum, s_part)
         creal = _realify_rows(c_rows)
         if len(creal) != len(rref_rows(c_rows)):
@@ -515,25 +535,31 @@ def solve_problem2_reductive(g: ReductiveRealGroup, cocycle: list,
         tprime_mats = datum.rows_to_mats(tprime_rows)
         tp = build_presentation(tprime_mats, g.real.nsigma, tower)
 
-        s1, _, t1 = trivialize_cocycle(tp, s_part)
+        s2, _, t1 = trivialize_cocycle(tp, s_part)
+        factors.append(t1)
 
+        # the conjugator is the identity when the compact part of T' lies
+        # in T, and otherwise comes from the hint
         t0p_basis = compact_part_lie(tp)
-        if _coords_in(datum, t0p_basis,
-                      rref_rows(g.t_rows)) is not None:
-            v_conj = ident
-        elif conjugator_hint is not None:
+        if _coords_in(datum, t0p_basis, rref_rows(g.t_rows)) is None:
+            if conjugator_hint is None:
+                raise ReductiveError("conjugator-unavailable")
             v_conj = realify_torus_conjugator(g, t0p_basis, conjugator_hint,
                                               classes.table,
                                               require_equal=False)
-        else:
-            raise ReductiveError("conjugator-unavailable")
+            s2 = mmul(mmul(minverse(v_conj, tower), s2), v_conj)
+            factors.append(v_conj)
+        try:
+            trivial = trivialize_cocycle(g.torus, s2)
+        except TorusError as err:
+            raise ReductiveError("equivalence-search-failed") from err
 
-    s2 = mmul(mmul(minverse(v_conj, tower), s1), v_conj)
-    found = _pattern_search(g, classes.table, s2, set(classes.class_indices))
+    found = _pattern_search(g, classes.table, trivial,
+                            set(classes.class_indices))
     if found is None:
         raise ReductiveError("equivalence-search-failed")
     pos = classes.class_indices.index(found[0])
-    h = mmul(mmul(mmul(uhalf, t1), v_conj), found[1])
+    h = reduce(mmul, factors + [found[1]])
     if not meq(g.real.twist(h, cocycle), classes.representatives[pos]):
         raise ReductiveError("witness-verification-failed")
     return pos, h

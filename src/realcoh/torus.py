@@ -380,11 +380,17 @@ def trivialize_cocycle(t: TorusPresentation, z) -> tuple:
     """Canonical representative and witness for a 1-cocycle z in T(C).
 
     z may be a matrix or a coordinate vector.  Returns (rep_matrix, signs, s)
-    with s^-1 * z * gamma(s) = rep, verified exactly before returning.
+    with s^-1 * z * gamma(s) = rep, verified exactly before returning: a
+    matrix z is checked as given, a coordinate vector as its matrix lam(z).
+    s = mu(v) for mu-coordinates v, and the check takes s^-1 = mu(v^-1),
+    with v^-1 inverted entrywise: mu and lam are homomorphisms and C^-1 is
+    exact, so this is the exact inverse and no matrix is inverted.
     """
     tower = t.tower
-    coords = z if isinstance(z, list) and z and not isinstance(z[0], list) \
-        else t.lambda_inverse(z)
+    if isinstance(z, list) and z and not isinstance(z[0], list):
+        coords, z = z, t.lam(z)
+    else:
+        coords = t.lambda_inverse(z)
     if coords is None:
         raise TorusError("not-member")
     signs, u = cocycle_signs(t, coords)
@@ -403,7 +409,7 @@ def trivialize_cocycle(t: TorusPresentation, z) -> tuple:
         # second slot stays 1
     s = t.mu(v)
     rep = t.mu(t.pattern_mu(signs))
-    if not meq(t.real.twist(s, t.lam(coords)), rep):
+    if not meq(t.real.twist(s, z, t.mu([x.inverse() for x in v])), rep):
         raise TorusError("witness-verification-failed",
                          "s^-1 * z * gamma(s) != rep")
     return rep, signs, s

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -657,6 +658,41 @@ def test_problem2_so23_roundtrip():
         idx, h = solve_problem2_reductive(g, cocycle, classes=res)
         assert idx == want
         check_witness(g, cocycle, res, idx, h)
+
+
+@pytest.mark.parametrize("name", REDUCTIVE_NAMES)
+def test_problem2_trivializes_a_torus_cocycle_once(name, monkeypatch):
+    """A cocycle in T is semisimple: the solver trivializes it once, in T,
+    and reaches neither Jordan nor a second trivialization.  The inputs
+    are the listed representatives and a seeded twist of each by a complex
+    point of T, which keeps its class."""
+    g = catalog_reductive(name)
+    tower, t = g.tower, g.torus
+    res = h1_connected_reductive(g)
+    rng = random.Random(2021)
+    inputs = list(enumerate(res.representatives))
+    for want, z in enumerate(res.representatives):
+        s = t.lam([tower.from_rational(rng.randint(1, 3))
+                   + rng.randint(-2, 2) * tower.i() for _ in range(t.d)])
+        inputs.append((want, mmul(mmul(minverse(s, tower), z),
+                                  g.real.gamma(s))))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return trivialize_cocycle(*args)
+
+    def refuse(*args):
+        raise AssertionError("Jordan decomposition of a cocycle in T")
+
+    monkeypatch.setattr(reductive, "jordan", refuse)
+    monkeypatch.setattr(reductive, "trivialize_cocycle", counted)
+    for want, z in inputs:
+        calls.clear()
+        idx, h = solve_problem2_reductive(g, z, classes=res)
+        assert idx == want
+        assert len(calls) == 1
+        check_witness(g, z, res, idx, h)
 
 
 def test_problem2_su2_needs_conjugator():

@@ -3,12 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+import realcoh.linalg as linalg
+import realcoh.torus as torus
+from realcoh import catalog
 from realcoh.field import FieldError, FieldTower, parse_element
 from realcoh.gammacoh import tate
 from realcoh.linalg import mat_from_ints, meq, meye, minverse, mmul
 from realcoh.torus import (
     QuasiTorusDatum,
     TorusError,
+    TorusPresentation,
     build_presentation,
     characters_to_lattice_map,
     h1_torus,
@@ -281,6 +285,50 @@ def test_trivialize_wrong_witness_is_coded_error(monkeypatch):
     monkeypatch.setattr(tower, "sqrt", lambda x: x)
     with pytest.raises(TorusError) as err:
         trivialize_cocycle(t, t.lam([tower.from_rational(4)]))
+    assert err.value.code == "witness-verification-failed"
+
+
+@pytest.mark.parametrize("name", ["torus:e", "torus:f", "torus:d",
+                                  "torus:fe", "torus:fd", "torus:fed"])
+def test_trivialize_inverts_no_matrix(name, monkeypatch):
+    """The witness check takes s^-1 = mu(v^-1) from the mu-coordinates v of
+    s: with every matrix inverse of the torus layer and of RealStructure
+    refused, the listed representatives and a seeded twist of each by a
+    complex point of T still get verified witnesses."""
+    t = catalog.get(name, FieldTower()).group
+    tower = t.tower
+    res = h1_torus(t)
+    rng = random.Random(2021)
+    inputs = []
+    for signs, z in zip(res.sign_patterns, res.representatives):
+        s = t.lam([tower.from_rational(rng.randint(1, 3))
+                   + rng.randint(-2, 2) * tower.i() for _ in range(t.d)])
+        inputs += [(signs, z, z), (signs, z, t.real.twist(s, z))]
+
+    def refuse(*args):
+        raise AssertionError("matrix inverse in trivialize_cocycle")
+
+    monkeypatch.setattr(torus, "minverse", refuse)
+    monkeypatch.setattr(linalg, "minverse", refuse)
+    results = [trivialize_cocycle(t, z) for _, _, z in inputs]
+    monkeypatch.undo()
+    for (signs, listed, z), (rep, got, s) in zip(inputs, results):
+        assert got == signs
+        assert meq(rep, listed)
+        assert meq(mmul(mmul(minverse(s, tower), z), t.real.gamma(s)), rep)
+
+
+def test_trivialize_checks_the_matrix_it_was_given(monkeypatch):
+    # lambda_inverse reading the coordinates of another element of T: the
+    # witness is checked against z itself, not against lam(coordinates)
+    tower = FieldTower()
+    t = compact_gm(tower)
+    assert t.k == 1
+    other = t.mu_to_lam(t.pattern_mu([-1]))
+    monkeypatch.setattr(TorusPresentation, "lambda_inverse",
+                        lambda self, mat: other)
+    with pytest.raises(TorusError) as err:
+        trivialize_cocycle(t, meye(tower, 2))
     assert err.value.code == "witness-verification-failed"
 
 
