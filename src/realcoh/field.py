@@ -308,9 +308,14 @@ class FieldElement:
         return not self._num
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (FieldElement, int, Fraction)):
-            return NotImplemented
-        return (self - other).is_zero()
+        """Equal normal forms: the form is unique, so no difference is
+        formed.  An int or Fraction is coerced first; an element of another
+        tower raises tower-mismatch."""
+        if type(other) is not FieldElement or other.tower is not self.tower:
+            if not isinstance(other, (FieldElement, int, Fraction)):
+                return NotImplemented
+            other = self.tower.coerce(other)
+        return self._den == other._den and self._num == other._num
 
     def _plus(self, other: "FieldElement", sign: int) -> "FieldElement":
         """self + sign*other, over the least common denominator."""
@@ -454,16 +459,21 @@ class FieldElement:
         return self.tower.coerce(other) / self
 
     def __pow__(self, e: int) -> "FieldElement":
+        """Square and multiply from the lowest bit: x ** 1 is x itself, and
+        the last square taken is the one the top bit needs."""
         if e < 0:
             return self.inverse() ** (-e)
-        out = self.tower.one()
+        if not e:
+            return self.tower.one()
+        out = None
         base = self
-        while e:
+        while True:
             if e & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             e >>= 1
-        return out
+            if not e:
+                return out
+            base = base * base
 
     # -- involution and real/imaginary structure ------------------------------
 

@@ -9,8 +9,10 @@ factors: compact (F), split (E), and induced (D).  All arithmetic is exact
 over a square-root-closed field tower.
 
 Coordinate conventions: a torus element is a coordinate vector (t_1..t_d)
-with matrix C*diag(prod t_i^M(i,l))*C^-1.  Lattice maps are integer matrices
-in the rows-are-images convention, and an element transforms by
+with matrix C*diag(prod t_i^M(i,l))*C^-1.  The layer works on the diagonal
+D = C^-1*x*C of an element x (its eigenframe) and forms a dense matrix only
+for what it returns.  Lattice maps are integer matrices in the
+rows-are-images convention, and an element transforms by
 t |-> (prod_j t_j^R(j,i))_i under the map R.
 """
 
@@ -43,7 +45,6 @@ from .linalg import (
     minverse,
     mmul,
     mtranspose,
-    mzeros,
 )
 
 
@@ -57,15 +58,15 @@ class TorusError(RealcohError):
 def mono_apply(coords: list, r: list) -> list:
     """Image of a coordinate vector under the lattice map r (rows-are-images)."""
     cols = len(r[0]) if r else 0
-    tower = coords[0].tower if coords else None
     out = []
     for i in range(cols):
-        acc = tower.one()
+        acc = None
         for j, t in enumerate(coords):
             e = r[j][i]
             if e:
-                acc = acc * t ** e
-        out.append(acc)
+                f = t if e == 1 else t ** e
+                acc = f if acc is None else acc * f
+        out.append(coords[0].tower.one() if acc is None else acc)
     return out
 
 
@@ -105,16 +106,50 @@ def simultaneous_diagonalize(mats: list, tower: FieldTower, n: int) -> list:
     return mtranspose([row for _, s in spaces for row in s])
 
 
+def _diagonal_of(c: list, mat: list):
+    """The diagonal entries of D = C^-1 * mat * C, or None when D is not
+    diagonal.
+
+    D is read from mat * C = C * D with one product.  Every column of C is
+    an rref row, so its first nonzero entry is a unit pivot, and column j
+    of mat * C holds D_j there; every other entry of that column must be
+    exactly D_j times the entry of C.  C^-1 is not used."""
+    mc = mmul(mat, c)
+    out = []
+    for j in range(len(c)):
+        dj = None
+        for i, row in enumerate(c):
+            x = row[j]
+            if x.is_zero():
+                if not mc[i][j].is_zero():
+                    return None
+            elif dj is None:
+                dj = mc[i][j]
+            elif mc[i][j] != dj * x:
+                return None
+        out.append(dj)
+    return out
+
+
 # -- presentation ----------------------------------------------------------------
 
 
 @dataclass
 class TorusPresentation:
+    """A torus T with its eigenframe.
+
+    C diagonalizes T, and its columns are rref rows (unit pivots);
+    B = C^-1 * N * conj(C) is gamma in the eigenframe, C^-1 * gamma(x) * C =
+    B * conj(C^-1 * x * C) * B^-1, and B^-1 is its exact inverse.  The
+    element of T with coordinates t is C * diag(alpha(t)) * C^-1."""
+
     tower: FieldTower
     n: int
     real: RealStructure
     c: list
     cinv: list
+    b: list
+    binv: list
     d: int
     m: list             # d x n cocharacter exponent matrix
     p: list             # n x n with P * M^T = (I_d; 0)
@@ -127,30 +162,39 @@ class TorusPresentation:
 
     # -- element maps -----------------------------------------------------------
 
+    def alpha(self, coords: list) -> list:
+        """Diagonal entries (prod_i t_i^M(i,l))_l of the element with
+        coordinates (t_1..t_d)."""
+        if not self.d:
+            return [self.tower.one()] * self.n
+        return mono_apply(coords, self.m)
+
+    def from_diagonal(self, diag: list) -> list:
+        """C * diag * C^-1: the columns of C scaled, then one product."""
+        return mmul([[x * y for x, y in zip(row, diag)] for row in self.c],
+                    self.cinv)
+
     def lam(self, coords: list) -> list:
         """Matrix of the element with coordinates (t_1..t_d)."""
-        full = meye(self.tower, self.n)
-        if self.d:
-            alphas = mono_apply(coords, self.m)
-            for i in range(self.n):
-                full[i][i] = alphas[i]
-        return mmul(mmul(self.c, full), self.cinv)
+        return self.from_diagonal(self.alpha(coords))
+
+    def diagonal_coords(self, diag: list):
+        """Coordinates of the element C * diag * C^-1 of T, or None when
+        diag is not alpha of any: an entry vanishes, or diag is outside the
+        image of the lattice of M, which the certificate P decides."""
+        if any(x.is_zero() for x in diag):
+            return None
+        t_full = mono_apply(diag, transpose(self.p))
+        if any(x != 1 for x in t_full[self.d:]):
+            return None
+        return t_full[: self.d]
 
     def lambda_inverse(self, mat: list):
-        """Coordinates of mat in T, or None when mat is not a member."""
-        dm = mmul(mmul(self.cinv, mat), self.c)
-        for i in range(self.n):
-            for j in range(self.n):
-                if i != j and not dm[i][j].is_zero():
-                    return None
-        alphas = [dm[i][i] for i in range(self.n)]
-        if any(x.is_zero() for x in alphas):
-            return None
-        t_full = mono_apply(alphas, transpose(self.p))
-        for j in range(self.d, self.n):
-            if t_full[j] != 1:
-                return None
-        return t_full[: self.d]
+        """Coordinates of mat in T, or None when mat is not a member: its
+        diagonal is read with one product (_diagonal_of), and C^-1 * mat * C
+        is never formed."""
+        diag = _diagonal_of(self.c, mat)
+        return None if diag is None else self.diagonal_coords(diag)
 
     def membership(self, mat: list) -> bool:
         return self.lambda_inverse(mat) is not None
@@ -273,11 +317,10 @@ def compact_part_lie(t: TorusPresentation) -> list:
     out = []
     for i in range(t.k):
         lam_exp = [t.a[j][i] for j in range(t.d)]
-        full = mzeros(t.tower, t.n, t.n)
-        for l in range(t.n):
-            e = sum(lam_exp[j] * t.m[j][l] for j in range(t.d))
-            full[l][l] = t.tower.from_rational(e)
-        out.append(mmul(mmul(t.c, full), t.cinv))
+        out.append(t.from_diagonal([
+            t.tower.from_rational(sum(lam_exp[j] * t.m[j][l]
+                                      for j in range(t.d)))
+            for l in range(t.n)]))
     return out
 
 
@@ -308,12 +351,10 @@ def build_presentation(lie_basis: list, nsigma: list, tower: FieldTower,
     cinv = minverse(c, tower)
     diag_entries = []
     for mat in lie_basis:
-        dm = mmul(mmul(cinv, mat), c)
-        for i in range(n):
-            for j in range(n):
-                if i != j and not dm[i][j].is_zero():
-                    raise TorusError("not-semisimple")
-        diag_entries.append([dm[i][i] for i in range(n)])
+        diag = _diagonal_of(c, mat)
+        if diag is None:
+            raise TorusError("not-semisimple")
+        diag_entries.append(diag)
     m = perp(_lambda_lattice(diag_entries, n), n)
     d = len(m)
     p = _solve_p(m, n, d)
@@ -332,7 +373,7 @@ def build_presentation(lie_basis: list, nsigma: list, tower: FieldTower,
     else:
         a, ainv, k, l, r = [], [], 0, 0, 0
     return TorusPresentation(
-        tower, n, real, c, cinv, d, m, p, tau, a, ainv, k, l, r,
+        tower, n, real, c, cinv, b, binv, d, m, p, tau, a, ainv, k, l, r,
     )
 
 
@@ -380,17 +421,22 @@ def trivialize_cocycle(t: TorusPresentation, z) -> tuple:
     """Canonical representative and witness for a 1-cocycle z in T(C).
 
     z may be a matrix or a coordinate vector.  Returns (rep_matrix, signs, s)
-    with s^-1 * z * gamma(s) = rep, verified exactly before returning: a
-    matrix z is checked as given, a coordinate vector as its matrix lam(z).
-    s = mu(v) for mu-coordinates v, and the check takes s^-1 = mu(v^-1),
-    with v^-1 inverted entrywise: mu and lam are homomorphisms and C^-1 is
-    exact, so this is the exact inverse and no matrix is inverted.
+    with s^-1 * z * gamma(s) = rep, verified exactly before returning.  The
+    check is that identity conjugated by C, on diagonals:
+    D_z * G = D_s * D_rep with G = B * conj(D_s) * B^-1, which must vanish
+    off the diagonal.  It is exact because C^-1 and B^-1 are exact inverses
+    and C^-1 * gamma(s) * C = B * conj(D_s) * B^-1 for any invertible N.
+    D_z is read from the matrix z as given (_diagonal_of), and is alpha(z)
+    for a coordinate vector.  G is formed over the nonzero entries of B and
+    B^-1 only; no s^-1, gamma(s) or dense twist is formed, and the only
+    products form s and rep.
     """
     tower = t.tower
     if isinstance(z, list) and z and not isinstance(z[0], list):
-        coords, z = z, t.lam(z)
+        coords, dz = z, t.alpha(z)
     else:
-        coords = t.lambda_inverse(z)
+        dz = _diagonal_of(t.c, z)
+        coords = None if dz is None else t.diagonal_coords(dz)
     if coords is None:
         raise TorusError("not-member")
     signs, u = cocycle_signs(t, coords)
@@ -407,12 +453,25 @@ def trivialize_cocycle(t: TorusPresentation, z) -> tuple:
         pos = t.k + t.l + 2 * idx
         v[pos] = u[pos]
         # second slot stays 1
-    s = t.mu(v)
-    rep = t.mu(t.pattern_mu(signs))
-    if not meq(t.real.twist(s, z, t.mu([x.inverse() for x in v])), rep):
-        raise TorusError("witness-verification-failed",
-                         "s^-1 * z * gamma(s) != rep")
-    return rep, signs, s
+    ds = t.alpha(t.mu_to_lam(v))
+    drep = t.alpha(t.mu_to_lam(t.pattern_mu(signs)))
+    dsc = [x.conj() for x in ds]
+    binv_rows = [[(j, y) for j, y in enumerate(row) if not y.is_zero()]
+                 for row in t.binv]
+    for i, row in enumerate(t.b):
+        g = {}
+        for k, x in enumerate(row):
+            if x.is_zero():
+                continue
+            f = x * dsc[k]
+            for j, y in binv_rows[k]:
+                g[j] = g[j] + f * y if j in g else f * y
+        gii = g.pop(i, tower.zero())
+        if any(not y.is_zero() for y in g.values()) or \
+                dz[i] * gii != ds[i] * drep[i]:
+            raise TorusError("witness-verification-failed",
+                             "s^-1 * z * gamma(s) != rep")
+    return t.from_diagonal(drep), signs, t.from_diagonal(ds)
 
 
 def cocharacter_action(t: TorusPresentation, n: list) -> list:

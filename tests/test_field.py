@@ -114,6 +114,58 @@ def test_other_tower_is_coded_error(tower):
         assert err.value.code == "tower-mismatch"
 
 
+def test_eq_compares_normal_forms():
+    """x == y compares normal forms; over seeded elements of a tower with
+    two adjoined square roots, and int and Fraction operands on either
+    side, it agrees with the zero test of the difference."""
+    tower = FieldTower()
+    r2, r3 = tower.sqrt(2), tower.sqrt(3)
+    assert len(tower.gens) == 2
+    rng = random.Random(27)
+
+    def q():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    pool = [tower.from_rational(q()) + q() * tower.i() + q() * r2
+            + q() * r3 * tower.i() + q() * r2 * r3 for _ in range(20)]
+    pool += [tower.from_rational(x) for x in (0, 1, -1, Fraction(1, 2))]
+    rationals = [0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)]
+    seen = set()
+    for _ in range(300):
+        x, w = rng.choice(pool), rng.choice(pool)
+        same = x * w * w.inverse() if not w.is_zero() else (x + w) - w
+        for y in (rng.choice(pool), same, (x + w) - w, rng.choice(rationals)):
+            equal = (x - y).is_zero()
+            assert (x == y) == equal
+            assert (y == x) == equal
+            assert (x != y) == (not equal)
+            seen.add(equal)
+    assert seen == {True, False}
+    with pytest.raises(FieldError) as err:
+        tower.one() == FieldTower().one()
+    assert err.value.code == "tower-mismatch"
+
+
+def test_pow_takes_no_spare_multiplication(tower, monkeypatch):
+    x = tower.from_rational(2) + tower.i()
+    powers = [tower.one()]
+    for _ in range(5):
+        powers.append(powers[-1] * x)
+    calls = []
+    mul = field.FieldElement.__mul__
+
+    def counting(a, b):
+        calls.append(None)
+        return mul(a, b)
+
+    monkeypatch.setattr(field.FieldElement, "__mul__", counting)
+    for e, expected in ((1, 0), (2, 1), (5, 3)):
+        calls.clear()
+        assert x ** e == powers[e]
+        assert len(calls) == expected, e
+    assert x ** 0 == 1
+
+
 def test_sign_test(tower):
     x = tower.sqrt(2) - Fraction(141421, 100000)
     assert x.is_positive()

@@ -318,15 +318,124 @@ def test_trivialize_inverts_no_matrix(name, monkeypatch):
         assert meq(mmul(mmul(minverse(s, tower), z), t.real.gamma(s)), rep)
 
 
+@pytest.mark.parametrize("name", ["torus:e", "torus:f", "torus:d",
+                                  "torus:fe", "torus:fd", "torus:fed",
+                                  "su(2,0)", "sl(3,r)", "su(2,1)"])
+def test_trivialize_twists_no_matrix(name, monkeypatch):
+    """The witness check runs on diagonals in the eigenframe: with every
+    matrix inverse, RealStructure.twist and RealStructure.gamma refused, the
+    listed representatives and seeded twists of each by a complex point of
+    T, as matrices and as coordinate vectors, get verified witnesses."""
+    group = catalog.get(name, FieldTower()).group
+    t = getattr(group, "torus", group)
+    tower = t.tower
+    res = h1_torus(t)
+    rng = random.Random(2027)
+    inputs = []
+    for signs, z in zip(res.sign_patterns, res.representatives):
+        s = t.lam([tower.from_rational(rng.randint(1, 3))
+                   + rng.randint(-2, 2) * tower.i() for _ in range(t.d)])
+        zt = t.real.twist(s, z)
+        inputs += [(signs, z, z), (signs, zt, zt),
+                   (signs, zt, t.lambda_inverse(zt))]
+
+    def refuse(*args):
+        raise AssertionError("inverse, twist or gamma in trivialize_cocycle")
+
+    monkeypatch.setattr(torus, "minverse", refuse)
+    monkeypatch.setattr(linalg, "minverse", refuse)
+    monkeypatch.setattr(linalg.RealStructure, "twist", refuse)
+    monkeypatch.setattr(linalg.RealStructure, "gamma", refuse)
+    results = [trivialize_cocycle(t, arg) for _, _, arg in inputs]
+    monkeypatch.undo()
+    for (signs, z, _), (rep, got, s) in zip(inputs, results):
+        assert got == signs
+        assert meq(mmul(mmul(minverse(s, tower), z), t.real.gamma(s)), rep)
+
+
+def _reference_lambda_inverse(t, mat):
+    """Coordinates of mat in T read from the dense C^-1 * mat * C."""
+    dm = mmul(mmul(t.cinv, mat), t.c)
+    if any(not dm[i][j].is_zero()
+           for i in range(t.n) for j in range(t.n) if i != j):
+        return None
+    alphas = [dm[i][i] for i in range(t.n)]
+    if any(x.is_zero() for x in alphas):
+        return None
+    t_full = mono_apply(alphas, [list(col) for col in zip(*t.p)])
+    if any(x != 1 for x in t_full[t.d:]):
+        return None
+    return t_full[: t.d]
+
+
+@pytest.mark.parametrize("name", ["split", "compact", "induced", "torus:fe",
+                                  "torus:fed", "sl(3,r)", "su(2,1)"])
+def test_lambda_inverse_matches_the_dense_reference(name):
+    """lambda_inverse reads the diagonal from mat * C alone; it agrees with
+    the dense C^-1 * mat * C on members and on three kinds of non-member:
+    an off-diagonal entry changed, a zero eigenvalue, and a diagonal
+    element outside the lattice of M.  Where a column of C has two nonzero
+    entries, a member with one entry of mat * C changed off the pivot is a
+    fourth: its pivots still read a point of T."""
+    tower = FieldTower()
+    makers = {"split": split_gm, "compact": compact_gm,
+              "induced": induced_gm}
+    if name in makers:
+        t = makers[name](tower)
+    else:
+        group = catalog.get(name, tower).group
+        t = getattr(group, "torus", group)
+    rng = random.Random(31)
+    n = t.n
+
+    def conjugate(diag):
+        d = [[diag[i] if i == j else tower.zero() for j in range(n)]
+             for i in range(n)]
+        return mmul(mmul(t.c, d), t.cinv)
+
+    members = [meye(tower, n)] + [
+        t.lam([tower.from_rational(Fraction(rng.randint(1, 5),
+                                            rng.randint(1, 3)))
+               + rng.randint(-2, 2) * tower.i() for _ in range(t.d)])
+        for _ in range(3)]
+    changed = [row[:] for row in members[1]]
+    changed[0][n - 1] = changed[0][n - 1] + 1
+    primes = [tower.from_rational(p) for p in (2, 3, 5, 7, 11, 13)[:n]]
+    zero = conjugate([tower.zero()] + primes[1:])
+    outside = conjugate(primes)
+    skewed = []
+    for j in range(n):
+        rows = [i for i in range(n) if not t.c[i][j].is_zero()]
+        if len(rows) > 1:
+            mc = mmul(members[1], t.c)
+            mc[rows[1]][j] = mc[rows[1]][j] + 1
+            skewed.append(mmul(mc, t.cinv))
+            break
+    for mat in members + [changed, zero, outside] + skewed:
+        got = t.lambda_inverse(mat)
+        want = _reference_lambda_inverse(t, mat)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert all(x == y for x, y in zip(got, want))
+            assert meq(t.lam(got), mat)
+    assert all(t.lambda_inverse(mat) is not None for mat in members)
+    assert t.lambda_inverse(changed) is None
+    assert t.lambda_inverse(zero) is None
+    assert (t.lambda_inverse(outside) is None) == (t.d < n)
+    assert all(t.lambda_inverse(mat) is None for mat in skewed)
+    assert skewed or meq(t.c, meye(tower, n))
+
+
 def test_trivialize_checks_the_matrix_it_was_given(monkeypatch):
-    # lambda_inverse reading the coordinates of another element of T: the
-    # witness is checked against z itself, not against lam(coordinates)
+    # the diagonal of z mapped to the coordinates of another element of T:
+    # the witness is checked against the diagonal of z itself, not against
+    # alpha(coordinates)
     tower = FieldTower()
     t = compact_gm(tower)
     assert t.k == 1
     other = t.mu_to_lam(t.pattern_mu([-1]))
-    monkeypatch.setattr(TorusPresentation, "lambda_inverse",
-                        lambda self, mat: other)
+    monkeypatch.setattr(TorusPresentation, "diagonal_coords",
+                        lambda self, diag: other)
     with pytest.raises(TorusError) as err:
         trivialize_cocycle(t, meye(tower, 2))
     assert err.value.code == "witness-verification-failed"
