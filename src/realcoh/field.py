@@ -70,6 +70,9 @@ class FieldTower:
     def __init__(self):
         self.gens: list[FieldElement] = []  # radicands, real positive
         self._sqrt_cache: dict = {}
+        # the one zero of the tower: no method writes to an element's
+        # _num or _den after construction, so every zero entry can share it
+        self._zero = FieldElement(self, {})
 
     # -- element constructors -------------------------------------------------
 
@@ -79,10 +82,10 @@ class FieldTower:
             if q:
                 return FieldElement(self, {_ONE_MONO: q.numerator},
                                     q.denominator)
-        return FieldElement(self, {_ONE_MONO: q} if q else {})
+        return FieldElement(self, {_ONE_MONO: q}) if q else self._zero
 
     def zero(self) -> "FieldElement":
-        return FieldElement(self, {})
+        return self._zero
 
     def one(self) -> "FieldElement":
         return self.from_rational(1)
@@ -230,7 +233,10 @@ def _canonical_sign(r: "FieldElement") -> "FieldElement":
 
 def _reduced(tower: FieldTower, num: dict, den: int) -> "FieldElement":
     """The element num/den in normal form, for num with no zero value and
-    den > 0: one gcd divides out the common factor."""
+    den > 0: one gcd divides out the common factor.  An empty num gives the
+    tower's zero."""
+    if not num:
+        return tower._zero
     if den != 1:
         g = gcd(den, *num.values())
         if g != 1:
@@ -370,7 +376,7 @@ class FieldElement:
         tower = self.tower
         a, b = self._num, other._num
         if not a or not b:
-            return FieldElement(tower, {})
+            return tower._zero
         den = self._den * other._den
         if len(a) == 1 and len(b) == 1:
             ((m1, c1),) = a.items()

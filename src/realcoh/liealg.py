@@ -58,10 +58,9 @@ class LieError(RealcohError):
 
 def rref_rows(vectors: list) -> list:
     """Reduced nonzero basis rows of the span of the given row vectors."""
-    vecs = [v for v in vectors if any(not x.is_zero() for x in v)]
-    if not vecs:
+    if not vectors:
         return []
-    rows, pivots = row_reduce(vecs)
+    rows, pivots = row_reduce(vectors)
     return rows[: len(pivots)]
 
 
@@ -815,14 +814,14 @@ class JordanPair:
 def exp_nilpotent(x: list, tower: FieldTower) -> list:
     n = len(x)
     out = meye(tower, n)
-    term = meye(tower, n)
+    term = x
     for k in range(1, n + 2):
-        term = mmul(term, x)
         if all(v.is_zero() for row in term for v in row):
             return out
         f = tower.from_rational(Fraction(1, factorial(k)))
         out = [[a + f * b for a, b in zip(ra, rb)]
                for ra, rb in zip(out, term)]
+        term = mmul(term, x)
     raise LieError("not-nilpotent")
 
 
@@ -830,21 +829,23 @@ def log_unipotent(u: list, tower: FieldTower) -> list:
     n = len(u)
     nil = msub(u, meye(tower, n))
     out = mzeros(tower, n, n)
-    term = meye(tower, n)
+    term = nil
     for k in range(1, n + 2):
-        term = mmul(term, nil)
         if all(v.is_zero() for row in term for v in row):
             return out
         f = tower.from_rational(Fraction((-1) ** (k + 1), k))
         out = [[a + f * b for a, b in zip(ra, rb)]
                for ra, rb in zip(out, term)]
+        term = mmul(term, nil)
     raise LieError("not-unipotent")
 
 
 def _mat_poly_eval(p: list, mat: list, tower: FieldTower) -> list:
     n = len(mat)
     out = mzeros(tower, n, n)
-    for c in reversed(p):
+    for i in range(n):
+        out[i][i] = p[-1]
+    for c in reversed(p[:-1]):
         out = mmul(out, mat)
         for i in range(n):
             out[i][i] = out[i][i] + c

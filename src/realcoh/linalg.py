@@ -15,13 +15,15 @@ from .field import FieldError, FieldTower
 
 
 def mzeros(tower: FieldTower, r: int, c: int) -> list:
-    return [[tower.zero() for _ in range(c)] for _ in range(r)]
+    zero = tower.zero()
+    return [[zero] * c for _ in range(r)]
 
 
 def meye(tower: FieldTower, n: int) -> list:
     out = mzeros(tower, n, n)
+    one = tower.one()
     for i in range(n):
-        out[i][i] = tower.one()
+        out[i][i] = one
     return out
 
 
@@ -42,13 +44,26 @@ def _nonzero(row: list) -> list:
     return [(j, x) for j, x in enumerate(row) if not x.is_zero()]
 
 
-def _row_combination(v: list, rows: list, cols: int) -> list:
-    """v*rows, where rows holds the _nonzero pairs of each matrix row."""
-    zero = v[0].tower.zero()
+def _check_shape(m: list, rows: int, cols: int) -> None:
+    """FieldError("shape-mismatch") unless m has `rows` rows of length
+    `cols`."""
+    if len(m) != rows or any(len(row) != cols for row in m):
+        raise FieldError("shape-mismatch",
+                         f"expected a {rows}x{cols} matrix")
+
+
+def _row_combination(v: list, m: list, pairs: list, cols: int) -> list:
+    """v*m over the nonzero entries of v.  pairs[k] holds the _nonzero
+    pairs of m[k], made when a nonzero v[k] first needs them, so the row of
+    a zero coefficient is never scanned."""
+    zero = m[0][0].tower.zero()
     out = [None] * cols
-    for x, row in zip(v, rows):
+    for k, x in enumerate(v):
         if x.is_zero():
             continue
+        row = pairs[k]
+        if row is None:
+            row = pairs[k] = _nonzero(m[k])
         for j, y in row:
             p = x * y
             out[j] = p if out[j] is None else out[j] + p
@@ -56,22 +71,25 @@ def _row_combination(v: list, rows: list, cols: int) -> list:
 
 
 def mmul(a: list, b: list) -> list:
+    """a*b.  Row k of b is scanned once, and only when some row of a has a
+    nonzero entry in column k."""
     cols = len(b[0]) if b else 0
+    _check_shape(a, len(a), len(b))
+    _check_shape(b, len(b), cols)
     if not cols:
         return [[] for _ in a]
-    b_rows = [_nonzero(row) for row in b]
-    return [_row_combination(row, b_rows, cols) for row in a]
+    pairs = [None] * len(b)
+    return [_row_combination(row, b, pairs, cols) for row in a]
 
 
 def vmat(v: list, m: list) -> list:
     """v*m, the combination sum_i v_i * m_i of the rows; the row of a zero
     coefficient is never scanned."""
     cols = len(m[0]) if m else 0
+    _check_shape(m, len(v), cols)
     if not cols:
         return []
-    return _row_combination(
-        v, [() if x.is_zero() else _nonzero(row) for x, row in zip(v, m)],
-        cols)
+    return _row_combination(v, m, [None] * len(m), cols)
 
 
 def echelon_reduce(v: list, basis: list) -> tuple:
@@ -110,7 +128,10 @@ def mtranspose(a: list) -> list:
 
 
 def meq(a: list, b: list) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    """Equal shapes and equal entries."""
+    return len(a) == len(b) and all(
+        len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb))
+        for ra, rb in zip(a, b))
 
 
 def mtrace(a: list):
@@ -120,37 +141,54 @@ def mtrace(a: list):
     return acc
 
 
-def _sub_multiple(row: list, f, nonzero: list) -> list:
-    """row - f*pivot, given the pivot's nonzero entries; zeros leave row as is."""
-    out = list(row)
-    for j, y in nonzero:
-        out[j] = out[j] - f * y
-    return out
-
-
 def row_reduce(a: list) -> tuple:
-    """Reduced row echelon form.  Returns (rref, pivot columns)."""
-    rows = [list(r) for r in a]
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
+    """Reduced row echelon form.  Returns (rref, pivot columns).
+
+    Gauss-Jordan over the nonzero entries only.  Each row is held as
+    {column: nonzero entry}: the pivot search is a lookup, the pivot row is
+    scaled over its nonzero entries, and clearing the pivot column changes
+    another row only in the pivot row's nonzero columns, deleting the
+    entries that cancel.  The rows turn dense again at the end; the input
+    is not changed."""
+    m = len(a)
+    n = len(a[0]) if a else 0
+    _check_shape(a, m, n)
+    if not n:
+        return [[] for _ in a], []
+    zero, one = a[0][0].tower.zero(), a[0][0].tower.one()
+    rows = [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in a]
     pivots = []
     r = 0
     for c in range(n):
-        piv = next((i for i in range(r, m) if not rows[i][c].is_zero()), None)
+        piv = next((i for i in range(r, m) if c in rows[i]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        piv_row = _nonzero(rows[r])
-        for i in range(m):
-            if i != r and not rows[i][c].is_zero():
-                rows[i] = _sub_multiple(rows[i], rows[i][c], piv_row)
+        inv = rows[r].pop(c).inverse()
+        scaled = [(j, x * inv) for j, x in rows[r].items()]
+        rows[r] = dict(scaled)
+        rows[r][c] = one
+        for i, row in enumerate(rows):
+            if i == r or c not in row:
+                continue
+            f = row.pop(c)
+            for j, y in scaled:
+                d = row.get(j, zero) - f * y
+                if d.is_zero():
+                    del row[j]
+                else:
+                    row[j] = d
         pivots.append(c)
         r += 1
         if r == m:
             break
-    return rows, pivots
+    dense = []
+    for row in rows:
+        out = [zero] * n
+        for j, x in row.items():
+            out[j] = x
+        dense.append(out)
+    return dense, pivots
 
 
 def row_reduce_transform(a: list, tower: FieldTower) -> tuple:
@@ -214,14 +252,15 @@ def charpoly(a: list, tower: FieldTower) -> list:
     """
     n = len(a)
     coeffs = [tower.zero()] * n + [tower.one()]
-    m = meye(tower, n)
-    c = tower.one()
+    m = [list(row) for row in a]
     for k in range(1, n + 1):
-        m = mmul(a, m)
         c = mtrace(m) / (-k)
         coeffs[n - k] = c
+        if k == n:
+            break
         for i in range(n):
             m[i][i] = m[i][i] + c
+        m = mmul(a, m)
     return coeffs
 
 

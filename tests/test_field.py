@@ -166,6 +166,28 @@ def test_pow_takes_no_spare_multiplication(tower, monkeypatch):
     assert x ** 0 == 1
 
 
+def test_shared_zero_stays_zero(tower):
+    """Every zero() is one object, and no arithmetic writes to it."""
+    zero = tower.zero()
+    assert tower.zero() is zero
+    assert tower.from_rational(0) is zero
+    rng = random.Random(17)
+    r2, r3 = tower.sqrt(2), tower.sqrt(3)
+    pool = [tower.one(), tower.i(), r2, r3 * tower.i() - Fraction(1, 3),
+            r2 * r3 + Fraction(2, 5), tower.i() * r2 - 7]
+    for _ in range(60):
+        x = rng.choice(pool) * rng.randint(-3, 3)
+        results = [zero + x, x + zero, zero - x, x - zero, zero * x,
+                   x * zero, -zero, zero.conj(), zero ** 3, x + zero * x,
+                   x - x]
+        if not x.is_zero():
+            results.append(zero / x)
+        assert all(isinstance(y, field.FieldElement) for y in results)
+        assert results[0] == x and results[2] == -x and results[4] == 0
+        assert zero == 0 and zero._num == {} and zero._den == 1
+    assert zero * tower.sqrt(5) is zero
+
+
 def test_sign_test(tower):
     x = tower.sqrt(2) - Fraction(141421, 100000)
     assert x.is_positive()

@@ -3,8 +3,9 @@
 never read, no function, class or method that no module of the package
 reads, outside a short list of entry points kept for the acceptance
 criteria and the reference checks, no instance attribute that is set and
-never read, no dataclass field that is never read, and no parameter that
-its function never reads."""
+never read, no dataclass field that is never read, no parameter that its
+function never reads, and no write to a field element's normal form after
+its constructor."""
 
 import ast
 from pathlib import Path
@@ -36,6 +37,69 @@ def test_no_assert_statements(path):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert on lines {lines}"
+
+
+# FieldTower.zero() hands out one shared element, so the normal form of an
+# element must never change after FieldElement.__init__ has set it.
+_NORMAL_FORM = {"_num", "_den"}
+_DICT_WRITES = {"clear", "pop", "popitem", "setdefault", "update"}
+
+
+def _normal_form_stores(tree):
+    """Lines that assign, augment or delete `._num` or `._den`, or an item
+    of them, or call a writing dict method on them, outside
+    FieldElement.__init__."""
+    exempt = {id(node) for cls in tree.body
+              if isinstance(cls, ast.ClassDef) and cls.name == "FieldElement"
+              for fn in cls.body
+              if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+              for node in ast.walk(fn)}
+
+    def normal_form(node):
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        return isinstance(node, ast.Attribute) and node.attr in _NORMAL_FORM
+
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        written = isinstance(node, (ast.Attribute, ast.Subscript)) and \
+            isinstance(node.ctx, (ast.Store, ast.Del)) and normal_form(node)
+        called = isinstance(node, ast.Call) and \
+            isinstance(node.func, ast.Attribute) and \
+            node.func.attr in _DICT_WRITES and normal_form(node.func.value)
+        if written or called:
+            lines.append(node.lineno)
+    return sorted(set(lines))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_store_to_normal_form(path):
+    lines = _normal_form_stores(ast.parse(path.read_text()))
+    assert lines == [], f"{path.name}: _num or _den written on lines {lines}"
+
+
+@pytest.mark.parametrize("source", [
+    "x._num = {}", "x._den = 2", "x._num[m] = 1", "x._num[m] += 1",
+    "x._den += 1", "del x._num[m]", "del x._num", "x._num.update(d)",
+    "x._num.pop(m)", "(a, x._den) = (1, 2)", "for x._den in r: pass",
+    "class FieldElement:\n    def other(self):\n        self._num = {}",
+])
+def test_normal_form_store_is_found(source):
+    assert _normal_form_stores(ast.parse(source)) != []
+
+
+def test_normal_form_reads_are_not_stores():
+    source = ("class FieldElement:\n"
+              "    def __init__(self, num, den):\n"
+              "        self._num = num\n"
+              "        self._den = den\n"
+              "y = x._num.get(m, 0) + x._den\n"
+              "z = {k: c for k, c in x._num.items()}\n"
+              "w = dict(x._num)\n"
+              "w[m] = 1\n")
+    assert _normal_form_stores(ast.parse(source)) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

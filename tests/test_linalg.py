@@ -2,16 +2,21 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import sympy
 
 import pytest
 
+from realcoh import catalog, liealg, linalg
 from realcoh.field import FieldError, FieldTower
-from realcoh.liealg import LieAlgebraDatum, rref_rows
-from realcoh.linalg import RealStructure, echelon_reduce, mat_from_ints, \
-    meq, meye, minverse, mmul, row_reduce, row_reduce_transform, \
-    solve_left, vmat
+from realcoh.liealg import LieAlgebraDatum, exp_nilpotent, log_unipotent, \
+    rref_rows
+from realcoh.linalg import RealStructure, charpoly, echelon_reduce, \
+    left_kernel, mat_from_ints, meq, meye, minverse, mmul, row_reduce, \
+    row_reduce_transform, solve_left, vmat
+from realcoh.reductive import solve_problem2_reductive
+from realcoh.torus import trivialize_cocycle
 
 
 def _dense_mmul(a, b):
@@ -254,3 +259,217 @@ def test_fixes_with_singular_structure_is_coded_error():
     with pytest.raises(FieldError) as err:
         real.fixes(mat_from_ints(tower, [[0, 1], [0, 0]]))
     assert err.value.code == "singular"
+
+
+def _dense_row_reduce(a):
+    """Plain Gauss-Jordan on dense rows: each pivot column is sought in
+    every remaining row, and whole rows are scaled and subtracted."""
+    rows = [list(r) for r in a]
+    m, n = len(rows), len(rows[0]) if rows else 0
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, m) if not rows[i][c].is_zero()), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(m):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def _sqrt2_cases(seed):
+    """Seeded matrices over Q(i)(sqrt 2): densities 0 to 1, wide, tall and
+    square shapes, some with a zero row, a zero column or a row that is a
+    combination of two others."""
+    rng = random.Random(seed)
+    tower = FieldTower()
+    r2 = tower.sqrt(2)
+    pool = _gaussian_pool(rng, tower) + [r2, r2 * tower.i() - 1,
+                                         r2 * Fraction(-1, 3) + 2]
+    cases = []
+    for density in (0.0, 0.15, 0.4, 0.7, 1.0):
+        for m, n in ((1, 1), (3, 3), (4, 4), (2, 6), (3, 7), (6, 2),
+                     (7, 3), (5, 5)):
+            a = _rand_matrix(rng, pool, m, n, density)
+            if m > 2 and rng.random() < 0.5:
+                i, j, k = rng.sample(range(m), 3)
+                x, y = rng.choice(pool), rng.choice(pool)
+                a[k] = [x * p + y * q for p, q in zip(a[i], a[j])]
+            if rng.random() < 0.3:
+                a[rng.randrange(m)] = [tower.zero()] * n
+            if rng.random() < 0.3:
+                j = rng.randrange(n)
+                for row in a:
+                    row[j] = tower.zero()
+            cases.append(a)
+    return tower, rng, pool, cases
+
+
+def test_sparse_kernel_matches_dense_reference():
+    tower, rng, pool, cases = _sqrt2_cases(16)
+    zero = tower.zero()
+    ranks = set()
+    for a in cases:
+        m, n = len(a), len(a[0])
+        before = [list(row) for row in a]
+
+        def unchanged():
+            return len(a) == m and all(
+                len(ra) == n and all(x is y for x, y in zip(ra, rb))
+                for ra, rb in zip(a, before))
+
+        rref, pivots = row_reduce(a)
+        want, want_pivots = _dense_row_reduce(a)
+        assert pivots == want_pivots and meq(rref, want)
+        assert unchanged()
+        rank = len(pivots)
+        ranks.add((rank == min(m, n), rank))
+        assert meq(rref_rows(a), rref[:rank])
+        assert meq(rref_rows(a[::-1]), rref[:rank])
+
+        block, trans, block_pivots = row_reduce_transform(a, tower)
+        assert meq(block, rref) and block_pivots == pivots
+        assert meq(mmul(trans, a), rref)
+
+        kernel = left_kernel(a, tower)
+        assert len(kernel) == m - rank
+        assert all(vmat(v, a) == [zero] * n for v in kernel)
+        assert len(rref_rows(kernel)) == m - rank
+
+        c = [rng.choice(pool) for _ in range(m)]
+        target = vmat(c, a)
+        v = solve_left(a, target, tower)
+        assert v is not None and vmat(v, a) == target
+        free = [j for j in range(n) if j not in pivots]
+        if free:
+            unit = [tower.one() if j == free[0] else zero for j in range(n)]
+            assert solve_left(a, unit, tower) is None
+
+        if m == n:
+            if rank == n:
+                inv = minverse(a, tower)
+                assert meq(mmul(inv, a), meye(tower, n))
+                assert meq(mmul(a, inv), meye(tower, n))
+            else:
+                with pytest.raises(FieldError) as err:
+                    minverse(a, tower)
+                assert err.value.code == "singular"
+        assert unchanged()
+    # full-rank and rank-deficient cases both occur, including rank 0
+    assert {full for full, _ in ranks} == {True, False}
+    assert (False, 0) in ranks
+
+
+def test_row_reduce_of_no_rows_or_columns():
+    tower = FieldTower()
+    assert row_reduce([]) == ([], [])
+    assert row_reduce([[], []]) == ([[], []], [])
+    assert rref_rows([]) == []
+    assert rref_rows([[tower.zero()] * 3]) == []
+
+
+def test_shape_mismatch_is_coded_error():
+    tower = FieldTower()
+    row = mat_from_ints(tower, [[1, 2]])
+    col = mat_from_ints(tower, [[1], [1], [5]])
+    ragged = mat_from_ints(tower, [[1, 2], [3]])
+    for call in (lambda: mmul(row, col), lambda: mmul(col, col),
+                 lambda: mmul(row, ragged), lambda: mmul(ragged, ragged),
+                 lambda: vmat(row[0], col), lambda: vmat(row[0], ragged),
+                 lambda: row_reduce(ragged)):
+        with pytest.raises(FieldError) as err:
+            call()
+        assert err.value.code == "shape-mismatch"
+    assert meq(row, [list(row[0])])
+    assert not meq(row, [row[0], row[0]])
+    assert not meq(row, [row[0][:1]])
+    assert not meq(col, col[:2])
+
+    # through the library: a 3x3 "cocycle" of a group of 2x2 matrices
+    z = mat_from_ints(tower, [[1, 0, 0], [0, 1, 0], [0, 0, 7]])
+    sl2 = catalog.get("sl(2,r)", tower)
+    f = catalog.get("torus:f", tower)
+    for call in (lambda: sl2.group.real.is_cocycle(z),
+                 lambda: solve_problem2_reductive(sl2.group, z),
+                 lambda: trivialize_cocycle(f.group, z)):
+        with pytest.raises(FieldError) as err:
+            call()
+        assert err.value.code == "shape-mismatch"
+
+
+def test_mmul_scans_each_used_row_of_b_once(monkeypatch):
+    class Unread:
+        def is_zero(self):
+            raise AssertionError("a row of b that a never reaches was read")
+
+    tower = FieldTower()
+    a = mat_from_ints(tower, [[1, 0, 2], [0, 0, 3]])
+    b = mat_from_ints(tower, [[1, 2], [0, 0], [4, 5]])
+    b[1] = [Unread(), Unread()]
+    scanned = []
+    nonzero = linalg._nonzero
+
+    def counting(row):
+        scanned.append(id(row))
+        return nonzero(row)
+
+    monkeypatch.setattr(linalg, "_nonzero", counting)
+    assert meq(mmul(a, b), mat_from_ints(tower, [[9, 12], [12, 15]]))
+    assert sorted(scanned) == sorted([id(b[0]), id(b[2])])
+    assert vmat(a[1], b) == mat_from_ints(tower, [[12, 15]])[0]
+
+
+def test_mmul_calls_of_charpoly_exp_and_log(monkeypatch):
+    """charpoly of an n x n matrix takes n - 1 products, and exp_nilpotent
+    of x with x^k = 0 != x^(k-1) takes k - 1, as does log_unipotent of
+    its exponential: no product by the identity."""
+    rng = random.Random(18)
+    tower = FieldTower()
+    pool = _gaussian_pool(rng, tower)
+    calls = []
+    mul = linalg.mmul
+
+    def counting(a, b):
+        calls.append(None)
+        return mul(a, b)
+
+    monkeypatch.setattr(linalg, "mmul", counting)
+    monkeypatch.setattr(liealg, "mmul", counting)
+    for n in range(1, 7):
+        a = _rand_matrix(rng, pool, n, n, 0.7)
+        calls.clear()
+        coeffs = charpoly(a, tower)
+        assert len(calls) == n - 1
+        x = sympy.Symbol("x")
+        want = _sympy_matrix(a).charpoly(x).all_coeffs()[::-1]
+        assert all(sympy.simplify(_to_sympy(c) - w) == 0
+                   for c, w in zip(coeffs, want))
+    n = 5
+    while True:
+        p = _rand_matrix(rng, pool, n, n, 0.8)
+        if _sympy_matrix(p).det() != 0:
+            break
+    p_inv = minverse(p, tower)
+    for k in range(1, n + 1):
+        block = [[tower.one() if j == i + 1 and j < k else tower.zero()
+                  for j in range(n)] for i in range(n)]
+        x = mul(mul(p, block), p_inv)
+        powers = [meye(tower, n)]
+        for _ in range(k - 1):
+            powers.append(mul(powers[-1], x))
+        want = [[sum((powers[j][r][c] * Fraction(1, factorial(j))
+                      for j in range(1, k)), powers[0][r][c])
+                 for c in range(n)] for r in range(n)]
+        calls.clear()
+        u = exp_nilpotent(x, tower)
+        assert len(calls) == k - 1
+        assert meq(u, want)
+        calls.clear()
+        assert meq(log_unipotent(u, tower), x)
+        assert len(calls) == k - 1
