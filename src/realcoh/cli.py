@@ -17,15 +17,19 @@ not list is ignored.
 
 Exit codes: 0 success, 2 partial result (blocked classes), 1 error.  All
 reports are deterministic: the same input gives the same bytes.  Every
-witness is re-verified by an independent identity check before the report
-is written, and `"verified": true` appears only when those checks pass;
-the check uses its own real structure built from N_sigma, not the group
-object's.
+answer is re-verified by an independent identity check before the report
+is written, and `"verified": true` appears only when those checks pass.
+The checks use their own real structure built from N_sigma, not the group
+object's, and form no inverse: a class representative z is checked as
+z * N_sigma * conj(z) = N_sigma, and an `equiv` witness s carrying z to the
+listed rep as s * rep * N_sigma = z * N_sigma * conj(s) with s of full
+rank, which is s^-1 * z * gamma(s) = rep.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -34,7 +38,7 @@ from .catalog import CatalogEntry
 from .field import FieldTower, RealcohError, format_element, parse_element
 from .lattice import gamma_decompose
 from .liealg import _flatten, in_span, rref_rows
-from .linalg import RealStructure, meq, minverse, mmul
+from .linalg import RealStructure, minverse, mmul
 from .nonconnected import (build_nonconnected, h1_nonconnected,
                            solve_problem2_nonconnected)
 from .nonreductive import (build_levi_split, h1_connected,
@@ -253,7 +257,7 @@ def _equiv_report(entry: CatalogEntry, z: list) -> dict:
         index, s = solve_problem2_nonconnected(entry.group, z, classes=res)
         listed = res.representatives[index]
 
-    if not meq(real.twist(s, z), listed):
+    if not real.carries(s, z, listed):
         raise CliError("verification-failed",
                        "witness does not carry z to the listed class")
     return {
@@ -350,7 +354,9 @@ def _emit(report: dict, fmt: str, text_renderer=None) -> None:
         print(json.dumps(report, separators=(",", ":"), sort_keys=False))
 
 
+@functools.cache
 def _make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="realcoh",
         description="Galois cohomology of real linear algebraic groups")

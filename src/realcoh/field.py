@@ -17,6 +17,7 @@ complex elements factor through their modulus.
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
@@ -691,8 +692,30 @@ class _Parser:
         return self.tower.from_rational(value)
 
 
+# a whole-string rational literal, read without the parser
+_LITERAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_element(text: str, tower: FieldTower) -> FieldElement:
-    return _Parser(text, tower).parse()
+    """The element written in the element grammar.  A rational literal
+    such as "-1" or "3/4" is read directly; any other text, and a literal
+    that int() refuses or with a zero denominator, goes through the parser
+    and its error codes.  Nesting deeper than the parser's recursion can
+    follow raises FieldError("nesting-too-deep")."""
+    literal = _LITERAL.fullmatch(text)
+    if literal is not None:
+        num, den = literal.groups()
+        try:
+            return tower.from_rational(
+                int(num) if den is None else Fraction(int(num), int(den)))
+        except (ValueError, ZeroDivisionError):
+            pass
+    try:
+        return _Parser(text, tower).parse()
+    except RecursionError:
+        raise FieldError("nesting-too-deep",
+                         "the element is nested too deeply to parse") \
+            from None
 
 
 # -- polynomials over the field ----------------------------------------------

@@ -203,6 +203,12 @@ def row_reduce_transform(a: list, tower: FieldTower) -> tuple:
             [c for c in pivots if c < n])
 
 
+def _is_invertible(a: list) -> bool:
+    """a is square and has full rank."""
+    _check_shape(a, len(a), len(a))
+    return len(row_reduce(a)[1]) == len(a)
+
+
 def minverse(a: list, tower: FieldTower) -> list:
     _, trans, pivots = row_reduce_transform(a, tower)
     if len(pivots) < len(a):
@@ -267,13 +273,23 @@ def charpoly(a: list, tower: FieldTower) -> list:
 class RealStructure:
     """The anti-regular map gamma(g) = N * conj(g) * N^-1 given by N = N_sigma.
 
-    Holds N and its inverse, computed once on first use.  N * conj(N) may
+    N is checked to be invertible once, by its rank, on first use; its
+    inverse is formed only where gamma or twist needs it.  is_cocycle and
+    carries check their identities in the inverse-free forms
+    z * N * conj(z) = N and s * rep * N = z * N * conj(s).  N * conj(N) may
     differ from 1 (see defect), as for structures twisted by a component
     representative; the identities below are exact."""
 
     def __init__(self, nsigma: list, tower: FieldTower):
         self.nsigma = nsigma
         self.tower = tower
+
+    @cached_property
+    def _size(self) -> int:
+        """The size n of N; a singular N raises FieldError("singular")."""
+        if not _is_invertible(self.nsigma):
+            raise FieldError("singular")
+        return len(self.nsigma)
 
     @cached_property
     def _inverse(self) -> list:
@@ -283,8 +299,19 @@ class RealStructure:
         return mmul(mmul(self.nsigma, mconj(g)), self._inverse)
 
     def is_cocycle(self, z: list) -> bool:
-        """z * gamma(z) = 1."""
-        return meq(mmul(z, self.gamma(z)), meye(self.tower, len(z)))
+        """z * gamma(z) = 1, checked as z * N * conj(z) = N."""
+        _check_shape(z, self._size, self._size)
+        return meq(mmul(mmul(z, self.nsigma), mconj(z)), self.nsigma)
+
+    def carries(self, s: list, z: list, rep: list) -> bool:
+        """s^-1 * z * gamma(s) = rep, checked as s * rep * N = z * N * conj(s)
+        with s invertible by its rank; no inverse is formed."""
+        n = self._size
+        for m in (s, z, rep):
+            _check_shape(m, n, n)
+        return meq(mmul(mmul(s, rep), self.nsigma),
+                   mmul(mmul(z, self.nsigma), mconj(s))) \
+            and _is_invertible(s)
 
     def twist(self, s: list, z: list, s_inv: list = None) -> list:
         """s^-1 * z * gamma(s), the cocycle z moved by s; s_inv is s^-1
@@ -311,7 +338,7 @@ class RealStructure:
         """gamma(m) = m, e.g. m is a real Lie algebra basis element: the
         entries of N * conj(m) - m * N, summed over the nonzero entries of
         m and of N, all vanish."""
-        self._inverse  # a singular N raises FieldError("singular"), as gamma
+        self._size  # a singular N raises FieldError("singular"), as gamma
         acc = {}
         for l, row in enumerate(m):
             for j, x in _nonzero(row):

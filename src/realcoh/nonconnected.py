@@ -398,7 +398,7 @@ def solve_problem2_nonconnected(group: NonConnectedGroup, g: list,
             b = mmul(mmul(s, s_conn), cc.transport[t])
             idx = cc.entry_offset + cc.kept.index(rep_t)
             target = classes.representatives[idx]
-            if meq(group.real.twist(b, g), target):
+            if group.real.carries(b, g, target):
                 return idx, b
     if undecided is not None:
         raise undecided

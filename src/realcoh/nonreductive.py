@@ -33,7 +33,7 @@ from .liealg import (
     reductive_projection,
     rref_rows,
 )
-from .linalg import RealStructure, meq, minverse, mmul, mscale
+from .linalg import RealStructure, minverse, mmul, mscale
 from .reductive import (
     ReductiveH1Result,
     ReductiveRealGroup,
@@ -125,7 +125,7 @@ def sansuc_transport(g: LeviSplitGroup, z: list, zprime: list,
     t = exp_nilpotent(mscale(tower.from_rational(Fraction(-1, 2)), lu),
                       tower)
     sprime = mmul(sbar, t)
-    if not meq(g.real.twist(sprime, z), zprime):
+    if not g.real.carries(sprime, z, zprime):
         raise NonReductiveError("transport-failed")
     return sprime
 
@@ -164,6 +164,6 @@ def solve_problem2_connected(g: LeviSplitGroup, cocycle: list,
     s_i = exp_nilpotent(mscale(tower.from_rational(Fraction(1, 2)), lu),
                         tower)
     s = mmul(s_r, s_i)
-    if not meq(g.real.twist(s, cocycle), g_i):
+    if not g.real.carries(s, cocycle, g_i):
         raise NonReductiveError("witness-verification-failed")
     return idx, s

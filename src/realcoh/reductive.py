@@ -517,7 +517,7 @@ def solve_problem2_reductive(g: ReductiveRealGroup, cocycle: list,
                 raise ReductiveError("not-in-group")
             uhalf = exp_nilpotent(
                 mscale(tower.from_rational(Fraction(1, 2)), lu), tower)
-            if not meq(g.real.twist(uhalf, cocycle), s_part):
+            if not g.real.carries(uhalf, cocycle, s_part):
                 raise ReductiveError("jordan-twist-failed")
             factors.append(uhalf)
             # s may lie in the fundamental torus, and then T itself is a
@@ -560,7 +560,7 @@ def solve_problem2_reductive(g: ReductiveRealGroup, cocycle: list,
         raise ReductiveError("equivalence-search-failed")
     pos = classes.class_indices.index(found[0])
     h = reduce(mmul, factors + [found[1]])
-    if not meq(g.real.twist(h, cocycle), classes.representatives[pos]):
+    if not g.real.carries(h, cocycle, classes.representatives[pos]):
         raise ReductiveError("witness-verification-failed")
     return pos, h
 

@@ -1,10 +1,20 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import realcoh.cli as cli
+from realcoh import linalg
 from realcoh.catalog import list_names
-from realcoh.cli import main
+from realcoh.cli import _fmt_mat, _parse_mat, main
+from realcoh.field import FieldTower
+from realcoh.linalg import RealStructure, mat_from_ints, minverse, mmul
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -200,6 +210,123 @@ def test_equiv_nonconnected(tmp_path, capsys):
     code, out = run(capsys, "equiv", "catalog:o(2)", "--cocycle", str(z))
     assert code == 0
     assert json.loads(out)["index"] == 2
+
+
+def _rebased_torus_fe(capsys, tower):
+    """catalog torus:fe as a file, rebased by the unimodular P = S * L, S a
+    signed permutation and L unit lower bidiagonal: X -> P X P^-1 and
+    N_sigma -> P N_sigma P^-1; and P."""
+    _, emitted = run(capsys, "catalog", "emit", "torus:fe")
+    data = json.loads(emitted)
+    p = mmul(mat_from_ints(tower, [[0, -1, 0], [0, 0, 1], [1, 0, 0]]),
+             mat_from_ints(tower, [[1, 0, 0], [-1, 1, 0], [0, 1, 1]]))
+    p_inv = minverse(p, tower)
+
+    def move(m):
+        return _fmt_mat(mmul(mmul(p, _parse_mat(m, tower)), p_inv))
+
+    return {"kind": "torus", "lie_basis": [move(m) for m in data["lie_basis"]],
+            "N_sigma": move(data["N_sigma"])}, p
+
+
+def test_equiv_forms_no_twist(tmp_path, capsys, monkeypatch):
+    # every listed class of torus:fe and of a rebased copy, as listed and
+    # moved by a complex torus point s (SO(2) x GL(1) at a = 5/4,
+    # b = 3/4 i, c = 2 + i): equiv re-verifies its witness without
+    # forming s^-1 z gamma(s)
+    tower = FieldTower()
+    data, p = _rebased_torus_fe(capsys, tower)
+    group_file = tmp_path / "rebased.json"
+    group_file.write_text(json.dumps(data))
+    point = _parse_mat([["5/4", "3/4*i", "0"], ["-3/4*i", "5/4", "0"],
+                        ["0", "0", "2+i"]], tower)
+    cases = []
+    for spec, nsigma, s in (
+            ("catalog:torus:fe", [["1", "0", "0"], ["0", "1", "0"],
+                                  ["0", "0", "1"]], point),
+            (str(group_file), data["N_sigma"],
+             mmul(mmul(p, point), minverse(p, tower)))):
+        real = RealStructure(_parse_mat(nsigma, tower), tower)
+        _, listing = run(capsys, "h1", spec)
+        for c in json.loads(listing)["classes"]:
+            rep = c["representative"]
+            cases.append((spec, rep, rep))
+            z = real.twist(s, _parse_mat(rep, tower))
+            cases.append((spec, _fmt_mat(z), rep))
+
+    def no_twist(*args, **kwargs):
+        raise AssertionError("equiv formed a twist")
+
+    monkeypatch.setattr(linalg.RealStructure, "twist", no_twist)
+    path = tmp_path / "z.json"
+    for spec, z, rep in cases:
+        path.write_text(json.dumps(z))
+        code, out = run(capsys, "equiv", spec, "--cocycle", str(path))
+        assert code == 0
+        report = json.loads(out)
+        assert report["verified"] is True
+        assert report["representative"] == rep
+    assert len(cases) == 8
+
+
+def test_singular_witness_fails_verification(tmp_path, capsys, monkeypatch):
+    # a zero witness satisfies s * rep * N = z * N * conj(s); the rank test
+    # refuses it
+    trivialize = cli.trivialize_cocycle
+
+    def zero_witness(group, z):
+        listed, signs, s = trivialize(group, z)
+        return listed, signs, [[x * 0 for x in row] for row in s]
+
+    monkeypatch.setattr(cli, "trivialize_cocycle", zero_witness)
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps([["1", "0"], ["0", "1"]]))
+    code, out = run(capsys, "equiv", "catalog:torus:f", "--cocycle",
+                    str(path))
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "verification-failed"
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._make_parser.cache_clear()
+    counts = []
+    for _ in range(3):
+        run(capsys, "catalog", "list")
+        counts.append(len(built))
+    assert built.count("realcoh") == 1
+    assert counts[0] == counts[2]
+
+
+@pytest.mark.parametrize("command", ["h1", "equiv"])
+@pytest.mark.parametrize("entry", ["-" * 3000 + "1",
+                                   "(" * 2000 + "1" + ")" * 2000],
+                         ids=["minus-signs", "parentheses"])
+def test_deep_nesting_is_a_coded_error(tmp_path, command, entry):
+    # the command-line program itself, so that a traceback would show on
+    # its stderr
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps({"kind": "torus", "lie_basis": [[[entry]]],
+                                 "N_sigma": [["1"]]}))
+    cocycle = tmp_path / "z.json"
+    cocycle.write_text(json.dumps([[entry]]))
+    argv = (["h1", str(group)] if command == "h1" else
+            ["equiv", "catalog:torus:e", "--cocycle", str(cocycle)])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-m", "realcoh.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert done.returncode == 1
+    assert done.stderr == ""
+    assert json.loads(done.stdout)["error"]["code"] == "nesting-too-deep"
 
 
 # -- h2-quasitorus and lattice-decompose -------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -228,6 +229,80 @@ def test_roundtrip_grammar(tower):
 def test_roundtrip_nested(tower):
     x = tower.sqrt(2 + tower.sqrt(3))
     assert parse_element(format_element(x), tower) == x
+
+
+def _literal_corpus(seed):
+    """Seeded integers and fractions, signed and with leading zeros, of 1
+    to 60 digits, and the edge cases of the literal grammar: -0, zero
+    denominators, the int() digit limit on either side of a fraction, space,
+    a plus sign, a double minus, Unicode digits and near-literals."""
+    rng = random.Random(seed)
+    limit = sys.get_int_max_str_digits()
+
+    def digits():
+        return "0" * rng.choice((0, 0, 1, 3)) + str(
+            rng.randint(0, 10 ** rng.randint(1, 60)))
+
+    corpus = []
+    for _ in range(200):
+        text = rng.choice(("", "-")) + digits()
+        if rng.random() < 0.5:
+            text += "/" + digits()
+        corpus.append(text)
+    corpus += [
+        "0", "1", "-1", "-0", "007", "-007", "-12/18", "12/-18", "0/5",
+        "-0/5", "1/0", "0/0", "-3/0", "1/(0)", "1/00",
+        "1" * limit, "-" + "1" * limit, "1" * (limit + 1),
+        "-" + "1" * (limit + 1), "0" * (limit + 1),
+        "1/" + "1" * (limit + 1), "1" * (limit + 1) + "/3",
+        " 1", "1 ", "1\n", "\t-1", "+1", "--1", "- 1", "-(1)", "(1)/2",
+        "1/2/3", "1//2", "1/", "/1", "", "-", "1_000", "1.5", "1e3",
+        "0x10", "١", "-١٢/٣", "1/٢", "²", "½",
+    ]
+    return corpus
+
+
+def _parse_outcome(parse, text, tower):
+    try:
+        x = parse(text, tower)
+    except FieldError as err:
+        return "error", err.code
+    return "value", x, format_element(x)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_literal_fast_path_matches_parser(seed):
+    # parse_element reads a whole-string rational literal without the
+    # parser; it must give the same element, or the same error code
+    tower = FieldTower()
+    by_parser = lambda text, t: field._Parser(text, t).parse()
+    for text in _literal_corpus(seed):
+        got = _parse_outcome(parse_element, text, tower)
+        want = _parse_outcome(by_parser, text, tower)
+        assert got[0] == want[0], text[:40]
+        if got[0] == "error":
+            assert got[1] == want[1], text[:40]
+        else:
+            assert got[1] == want[1] and got[2] == want[2], text[:40]
+    codes = {_parse_outcome(parse_element, text, tower)[1]
+             for text in _literal_corpus(seed)}
+    assert {"parse-error", "literal-too-long",
+            "division-by-zero"} <= codes
+
+
+@pytest.mark.parametrize("text", ["-" * 3000 + "1",
+                                  "(" * 2000 + "1" + ")" * 2000,
+                                  "sqrt(" * 1000 + "4" + ")" * 1000],
+                         ids=["minus-signs", "parentheses", "sqrt"])
+def test_deep_nesting_is_coded_error(tower, text):
+    with pytest.raises(FieldError) as err:
+        parse_element(text, tower)
+    assert err.value.code == "nesting-too-deep"
+
+
+def test_moderate_nesting_still_parses(tower):
+    assert parse_element("-" * 60 + "1", tower) == 1
+    assert parse_element("(" * 40 + "2" + ")" * 40, tower) == 2
 
 
 def test_split_quadratics(tower):

@@ -4,8 +4,9 @@ never read, no function, class or method that no module of the package
 reads, outside a short list of entry points kept for the acceptance
 criteria and the reference checks, no instance attribute that is set and
 never read, no dataclass field that is never read, no parameter that its
-function never reads, and no write to a field element's normal form after
-its constructor."""
+function never reads, no write to a field element's normal form after
+its constructor, and no witness check that compares a twisted matrix
+(RealStructure.carries checks the same identity without an inverse)."""
 
 import ast
 from pathlib import Path
@@ -100,6 +101,47 @@ def test_normal_form_reads_are_not_stores():
               "w = dict(x._num)\n"
               "w[m] = 1\n")
     assert _normal_form_stores(ast.parse(source)) == []
+
+
+def _twisted_comparisons(tree):
+    """Lines of a call meq(..., <expr>.twist(...), ...): a check of
+    s^-1 z gamma(s) = rep that forms s^-1, where carries(s, z, rep) needs
+    no inverse."""
+    def is_meq(func):
+        return getattr(func, "id", getattr(func, "attr", None)) == "meq"
+
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and is_meq(node.func)
+                   and any(isinstance(arg, ast.Call)
+                           and isinstance(arg.func, ast.Attribute)
+                           and arg.func.attr == "twist"
+                           for arg in node.args)})
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_twisted_witness_check(path):
+    lines = _twisted_comparisons(ast.parse(path.read_text()))
+    assert lines == [], f"{path.name}: meq of a twist on lines {lines} " \
+                        "(use RealStructure.carries)"
+
+
+@pytest.mark.parametrize("source", [
+    "meq(real.twist(s, z), rep)", "ok = not meq(g.real.twist(s, z), rep)",
+    "meq(rep, self.real.twist(s, z, s_inv))",
+    "linalg.meq(group.real.twist(b, g), target)",
+    "if meq(x, y) and meq(cc.real.twist(a, x), y): pass",
+])
+def test_twisted_witness_check_is_found(source):
+    assert _twisted_comparisons(ast.parse(source)) != []
+
+
+@pytest.mark.parametrize("source", [
+    "real.carries(s, z, rep)", "y = real.twist(s, z)",
+    "meq(mmul(real.twist(s, z), w), x)", "meq(_twist(g, e, z), rep)",
+    "meq(real.twisted(s, z), rep)", "meq(x, y)",
+])
+def test_other_comparisons_are_not_twisted_checks(source):
+    assert _twisted_comparisons(ast.parse(source)) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

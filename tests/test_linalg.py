@@ -8,15 +8,20 @@ import sympy
 
 import pytest
 
-from realcoh import catalog, liealg, linalg
-from realcoh.field import FieldError, FieldTower
+from realcoh import catalog, liealg, linalg, nonconnected, nonreductive, \
+    reductive
+from realcoh.field import FieldError, FieldTower, RealcohError
 from realcoh.liealg import LieAlgebraDatum, exp_nilpotent, log_unipotent, \
     rref_rows
 from realcoh.linalg import RealStructure, charpoly, echelon_reduce, \
-    left_kernel, mat_from_ints, meq, meye, minverse, mmul, row_reduce, \
-    row_reduce_transform, solve_left, vmat
-from realcoh.reductive import solve_problem2_reductive
-from realcoh.torus import trivialize_cocycle
+    left_kernel, mat_from_ints, mconj, meq, meye, minverse, mmul, mscale, \
+    mzeros, row_reduce, row_reduce_transform, solve_left, vmat
+from realcoh.nonconnected import h1_nonconnected, solve_problem2_nonconnected
+from realcoh.nonreductive import h1_connected, sansuc_transport, \
+    solve_problem2_connected
+from realcoh.reductive import h1_connected_reductive, \
+    solve_problem2_reductive
+from realcoh.torus import h1_torus, trivialize_cocycle
 
 
 def _dense_mmul(a, b):
@@ -473,3 +478,178 @@ def test_mmul_calls_of_charpoly_exp_and_log(monkeypatch):
         calls.clear()
         assert meq(log_unipotent(u, tower), x)
         assert len(calls) == k - 1
+
+
+_CLASS_LISTS = {"torus": h1_torus, "reductive": h1_connected_reductive,
+                "nonconnected": h1_nonconnected}
+
+
+def _rand_invertible(rng, pool, n, tower):
+    while True:
+        s = _rand_matrix(rng, pool, n, n, 0.7)
+        try:
+            minverse(s, tower)
+        except FieldError:
+            continue
+        return s
+
+
+def _identity_cases(seed):
+    """(N, z, s, rep) with rep = s^-1 z gamma(s), for every listed class z
+    of torus:fe, so(2,3), su(2,1) and o(3), and for the same group rebased
+    by a complex P (N -> P N conj(P)^-1, z -> P z P^-1), so that N is a
+    general matrix; s is a seeded invertible matrix over Q(i)(sqrt 2)."""
+    rng = random.Random(seed)
+    tower = FieldTower()
+    r2 = tower.sqrt(2)
+    pool = _gaussian_pool(rng, tower) + [r2, r2 * tower.i() - 1]
+    cases = []
+    for name in ("torus:fe", "so(2,3)", "su(2,1)", "o(3)"):
+        entry = catalog.get(name, tower)
+        reps = _CLASS_LISTS[entry.kind](entry.group).representatives
+        n = len(entry.nsigma)
+        p = _rand_invertible(rng, pool, n, tower)
+        p_inv = minverse(p, tower)
+        rebased = mmul(mmul(p, entry.nsigma), minverse(mconj(p), tower))
+        for nsigma, move in ((entry.nsigma, lambda z: z),
+                             (rebased, lambda z: mmul(mmul(p, z), p_inv))):
+            real = RealStructure(nsigma, tower)
+            for z in reps:
+                for _ in range(2):
+                    s = _rand_invertible(rng, pool, n, tower)
+                    cases.append((nsigma, move(z), s,
+                                  real.twist(s, move(z))))
+    return tower, rng, cases
+
+
+def _changed(rng, m):
+    """m with one entry moved by 1."""
+    out = [list(row) for row in m]
+    i, j = rng.randrange(len(m)), rng.randrange(len(m))
+    out[i][j] = out[i][j] + 1
+    return out
+
+
+def test_carries_and_is_cocycle_match_the_twisted_forms():
+    # s * rep * N = z * N * conj(s) against rep = s^-1 z gamma(s), and
+    # z * N * conj(z) = N against z * gamma(z) = 1
+    tower, rng, cases = _identity_cases(21)
+    seen = set()
+    for nsigma, z, s, rep in cases:
+        real = RealStructure(nsigma, tower)
+        assert real.carries(s, z, rep)
+        assert not real.carries(s, z, _changed(rng, rep))
+        assert not real.carries(s, _changed(rng, z), rep)
+        for m in (z, rep, s, _changed(rng, rep), mscale(tower.i(), z)):
+            old = meq(mmul(m, real.gamma(m)), meye(tower, len(m)))
+            assert real.is_cocycle(m) == old
+            seen.add(old)
+    assert seen == {True, False}
+    assert len(cases) >= 40
+
+
+def test_identities_form_no_inverse(monkeypatch):
+    tower, rng, cases = _identity_cases(22)
+    bad = [_changed(rng, rep) for _, _, _, rep in cases]
+
+    def no_inverse(a, tower):
+        raise AssertionError("an inverse was formed")
+
+    monkeypatch.setattr(linalg, "minverse", no_inverse)
+    for (nsigma, z, s, rep), wrong in zip(cases, bad):
+        real = RealStructure(nsigma, tower)
+        assert real.is_cocycle(z) and real.is_cocycle(rep)
+        assert real.carries(s, z, rep)
+        assert not real.carries(s, z, wrong)
+
+
+def test_carries_refuses_a_singular_s():
+    # a zero s, or a singular gamma-fixed Lie algebra element m, satisfies
+    # s * 1 * N = 1 * N * conj(s); carries still refuses it
+    tower = FieldTower()
+    refused = 0
+    for name in ("torus:fe", "so(2,3)", "su(2,1)", "o(3)"):
+        entry = catalog.get(name, tower)
+        real = RealStructure(entry.nsigma, tower)
+        n = len(entry.nsigma)
+        one = meye(tower, n)
+        for s in [mzeros(tower, n, n)] + entry.lie_basis:
+            if len(row_reduce(s)[1]) == n:
+                continue
+            assert meq(mmul(s, entry.nsigma), mmul(entry.nsigma, mconj(s)))
+            assert not real.carries(s, one, one)
+            refused += 1
+    assert refused >= 8
+
+
+def test_singular_structure_and_shapes_are_coded_errors():
+    tower = FieldTower()
+    one = meye(tower, 2)
+    real = RealStructure(mat_from_ints(tower, [[1, 0], [0, 0]]), tower)
+    for call in (lambda: real.is_cocycle(one),
+                 lambda: real.carries(one, one, one)):
+        with pytest.raises(FieldError) as err:
+            call()
+        assert err.value.code == "singular"
+    real = RealStructure(one, tower)
+    three = meye(tower, 3)
+    for call in (lambda: real.is_cocycle(three),
+                 lambda: real.carries(three, one, one),
+                 lambda: real.carries(one, three, one),
+                 lambda: real.carries(one, one, three),
+                 lambda: real.carries(one, one, [one[0]])):
+        with pytest.raises(FieldError) as err:
+            call()
+        assert err.value.code == "shape-mismatch"
+
+
+def test_singular_witness_is_refused_at_each_solver_site(monkeypatch):
+    """A zero witness passes the inverse-free identity; each solver's own
+    check refuses it by rank, with that solver's error code, where the
+    twisted form would have raised singular."""
+    tower = FieldTower()
+
+    def zero_like(m, *_):
+        return mzeros(tower, len(m), len(m))
+
+    def solve_code(call):
+        with pytest.raises(RealcohError) as err:
+            call()
+        return err.value.code
+
+    so23 = catalog.get("so(2,3)", tower)
+    rep = h1_connected_reductive(so23.group).representatives[0]
+    search = reductive._pattern_search
+    with monkeypatch.context() as m:
+        m.setattr(reductive, "_pattern_search", lambda g, *a: (
+            search(g, *a)[0], zero_like(rep)))
+        assert solve_code(lambda: solve_problem2_reductive(
+            so23.group, rep)) == "witness-verification-failed"
+
+    # a unipotent cocycle exp(-2i e) = s^-1 gamma(s) of SL(2), s = exp(i e)
+    sl2 = catalog.get("sl(2,r)", tower)
+    e = mat_from_ints(tower, [[0, 1], [0, 0]])
+    z = sl2.group.real.twist(exp_nilpotent(mscale(tower.i(), e), tower),
+                             meye(tower, 2))
+    with monkeypatch.context() as m:
+        m.setattr(reductive, "exp_nilpotent", zero_like)
+        assert solve_code(lambda: solve_problem2_reductive(
+            sl2.group, z)) == "jordan-twist-failed"
+
+    affine = catalog.get("gm-affine", tower)
+    rep = h1_connected(affine.group).representatives[0]
+    with monkeypatch.context() as m:
+        m.setattr(nonreductive, "exp_nilpotent", zero_like)
+        assert solve_code(lambda: solve_problem2_connected(
+            affine.group, rep)) == "witness-verification-failed"
+        assert solve_code(lambda: sansuc_transport(
+            affine.group, rep, rep, meye(tower, 2))) == "transport-failed"
+
+    o3 = catalog.get("o(3)", tower)
+    rep = h1_nonconnected(o3.group).representatives[0]
+    classify = nonconnected._ComponentClass.classify
+    with monkeypatch.context() as m:
+        m.setattr(nonconnected._ComponentClass, "classify",
+                  lambda cc, t, w: (classify(cc, t, w)[0], zero_like(w)))
+        assert solve_code(lambda: solve_problem2_nonconnected(
+            o3.group, rep)) == "no-equivalent-class"
