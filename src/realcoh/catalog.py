@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass
 
 from .field import FieldTower, RealcohError, format_element
-from .linalg import mat_from_ints, meye, mzeros
+from .linalg import RealStructure, mat_from_ints, meye, mzeros
 from .nonconnected import build_nonconnected
 from .nonreductive import build_levi_split
 from .reductive import build_reductive
@@ -115,7 +115,7 @@ def _torus_entry(word: str, tower: FieldTower) -> CatalogEntry:
             for j in range(size):
                 nsig[off + i][off + j] = tower.from_rational(
                     block_nsig[i][j])
-    pres = build_presentation(basis, nsig, tower)
+    pres = build_presentation(basis, RealStructure(nsig, tower))
     return CatalogEntry(
         name=f"torus:{word.lower()}", kind="torus", tower=tower,
         lie_basis=basis, nsigma=nsig, group=pres,
@@ -123,6 +123,13 @@ def _torus_entry(word: str, tower: FieldTower) -> CatalogEntry:
 
 
 # -- orthogonal and linear families -------------------------------------------------
+
+
+def _reductive_entry(name: str, tower: FieldTower, basis: list,
+                     nsig: list) -> CatalogEntry:
+    group = build_reductive(basis, RealStructure(nsig, tower))
+    return CatalogEntry(name=name, kind="reductive", tower=tower,
+                        lie_basis=basis, nsigma=nsig, group=group)
 
 
 def _sopq_data(p: int, q: int, tower: FieldTower) -> list:
@@ -146,11 +153,8 @@ def _sopq_entry(p: int, q: int, tower: FieldTower) -> CatalogEntry:
             "unknown-name",
             f"so({p},{q}) is a one-dimensional torus: use "
             + ("catalog:torus:e" if p == q else "catalog:torus:f"))
-    basis = _sopq_data(p, q, tower)
-    group = build_reductive(basis, meye(tower, p + q), tower)
-    return CatalogEntry(name=f"so({p},{q})", kind="reductive", tower=tower,
-                        lie_basis=basis, nsigma=meye(tower, p + q),
-                        group=group)
+    return _reductive_entry(f"so({p},{q})", tower, _sopq_data(p, q, tower),
+                            meye(tower, p + q))
 
 
 def _slnr_entry(n: int, tower: FieldTower) -> CatalogEntry:
@@ -171,9 +175,7 @@ def _slnr_entry(n: int, tower: FieldTower) -> CatalogEntry:
         d[i][i] = tower.one()
         d[i + 1][i + 1] = tower.from_rational(-1)
         basis.append(d)
-    group = build_reductive(basis, meye(tower, n), tower)
-    return CatalogEntry(name=f"sl({n},r)", kind="reductive", tower=tower,
-                        lie_basis=basis, nsigma=meye(tower, n), group=group)
+    return _reductive_entry(f"sl({n},r)", tower, basis, meye(tower, n))
 
 
 def _su_basis(p: int, q: int, tower: FieldTower) -> list:
@@ -222,9 +224,7 @@ def _su_entry(p: int, q: int, tower: FieldTower) -> CatalogEntry:
     for i in range(n):
         nsig[i][n + i] = tower.from_rational(sign[i])
         nsig[n + i][i] = tower.from_rational(sign[i])
-    group = build_reductive(basis, nsig, tower)
-    return CatalogEntry(name=f"su({p},{q})", kind="reductive", tower=tower,
-                        lie_basis=basis, nsigma=nsig, group=group)
+    return _reductive_entry(f"su({p},{q})", tower, basis, nsig)
 
 
 def _sp4_entry(tower: FieldTower) -> CatalogEntry:
@@ -257,9 +257,7 @@ def _sp4_entry(tower: FieldTower) -> CatalogEntry:
         sp_elt(z, e22, e22),
         sp_elt(z, e12s, e12s),
     ]
-    group = build_reductive(basis, meye(tower, n), tower)
-    return CatalogEntry(name="sp(4,r)", kind="reductive", tower=tower,
-                        lie_basis=basis, nsigma=meye(tower, n), group=group)
+    return _reductive_entry("sp(4,r)", tower, basis, meye(tower, n))
 
 
 # -- non-connected and non-reductive entries ----------------------------------------
@@ -268,15 +266,21 @@ def _sp4_entry(tower: FieldTower) -> CatalogEntry:
 _Z2 = ([[0, 1], [1, 0]], [0, 1])
 
 
+def _z2_entry(name: str, tower: FieldTower, basis: list, nsig: list,
+              reps: list) -> CatalogEntry:
+    """A group with two components, represented by reps, and the trivial
+    gamma-action on them."""
+    group = build_nonconnected(basis, RealStructure(nsig, tower), reps, *_Z2)
+    return CatalogEntry(name=name, kind="nonconnected", tower=tower,
+                        lie_basis=basis, nsigma=nsig, component_reps=reps,
+                        pi0_table=_Z2[0], pi0_gamma=_Z2[1], group=group)
+
+
 def _o2_entry(tower: FieldTower) -> CatalogEntry:
     rot = mat_from_ints(tower, [[0, 1], [-1, 0]])
     refl = mat_from_ints(tower, [[1, 0], [0, -1]])
-    reps = [meye(tower, 2), refl]
-    group = build_nonconnected([rot], meye(tower, 2), reps, *_Z2, tower)
-    return CatalogEntry(name="o(2)", kind="nonconnected", tower=tower,
-                        lie_basis=[rot], nsigma=meye(tower, 2),
-                        component_reps=reps, pi0_table=_Z2[0],
-                        pi0_gamma=_Z2[1], group=group)
+    return _z2_entry("o(2)", tower, [rot], meye(tower, 2),
+                     [meye(tower, 2), refl])
 
 
 def _o3_entry(tower: FieldTower) -> CatalogEntry:
@@ -286,42 +290,37 @@ def _o3_entry(tower: FieldTower) -> CatalogEntry:
         [[0, 0, 0], [0, 0, 1], [0, -1, 0]],
     )]
     minus = mat_from_ints(tower, [[-1, 0, 0], [0, -1, 0], [0, 0, -1]])
-    reps = [meye(tower, 3), minus]
-    group = build_nonconnected(basis, meye(tower, 3), reps, *_Z2, tower)
-    return CatalogEntry(name="o(3)", kind="nonconnected", tower=tower,
-                        lie_basis=basis, nsigma=meye(tower, 3),
-                        component_reps=reps, pi0_table=_Z2[0],
-                        pi0_gamma=_Z2[1], group=group)
+    return _z2_entry("o(3)", tower, basis, meye(tower, 3),
+                     [meye(tower, 3), minus])
 
 
 def _mu2_entry(tower: FieldTower) -> CatalogEntry:
-    reps = [mat_from_ints(tower, [[1]]), mat_from_ints(tower, [[-1]])]
-    group = build_nonconnected([], meye(tower, 1), reps, *_Z2, tower)
-    return CatalogEntry(name="mu2", kind="nonconnected", tower=tower,
-                        lie_basis=[], nsigma=meye(tower, 1),
-                        component_reps=reps, pi0_table=_Z2[0],
-                        pi0_gamma=_Z2[1], group=group)
+    return _z2_entry("mu2", tower, [], meye(tower, 1),
+                     [mat_from_ints(tower, [[1]]),
+                      mat_from_ints(tower, [[-1]])])
 
 
 def _nsl2t_entry(tower: FieldTower, compact: bool) -> CatalogEntry:
     h = mat_from_ints(tower, [[1, 0], [0, -1]])
     w = mat_from_ints(tower, [[0, 1], [-1, 0]])
-    nsig = w if compact else meye(tower, 2)
-    reps = [meye(tower, 2), w]
-    group = build_nonconnected([h], nsig, reps, *_Z2, tower)
-    name = "n-sl2-t-compact" if compact else "n-sl2-t"
-    return CatalogEntry(name=name, kind="nonconnected", tower=tower,
-                        lie_basis=[h], nsigma=nsig,
-                        component_reps=reps, pi0_table=_Z2[0],
-                        pi0_gamma=_Z2[1], group=group)
+    return _z2_entry("n-sl2-t-compact" if compact else "n-sl2-t", tower,
+                     [h], w if compact else meye(tower, 2),
+                     [meye(tower, 2), w])
+
+
+def _levi_entry(name: str, tower: FieldTower, basis: list) -> CatalogEntry:
+    """A connected group with unipotent radical and the split real
+    structure."""
+    nsig = meye(tower, len(basis[0]))
+    group = build_levi_split(basis, RealStructure(nsig, tower))
+    return CatalogEntry(name=name, kind="nonreductive", tower=tower,
+                        lie_basis=basis, nsigma=nsig, group=group)
 
 
 def _gm_affine_entry(tower: FieldTower) -> CatalogEntry:
     d = mat_from_ints(tower, [[1, 0], [0, 0]])
     e = mat_from_ints(tower, [[0, 1], [0, 0]])
-    group = build_levi_split([d, e], meye(tower, 2), tower)
-    return CatalogEntry(name="gm-affine", kind="nonreductive", tower=tower,
-                        lie_basis=[d, e], nsigma=meye(tower, 2), group=group)
+    return _levi_entry("gm-affine", tower, [d, e])
 
 
 def _sl2_c2_entry(tower: FieldTower) -> CatalogEntry:
@@ -330,10 +329,7 @@ def _sl2_c2_entry(tower: FieldTower) -> CatalogEntry:
     y = mat_from_ints(tower, [[0, 0, 0], [1, 0, 0], [0, 0, 0]])
     e1 = mat_from_ints(tower, [[0, 0, 1], [0, 0, 0], [0, 0, 0]])
     e2 = mat_from_ints(tower, [[0, 0, 0], [0, 0, 1], [0, 0, 0]])
-    basis = [h, x, y, e1, e2]
-    group = build_levi_split(basis, meye(tower, 3), tower)
-    return CatalogEntry(name="sl2-c2", kind="nonreductive", tower=tower,
-                        lie_basis=basis, nsigma=meye(tower, 3), group=group)
+    return _levi_entry("sl2-c2", tower, [h, x, y, e1, e2])
 
 
 # -- registry ----------------------------------------------------------------------

@@ -90,6 +90,8 @@ def _load_json(path: str) -> dict:
         raise CliError("input-unreadable", str(exc))
     except json.JSONDecodeError as exc:
         raise CliError("input-not-json", str(exc))
+    except RecursionError:
+        raise CliError("input-too-deep", "the JSON nests too deeply")
 
 
 def _load_object(path: str) -> dict:
@@ -115,16 +117,17 @@ def _build_from_data(data: dict, tower: FieldTower) -> CatalogEntry:
     basis = _parse_mats(data, "lie_basis", tower, n)
     hint = (_parse_mat(data["conjugator_hint"], tower, n)
             if data.get("conjugator_hint") else None)
+    real = RealStructure(nsig, tower)
     if kind == "torus":
-        group = build_presentation(basis, nsig, tower)
+        group = build_presentation(basis, real)
     elif kind == "reductive":
-        group = build_reductive(basis, nsig, tower)
+        group = build_reductive(basis, real)
     elif kind == "nonreductive":
-        group = build_levi_split(basis, nsig, tower)
+        group = build_levi_split(basis, real)
     else:
         reps = _parse_mats(data, "component_reps", tower, n)
-        group = build_nonconnected(basis, nsig, reps, data.get("pi0_table"),
-                                   data.get("pi0_gamma"), tower,
+        group = build_nonconnected(basis, real, reps, data.get("pi0_table"),
+                                   data.get("pi0_gamma"),
                                    conjugator_hint=hint)
     return CatalogEntry(name=name, kind=kind, tower=tower, lie_basis=basis,
                         nsigma=nsig, conjugator_hint=hint, group=group)
@@ -281,7 +284,7 @@ def _h2_report(spec: str, tower: FieldTower) -> dict:
     chars = data.get("characters")
     if not isinstance(chars, list):
         raise CliError("bad-input", "missing character exponent rows")
-    pres = build_presentation(basis, nsig, tower)
+    pres = build_presentation(basis, RealStructure(nsig, tower))
     if not all(isinstance(row, list) and len(row) == pres.d
                and all(type(x) is int for x in row) for row in chars):
         raise CliError("bad-input", "each character must be a list of "

@@ -36,7 +36,7 @@ from .field import FieldTower, RealcohError, format_element
 from .lattice import (LatticeError, det, diagonal_form, rational_inverse,
                       transpose)
 from .liealg import exp_nilpotent, in_span, rref_rows
-from .linalg import RealStructure, mconj, meq, meye, minverse, mmul, mscale
+from .linalg import RealStructure, meq, meye, minverse, mmul, mscale
 from .reductive import ReductiveRealGroup, weyl_walk
 from .torus import (
     QuasiTorusDatum,
@@ -59,43 +59,40 @@ class H2Error(RealcohError):
 
 @dataclass
 class NonabCocycle2:
-    """Pair (a, f) with f(x) = M conj(x) M^-1; the differential of f is
-    given by the same formula."""
+    """Pair (a, f) with f the anti-regular map of the structure real,
+    f(x) = M conj(x) M^-1; the differential of f is given by the same
+    formula."""
 
-    tower: FieldTower
     lie_basis: list
     a: list
-    m_f: list
-
-    def f(self, x: list) -> list:
-        return mmul(mmul(self.m_f, mconj(x)), minverse(self.m_f, self.tower))
+    real: RealStructure
 
 
-def make_cocycle2(tower: FieldTower, lie_basis: list, a: list,
-                  m_f: list) -> NonabCocycle2:
-    """Build a cocycle and verify f^2 = inn(a) on the basis and f(a) = a."""
-    c = NonabCocycle2(tower, lie_basis, a, m_f)
-    if not meq(c.f(a), a):
+def make_cocycle2(lie_basis: list, a: list,
+                  real: RealStructure) -> NonabCocycle2:
+    """Build a cocycle and verify f(a) = a and f^2 = inn(a) on the basis.
+
+    f^2 is conjugation by D = M conj(M) (RealStructure.defect), so
+    f^2(X) = a X a^-1 is checked as: w = a^-1 D commutes with X.  The only
+    inverse formed is that of a."""
+    if not real.fixes(a):
         raise H2Error("not-cocycle", "f(a) != a")
-    ainv = minverse(a, tower)
+    w = mmul(minverse(a, real.tower), real.defect())
     for x in lie_basis:
-        if not meq(c.f(c.f(x)), mmul(mmul(a, x), ainv)):
+        if not meq(mmul(w, x), mmul(x, w)):
             raise H2Error("not-cocycle", "f^2 != inn(a) on the Lie algebra")
-    return c
+    return NonabCocycle2(lie_basis, a, real)
 
 
-def delta(b: list, nsigma: list, lie_basis: list,
-          tower: FieldTower) -> NonabCocycle2:
+def delta(b: list, real: RealStructure, lie_basis: list) -> NonabCocycle2:
     """The 2-cocycle (b.gamma(b), inn(b) o gamma) attached to a lift b."""
-    real = RealStructure(nsigma, tower)
-    return make_cocycle2(tower, lie_basis, mmul(b, real.gamma(b)),
-                         real.inner(b).nsigma)
+    return make_cocycle2(lie_basis, mmul(b, real.gamma(b)), real.inner(b))
 
 
 def act(s: list, c: NonabCocycle2) -> NonabCocycle2:
     """Left action s * (a, f) = (s.f(s).a, inn(s) o f), verified."""
-    a = mmul(mmul(s, c.f(s)), c.a)
-    return make_cocycle2(c.tower, c.lie_basis, a, mmul(s, c.m_f))
+    a = mmul(mmul(s, c.real.gamma(s)), c.a)
+    return make_cocycle2(c.lie_basis, a, c.real.inner(s))
 
 
 def _nth_root(tower: FieldTower, value, n: int):
@@ -302,8 +299,9 @@ def _proportionality(v: list, w: list):
     return c
 
 
-def _sqrt_in_torus(pres: TorusPresentation, z: list, fmap):
-    """f-real square root of z inside the torus, or None."""
+def _sqrt_in_torus(pres: TorusPresentation, z: list):
+    """Square root of z inside the torus, fixed by its real structure, or
+    None."""
     tower = pres.tower
     coords = pres.lambda_inverse(z)
     if coords is None:
@@ -323,7 +321,7 @@ def _sqrt_in_torus(pres: TorusPresentation, z: list, fmap):
         w.append(s1)
         w.append(s1.conj())
     t = pres.mu(w)
-    if meq(mmul(t, t), z) and meq(fmap(t), t):
+    if meq(mmul(t, t), z) and pres.real.fixes(t):
         return t
     return None
 
@@ -358,10 +356,12 @@ def _twisted_real_correction(pres: TorusPresentation, c1_coords: list):
 
 
 def _real_square_root(group: ReductiveRealGroup, pres: TorusPresentation,
-                      fmap, z: list):
-    """f-real t with t^2 = z, searched in the torus and its normalizer."""
+                      z: list):
+    """t with t^2 = z, fixed by the real structure of pres, searched in the
+    torus and its normalizer."""
     tower = group.tower
-    t = _sqrt_in_torus(pres, z, fmap)
+    real = pres.real
+    t = _sqrt_in_torus(pres, z)
     if t is not None:
         return t
     for e in islice(weyl_walk(group), 1, None):
@@ -384,14 +384,14 @@ def _real_square_root(group: ReductiveRealGroup, pres: TorusPresentation,
             continue
         base = mmul(n, pres.lam(sol))
         candidates = [base]
-        c1 = mmul(minverse(base, tower), fmap(base))
+        c1 = mmul(minverse(base, tower), real.gamma(base))
         c1c = pres.lambda_inverse(c1)
         if c1c is not None:
             k = _twisted_real_correction(pres, c1c)
             if k is not None:
                 candidates.append(mmul(base, k))
         for t in candidates:
-            if meq(mmul(t, t), z) and meq(fmap(t), t):
+            if meq(mmul(t, t), z) and real.fixes(t):
                 return t
     return None
 
@@ -409,7 +409,7 @@ def _align_pinning(group: ReductiveRealGroup, c: NonabCocycle2,
 
     def preserves_t(cc):
         for mat in t_mats:
-            img = cc.f(mat)
+            img = cc.real.gamma(mat)
             if not datum.contains(img) or \
                     not in_span(datum.coords(img), group.t_rows):
                 return False
@@ -439,7 +439,7 @@ def _align_pinning(group: ReductiveRealGroup, c: NonabCocycle2,
         scal = []
         ok = True
         for xc_mat in x_gens:
-            img = cand.f(xc_mat)
+            img = cand.real.gamma(xc_mat)
             if not datum.contains(img):
                 ok = False
                 break
@@ -478,7 +478,7 @@ def _align_pinning(group: ReductiveRealGroup, c: NonabCocycle2,
     work = act(step, work)
     aligner = mmul(step, aligner)
     for i, xc_mat in enumerate(x_gens):
-        if not meq(work.f(xc_mat), x_gens[perm[i]]):
+        if not meq(work.real.gamma(xc_mat), x_gens[perm[i]]):
             raise H2Error("internal", "pinning alignment failed to verify")
     return work, aligner
 
@@ -504,8 +504,8 @@ def _center_quasitorus(group: ReductiveRealGroup, pres_f: TorusPresentation,
     component_torus = None
     if z_rows:
         z_mats = group.datum.rows_to_mats(z_rows)
-        component_torus = build_presentation(z_mats, pres_f.real.nsigma,
-                                             tower, allow_defect=True)
+        component_torus = build_presentation(z_mats, pres_f.real,
+                                             allow_defect=True)
     return QuasiTorusDatum(
         torus=pres_f,
         lattice_map=lattice_map,
@@ -527,7 +527,7 @@ def neutralize_reductive(group: ReductiveRealGroup, c: NonabCocycle2,
     datum = group.datum
     ident = meye(tower, datum.n)
     for mat in datum.basis:
-        if not datum.contains(c.f(mat)):
+        if not datum.contains(c.real.gamma(mat)):
             raise H2Error("not-semi-automorphism",
                           "f does not preserve the Lie algebra")
     if meq(c.a, ident):
@@ -549,24 +549,23 @@ def neutralize_reductive(group: ReductiveRealGroup, c: NonabCocycle2,
         center = [ident]
 
     t_mats = datum.rows_to_mats(group.t_rows)
-    pres_f = build_presentation(t_mats, work.m_f, tower, allow_defect=True)
-    fmap = work.f
+    pres_f = build_presentation(t_mats, work.real, allow_defect=True)
     qdatum = _center_quasitorus(group, pres_f, center)
 
     sqrt_blocked = False
     for z in center:
-        if not meq(fmap(z), z):
+        if not work.real.fixes(z):
             continue
         target = minverse(mmul(z, h1), tower)
         s_c = h2_is_coboundary(qdatum, target)
         if s_c is None:
             continue
-        t_sc = _real_square_root(group, pres_f, fmap, z)
+        t_sc = _real_square_root(group, pres_f, z)
         if t_sc is None:
             sqrt_blocked = True
             continue
         d = mmul(mmul(s_c, t_sc), aligner)
-        if not meq(mmul(mmul(d, c.f(d)), c.a), ident):
+        if not meq(mmul(mmul(d, c.real.gamma(d)), c.a), ident):
             raise H2Error("internal", "witness verification failed")
         return NeutralizationResult(True, d)
     if sqrt_blocked:

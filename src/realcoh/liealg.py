@@ -29,6 +29,7 @@ from .field import (
     split_poly,
 )
 from .linalg import (
+    _diagonal_of,
     _nonzero,
     charpoly,
     echelon_reduce,
@@ -1024,7 +1025,9 @@ def _sandwich(cols: list, entries, rows: list) -> dict:
 def root_system(datum: LieAlgebraDatum, cartan_mats: list, c: list,
                 cinv: list) -> RootDatum:
     """Root data of g with respect to t = span(cartan_mats), read off a
-    matrix C for which every C^-1 t_m C is diagonal (checked).
+    matrix C for which every C^-1 t_m C is diagonal (checked with one
+    product each, linalg._diagonal_of: the columns of C have unit leading
+    entries).
 
     With d_m the diagonal of C^-1 t_m C, the matrix unit E_ij has weight
     (d_mi - d_mj)_m under ad(t) on gl(n).  g is ad(t)-stable, so its weight
@@ -1039,13 +1042,9 @@ def root_system(datum: LieAlgebraDatum, cartan_mats: list, c: list,
     tower = datum.tower
     alg = datum.sc
     n = datum.n
-    diags = []
-    for m in cartan_mats:
-        dm = mmul(mmul(cinv, m), c)
-        if any(not x.is_zero() for i, row in enumerate(dm)
-               for j, x in enumerate(row) if i != j):
-            raise LieError("not-diagonalized")
-        diags.append([dm[i][i] for i in range(n)])
+    diags = [_diagonal_of(c, m) for m in cartan_mats]
+    if None in diags:
+        raise LieError("not-diagonalized")
     # the weight of each matrix unit, keyed by the normal forms of its values
     cell_key, weights = {}, {}
     for i in range(n):

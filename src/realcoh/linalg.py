@@ -82,6 +82,32 @@ def mmul(a: list, b: list) -> list:
     return [_row_combination(row, b, pairs, cols) for row in a]
 
 
+def _diagonal_of(c: list, mat: list):
+    """The diagonal entries of D = C^-1 * mat * C, or None when D is not
+    diagonal, for a C whose every column has a unit leading entry (an rref
+    row, as liealg.joint_eigenspaces gives them).
+
+    D is read from mat * C = C * D with one product: column j of mat * C
+    holds D_j at the leading entry of column j of C, and every other entry
+    of that column must be exactly D_j times the entry of C.  C^-1 is not
+    used."""
+    mc = mmul(mat, c)
+    out = []
+    for j in range(len(c)):
+        dj = None
+        for i, row in enumerate(c):
+            x = row[j]
+            if x.is_zero():
+                if not mc[i][j].is_zero():
+                    return None
+            elif dj is None:
+                dj = mc[i][j]
+            elif mc[i][j] != dj * x:
+                return None
+        out.append(dj)
+    return out
+
+
 def vmat(v: list, m: list) -> list:
     """v*m, the combination sum_i v_i * m_i of the rows; the row of a zero
     coefficient is never scanned."""

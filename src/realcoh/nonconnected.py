@@ -95,17 +95,20 @@ class NonConnectedGroup:
         return None
 
 
-def build_nonconnected(lie_basis: list, nsigma: list, component_reps: list,
-                       pi0_table: list, pi0_gamma: list, tower: FieldTower,
+def build_nonconnected(lie_basis: list, real: RealStructure,
+                       component_reps: list, pi0_table: list, pi0_gamma: list,
                        conjugator_hint: list = None) -> NonConnectedGroup:
-    n = len(nsigma)
+    """The group with identity component Lie algebra lie_basis and real
+    structure real, which it hands on to its torus or reductive identity
+    component."""
+    tower = real.tower
+    n = len(real.nsigma)
     ident = meye(tower, n)
     pi0 = FiniteGammaGroup(pi0_table, pi0_gamma)
     if len(component_reps) != pi0.size:
         raise NonConnectedError("component-count-mismatch")
 
     # the real structure must be an involution: N.conj(N) central
-    real = RealStructure(nsigma, tower)
     defect = real.defect()
     for mat in lie_basis + component_reps:
         if not meq(mmul(defect, mat), mmul(mat, defect)):
@@ -120,8 +123,7 @@ def build_nonconnected(lie_basis: list, nsigma: list, component_reps: list,
             meq(mmul(x, y), mmul(y, x)) for x in lie_basis for y in lie_basis
         )
         if abelian:
-            pres = build_presentation(lie_basis, nsigma, tower,
-                                      allow_defect=True)
+            pres = build_presentation(lie_basis, real, allow_defect=True)
             group = NonConnectedGroup(tower, n, lie_basis, real,
                                       component_reps, pi0, "torus",
                                       torus=pres)
@@ -130,7 +132,7 @@ def build_nonconnected(lie_basis: list, nsigma: list, component_reps: list,
                 raise NonConnectedError(
                     "invalid-real-structure",
                     "a central defect needs a torus identity component")
-            red = build_reductive(lie_basis, nsigma, tower)
+            red = build_reductive(lie_basis, real)
             group = NonConnectedGroup(tower, n, lie_basis, real,
                                       component_reps, pi0, "reductive",
                                       reductive=red,
@@ -168,22 +170,20 @@ def build_nonconnected(lie_basis: list, nsigma: list, component_reps: list,
 # -- lifting a component class -----------------------------------------------------
 
 
-def torus_shortcut(lie_basis: list, nsigma: list, g: list,
-                   tower: FieldTower):
+def torus_shortcut(lie_basis: list, real: RealStructure, g: list):
     """Lift a component representative over a torus identity component.
 
     Returns (ghat, s) with ghat = s.g and ghat.gamma(ghat) = 1, or None when
-    h = g.gamma(g) is not a coboundary of the twisted torus (the class has
-    no real points over it).
+    h = g.gamma(g) is not a coboundary of the torus twisted by inn(g)
+    (the class has no real points over it).
     """
-    real = RealStructure(nsigma, tower)
     h = mmul(g, real.gamma(g))
-    pres_tw = build_presentation(lie_basis, real.inner(g).nsigma, tower,
-                                 allow_defect=True)
+    pres_tw = build_presentation(lie_basis, real.inner(g), allow_defect=True)
     if pres_tw.lambda_inverse(h) is None:
         raise NonConnectedError("pi0-data-inconsistent",
                                 "g.gamma(g) is not in the torus")
-    s = h2_is_coboundary(_full_torus_qdatum(pres_tw), minverse(h, tower))
+    s = h2_is_coboundary(_full_torus_qdatum(pres_tw),
+                         minverse(h, real.tower))
     if s is None:
         return None
     ghat = mmul(s, g)
@@ -211,8 +211,9 @@ class _ComponentClass:
     tw_group: ReductiveRealGroup | None = None
     tw_classes: object = None
 
-    def classify(self, tower, w):
+    def classify(self, w):
         """(x index, witness s) with real.twist(s, w) = x_reps[index]."""
+        tower = self.real.tower
         if self.mode == "finite":
             if not meq(w, meye(tower, len(w))):
                 raise NonConnectedError("not-in-identity-component")
@@ -246,8 +247,8 @@ def _lift_class(group: NonConnectedGroup, c: int):
             return g, meye(tower, group.n)
         return None
     if group.mode == "torus":
-        return torus_shortcut(group.lie_basis, group.real.nsigma, g, tower)
-    cocycle = delta(g, group.real.nsigma, group.lie_basis, tower)
+        return torus_shortcut(group.lie_basis, group.real, g)
+    cocycle = delta(g, group.real, group.lie_basis)
     try:
         res = neutralize_reductive(group.reductive, cocycle,
                                    conjugator_hint=group.conjugator_hint)
@@ -270,14 +271,14 @@ def _twisted_x1(group: NonConnectedGroup, ghat: list):
     if group.mode == "finite":
         return real_hat, {"mode": "finite", "x_reps": [meye(tower, group.n)]}
     if group.mode == "torus":
-        pres_hat = build_presentation(group.lie_basis, real_hat.nsigma, tower,
+        pres_hat = build_presentation(group.lie_basis, real_hat,
                                       allow_defect=True)
         res = h1_torus(pres_hat)
         return real_hat, {"mode": "torus", "x_reps": res.representatives,
                           "pres_hat": pres_hat,
                           "patterns": res.sign_patterns}
     try:
-        tw_group = build_reductive(group.lie_basis, real_hat.nsigma, tower)
+        tw_group = build_reductive(group.lie_basis, real_hat)
     except (ReductiveError, TorusError) as err:
         raise NonConnectedError("twist-data-required", str(err))
     tw_classes = h1_connected_reductive(tw_group)
@@ -356,7 +357,7 @@ def _quotient_by_components(group: NonConnectedGroup, cc: _ComponentClass):
                 y = cc.real.twist(a_e, cc.x_reps[cur])
                 if not cc.real.is_cocycle(y):
                     raise NonConnectedError("orbit-action-failed")
-                tprime, s_conn = cc.classify(tower, y)
+                tprime, s_conn = cc.classify(y)
                 if cc.orbit_rep[tprime] is None:
                     v = mmul(a_e, s_conn)
                     cc.orbit_rep[tprime] = t0
@@ -389,7 +390,7 @@ def solve_problem2_nonconnected(group: NonConnectedGroup, g: list,
             if not cc.real.is_cocycle(w):
                 continue
             try:
-                t, s_conn = cc.classify(tower, w)
+                t, s_conn = cc.classify(w)
             except (NonConnectedError, ReductiveError, TorusError) as err:
                 if err.code == "conjugator-unavailable":
                     undecided = err

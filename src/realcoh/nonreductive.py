@@ -61,14 +61,14 @@ class LeviSplitGroup:
         return reductive_projection(self.datum, self.levi, g)
 
 
-def build_levi_split(lie_basis: list, nsigma: list,
-                     tower: FieldTower) -> LeviSplitGroup:
+def build_levi_split(lie_basis: list,
+                     real: RealStructure) -> LeviSplitGroup:
     """Split off the unipotent radical and build the reductive complement,
-    whose Cartan decomposition build_reductive computes; the Levi factor
-    must be closed under theta(X) = -conj(X)^T.
+    whose Cartan decomposition build_reductive computes with the same real
+    structure; the Levi factor must be closed under theta(X) = -conj(X)^T.
     """
+    tower = real.tower
     datum = LieAlgebraDatum(lie_basis, tower)
-    real = RealStructure(nsigma, tower)
     if not all(real.fixes(m) for m in lie_basis):
         raise NonReductiveError("not-real-basis")
     levi = levi_decompose(datum)
@@ -76,7 +76,7 @@ def build_levi_split(lie_basis: list, nsigma: list,
     if not r_mats:
         raise NonReductiveError("trivial-reductive-part",
                                 "the reductive complement is zero")
-    reductive = build_reductive(r_mats, nsigma, tower)
+    reductive = build_reductive(r_mats, real)
     u_rows = rref_rows(datum.mats_to_rows(levi.n_basis))
     return LeviSplitGroup(tower=tower, datum=datum, levi=levi,
                           reductive=reductive, u_rows=u_rows, real=real)

@@ -52,6 +52,7 @@ from .liealg import (
 )
 from .linalg import (
     RealStructure,
+    _diagonal_of,
     echelon_reduce,
     left_kernel,
     meq,
@@ -137,13 +138,6 @@ def _realify_rows(rows: list) -> list:
     return rref_rows(out)
 
 
-def _diagonals(mats: list, c: list, cinv: list) -> list:
-    """The diagonal of C^-1 m C for each m, for matrices that C
-    diagonalizes: their eigenvalues."""
-    return [[row[i] for i, row in enumerate(mmul(mmul(cinv, m), c))]
-            for m in mats]
-
-
 def _split_center(datum: LieAlgebraDatum, z_rows: list) -> tuple:
     """Split the center into compact and split parts by eigenvalue type."""
     tower = datum.tower
@@ -151,7 +145,9 @@ def _split_center(datum: LieAlgebraDatum, z_rows: list) -> tuple:
         return [], []
     z_mats = datum.rows_to_mats(z_rows)
     c = simultaneous_diagonalize(z_mats, tower, datum.n)
-    diags = _diagonals(z_mats, c, minverse(c, tower))
+    diags = [_diagonal_of(c, m) for m in z_mats]
+    if None in diags:
+        raise ReductiveError("center-not-split")
     im_parts = [[x.imag_part() for x in d] for d in diags]
     re_parts = [[x.real_part() for x in d] for d in diags]
 
@@ -206,9 +202,10 @@ def cartan_decomposition(datum: LieAlgebraDatum, s_rows: list) -> tuple:
     return eigenspace(tower.one()), eigenspace(-tower.one())
 
 
-def build_reductive(lie_basis: list, nsigma: list,
-                    tower: FieldTower) -> ReductiveRealGroup:
-    """Assemble the fundamental torus, root and Weyl data of the group.
+def build_reductive(lie_basis: list,
+                    real: RealStructure) -> ReductiveRealGroup:
+    """Assemble the fundamental torus, root and Weyl data of the group with
+    real structure real, which the group and its torus keep.
 
     lie_basis: basis of the real Lie algebra (gamma-fixed matrices), whose
     derived algebra theta(X) = -conj(X)^T maps into itself; k and p come
@@ -220,8 +217,8 @@ def build_reductive(lie_basis: list, nsigma: list,
     block rotations keep the adjoint eigenvalues inside the square-root
     tower.
     """
+    tower = real.tower
     datum = LieAlgebraDatum(lie_basis, tower)
-    real = RealStructure(nsigma, tower)
     if not all(real.fixes(m) for m in lie_basis):
         raise ReductiveError("not-real-basis")
 
@@ -249,13 +246,14 @@ def build_reductive(lie_basis: list, nsigma: list,
     t_rows = alg.centralizer(full, t0_rows)
 
     t_mats = datum.rows_to_mats(t_rows)
-    torus = build_presentation(t_mats, nsigma, tower)
+    torus = build_presentation(t_mats, real)
     # t0 is abelian, so t contains it and C diagonalizes it; it is the Lie
     # algebra of a compact torus exactly when its real basis elements have
     # purely imaginary eigenvalues
-    if any(not x.real_part().is_zero() for d in _diagonals(
-            datum.rows_to_mats(t0_rows), torus.c, torus.cinv) for x in d):
-        raise ReductiveError("t0-not-compact")
+    for m in datum.rows_to_mats(t0_rows):
+        d = _diagonal_of(torus.c, m)
+        if d is None or any(not x.real_part().is_zero() for x in d):
+            raise ReductiveError("t0-not-compact")
     root = root_system(datum, t_mats, torus.c, torus.cinv)
 
     root_index = {tuple(r): i for i, r in enumerate(root.roots)}
@@ -533,7 +531,7 @@ def solve_problem2_reductive(g: ReductiveRealGroup, cocycle: list,
         h_sub = sub.cartan_subalgebra()
         tprime_rows = rref_rows([embed(v) for v in h_sub])
         tprime_mats = datum.rows_to_mats(tprime_rows)
-        tp = build_presentation(tprime_mats, g.real.nsigma, tower)
+        tp = build_presentation(tprime_mats, g.real)
 
         s2, _, t1 = trivialize_cocycle(tp, s_part)
         factors.append(t1)

@@ -1,11 +1,12 @@
 """Algebraic tori over R: presentations, H^1, and quasi-torus H^2.
 
-A torus T in GL(n,C) is given by a basis of its Lie algebra together with a
-real-structure matrix N (the anti-regular involution is g -> N conj(g) N^-1,
-with N conj(N) = 1).  The presentation diagonalizes t, computes the
-cocharacter exponent matrix M with its inverse certificate P, reads off the
-involution tau of the coordinate torus, and splits T into indecomposable
-factors: compact (F), split (E), and induced (D).  All arithmetic is exact
+A torus T in GL(n,C) is given by a basis of its Lie algebra together with
+its real structure, a linalg.RealStructure given by a matrix N (the
+anti-regular involution is g -> N conj(g) N^-1, with N conj(N) = 1).  The
+presentation diagonalizes t, computes the cocharacter exponent matrix M with
+its inverse certificate P, reads off the involution tau of the coordinate
+torus, and splits T into indecomposable factors: compact (F), split (E), and
+induced (D).  All arithmetic is exact
 over a square-root-closed field tower.
 
 Coordinate conventions: a torus element is a coordinate vector (t_1..t_d)
@@ -39,6 +40,7 @@ from .lattice import (
 from .liealg import LieError, joint_eigenspaces
 from .linalg import (
     RealStructure,
+    _diagonal_of,
     mconj,
     meq,
     meye,
@@ -104,31 +106,6 @@ def simultaneous_diagonalize(mats: list, tower: FieldTower, n: int) -> list:
         raise TorusError("not-invariant" if err.code == "not-invariant"
                          else "not-semisimple") from err
     return mtranspose([row for _, s in spaces for row in s])
-
-
-def _diagonal_of(c: list, mat: list):
-    """The diagonal entries of D = C^-1 * mat * C, or None when D is not
-    diagonal.
-
-    D is read from mat * C = C * D with one product.  Every column of C is
-    an rref row, so its first nonzero entry is a unit pivot, and column j
-    of mat * C holds D_j there; every other entry of that column must be
-    exactly D_j times the entry of C.  C^-1 is not used."""
-    mc = mmul(mat, c)
-    out = []
-    for j in range(len(c)):
-        dj = None
-        for i, row in enumerate(c):
-            x = row[j]
-            if x.is_zero():
-                if not mc[i][j].is_zero():
-                    return None
-            elif dj is None:
-                dj = mc[i][j]
-            elif mc[i][j] != dj * x:
-                return None
-        out.append(dj)
-    return out
 
 
 # -- presentation ----------------------------------------------------------------
@@ -324,16 +301,17 @@ def compact_part_lie(t: TorusPresentation) -> list:
     return out
 
 
-def build_presentation(lie_basis: list, nsigma: list, tower: FieldTower,
+def build_presentation(lie_basis: list, real: RealStructure,
                        allow_defect: bool = False) -> TorusPresentation:
-    """Presentation of the torus with involution g -> N conj(g) N^-1.
+    """Presentation of the torus with involution g -> N conj(g) N^-1 given
+    by real, which the presentation keeps.
 
     With allow_defect, N*conj(N) may differ from 1 as long as it commutes
     with the torus; the induced map on the torus is then still an
     involution, even though N itself is not a real-structure matrix.
     """
-    n = len(nsigma)
-    real = RealStructure(nsigma, tower)
+    tower = real.tower
+    n = len(real.nsigma)
     defect = real.defect()
     if not meq(defect, meye(tower, n)):
         if not allow_defect:
@@ -358,7 +336,7 @@ def build_presentation(lie_basis: list, nsigma: list, tower: FieldTower,
     m = perp(_lambda_lattice(diag_entries, n), n)
     d = len(m)
     p = _solve_p(m, n, d)
-    b = mmul(mmul(cinv, nsigma), mconj(c))
+    b = mmul(mmul(cinv, real.nsigma), mconj(c))
     binv = minverse(b, tower)
     tau = _read_tau(b, binv, m, p, n, d, tower)
     if d and mat_mul(tau, tau) != int_identity(d):

@@ -20,8 +20,8 @@ from realcoh.gammacoh import (ComplexSES, GammaModule, ShortComplex,
 from realcoh.h2nab import chevalley_cover, make_cocycle2, neutralize_reductive
 from realcoh.lattice import (hnf, identity, mat_inverse, mat_mul, snf,
                              vec_mat)
-from realcoh.linalg import (mat_from_ints, mconj, meq, meye, minverse, mmul,
-                            mscale, mzeros)
+from realcoh.linalg import (RealStructure, mat_from_ints, mconj, meq, meye,
+                            minverse, mmul, mscale, mzeros)
 from realcoh.liealg import exp_nilpotent
 from realcoh.nonconnected import h1_nonconnected, solve_problem2_nonconnected
 from realcoh.nonreductive import (h1_connected, sansuc_lift,
@@ -162,7 +162,7 @@ def test_criterion_01_stretch_so_6_9():
     tower = FieldTower()
     basis = catalog._sopq_data(6, 9, tower)
     from realcoh.reductive import build_reductive
-    group = build_reductive(basis, meye(tower, 15), tower)
+    group = build_reductive(basis, RealStructure(meye(tower, 15), tower))
     res = h1_connected_reductive(group)
     assert res.order() == 8
     _report(1, f"stretch so(6,9)={res.order()}")
@@ -219,7 +219,7 @@ def _compact_quasitorus(tower, rank, n):
         m[2 * b][2 * b + 1] = tower.one()
         m[2 * b + 1][2 * b] = tower.from_rational(-1)
         basis.append(m)
-    pres = build_presentation(basis, nsig, tower)
+    pres = build_presentation(basis, RealStructure(nsig, tower))
     chars = [[n] + [0] * (rank - 1)]
     for j in range(1, rank):
         chars.append([0] * j + [1] + [0] * (rank - 1 - j))
@@ -386,12 +386,13 @@ def test_criterion_06_witness_soundness():
     entry = catalog.get("sl(2,r)")
     tower = entry.tower
     minus = mat_from_ints(tower, [[-1, 0], [0, -1]])
-    c = make_cocycle2(tower, entry.lie_basis, minus, meye(tower, 2))
+    c = make_cocycle2(entry.lie_basis, minus,
+                      RealStructure(meye(tower, 2), tower))
     res = neutralize_reductive(entry.group, c,
                                center=chevalley_cover(entry.group))
     assert res.neutral
     d = res.witness
-    assert meq(mmul(mmul(d, c.f(d)), c.a), meye(tower, 2))
+    assert meq(mmul(mmul(d, c.real.gamma(d)), c.a), meye(tower, 2))
     checked += 1
     # non-connected representatives satisfy z * gamma(z) = 1
     for name in ("o(2)", "o(3)", "n-sl2-t", "n-sl2-t-compact"):

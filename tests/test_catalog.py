@@ -2,12 +2,16 @@ import json
 
 import pytest
 
+from realcoh import reductive
 from realcoh.catalog import CatalogError, get, list_names
 from realcoh.h2nab import chevalley_cover
-from realcoh.linalg import mconj, meq, meye, mmul, mscale, mtranspose
+from realcoh.liealg import exp_nilpotent
+from realcoh.linalg import (mconj, meq, meye, minverse, mmul, mscale, msub,
+                            mtranspose)
 from realcoh.nonconnected import h1_nonconnected
 from realcoh.nonreductive import h1_connected
-from realcoh.reductive import cartan_decomposition, h1_connected_reductive
+from realcoh.reductive import (ReductiveError, cartan_decomposition,
+                               h1_connected_reductive)
 from realcoh.torus import h1_torus
 
 # heavier entries (so(4,5) and friends) are exercised by the acceptance
@@ -155,3 +159,91 @@ def test_cartan_decomposition_closed_forms(name):
         assert meq(mtranspose(mconj(m)), mscale(minus, m))
     for m in datum.rows_to_mats(p_rows):
         assert meq(mtranspose(mconj(m)), m)
+
+
+# -- one real structure per group ---------------------------------------------------
+
+
+def _reductive_parts(entry) -> list:
+    """(group, class list) of every reductive group a catalog entry holds:
+    itself, its reductive part, or the identity component of a
+    non-connected group and its twists by the lifted component classes."""
+    g = entry.group
+    if entry.kind == "reductive":
+        return [(g, h1_connected_reductive(g))]
+    if entry.kind == "nonreductive":
+        return [(g.reductive, h1_connected(g))]
+    if entry.kind == "nonconnected" and g.mode == "reductive":
+        parts = [(g.reductive, h1_connected_reductive(g.reductive))]
+        return parts + [(cc.tw_group, cc.tw_classes)
+                        for cc in h1_nonconnected(g).classes]
+    return []
+
+
+def _real_unipotent(g):
+    """exp(m) for the first nilpotent m among the basis elements of Lie(G)
+    and their sums and differences, or None; m is real, and so is exp(m)."""
+    basis = g.datum.basis
+    minus = -g.tower.one()
+    candidates = list(basis) + [
+        msub(x, mscale(sign, y)) for sign in (minus, -minus)
+        for i, x in enumerate(basis) for y in basis[i + 1:]]
+    for m in candidates:
+        p = m
+        for _ in range(g.datum.n):
+            p = mmul(p, m)
+        if all(x.is_zero() for row in p for x in row) and \
+                any(not x.is_zero() for row in m for x in row):
+            return exp_nilpotent(m, g.tower)
+    return None
+
+
+@pytest.mark.parametrize("name", list_names())
+def test_group_layers_share_one_real_structure(name, monkeypatch):
+    """The group, its torus and its reductive part hold the very structure
+    built from the entry's N_sigma, and, for the light entries, every
+    presentation of a torus T' that Problem 2 builds gets the group's own
+    structure."""
+    entry = get(name)
+    g = entry.group
+    assert g.real.nsigma is entry.nsigma
+    if entry.kind == "reductive":
+        assert g.torus.real is g.real
+    elif entry.kind == "nonreductive":
+        assert g.reductive.real is g.real
+        assert g.reductive.torus.real is g.real
+    elif entry.kind == "nonconnected":
+        part = {"torus": g.torus, "reductive": g.reductive}.get(g.mode)
+        assert part is None or part.real is g.real
+        if g.mode == "reductive":
+            assert g.reductive.torus.real is g.real
+        for cc in h1_nonconnected(g).classes:
+            part = cc.pres_hat if cc.mode == "torus" else cc.tw_group
+            assert part is None or part.real is cc.real
+
+    if name not in LIGHT:
+        return
+    handed = []
+    build = reductive.build_presentation
+
+    def recording(lie_basis, real, *args, **kwargs):
+        handed.append(real)
+        return build(lie_basis, real, *args, **kwargs)
+
+    monkeypatch.setattr(reductive, "build_presentation", recording)
+    for group, classes in _reductive_parts(entry):
+        u = _real_unipotent(group)
+        if u is None:
+            continue
+        u_inv = minverse(u, group.tower)
+        for z in classes.representatives:
+            # u is real, so u^-1 z u is a cocycle in the class of z; its
+            # semisimple part may lie outside T, in a torus T' of its own
+            try:
+                reductive.solve_problem2_reductive(
+                    group, mmul(mmul(u_inv, z), u), classes=classes)
+            except ReductiveError as err:
+                assert err.code == "conjugator-unavailable"
+            assert all(real is group.real for real in handed)
+    # so(1,2) and so(2,3) build a T' presentation on this path
+    assert handed or name not in ("so(1,2)", "so(2,3)")

@@ -329,6 +329,23 @@ def test_deep_nesting_is_a_coded_error(tmp_path, command, entry):
     assert json.loads(done.stdout)["error"]["code"] == "nesting-too-deep"
 
 
+@pytest.mark.parametrize("command", ["h1", "equiv"])
+def test_deeply_nested_json_is_a_coded_error(tmp_path, command):
+    # a file of deeply nested arrays overflows the JSON decoder's recursion
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    argv = (["h1", str(path)] if command == "h1" else
+            ["equiv", "catalog:torus:e", "--cocycle", str(path)])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-m", "realcoh.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert done.returncode == 1
+    assert done.stderr == ""
+    assert json.loads(done.stdout)["error"]["code"] == "input-too-deep"
+
+
 # -- h2-quasitorus and lattice-decompose -------------------------------------------
 
 

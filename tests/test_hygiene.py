@@ -5,8 +5,9 @@ reads, outside a short list of entry points kept for the acceptance
 criteria and the reference checks, no instance attribute that is set and
 never read, no dataclass field that is never read, no parameter that its
 function never reads, no write to a field element's normal form after
-its constructor, and no witness check that compares a twisted matrix
-(RealStructure.carries checks the same identity without an inverse)."""
+its constructor, no witness check that compares a twisted matrix
+(RealStructure.carries checks the same identity without an inverse), and
+no RealStructure built below the input boundary."""
 
 import ast
 from pathlib import Path
@@ -142,6 +143,49 @@ def test_twisted_witness_check_is_found(source):
 ])
 def test_other_comparisons_are_not_twisted_checks(source):
     assert _twisted_comparisons(ast.parse(source)) == []
+
+
+# A real structure is built from a matrix only where input enters (the CLI
+# and the catalog) and in RealStructure.inner; every layer below takes the
+# object and hands it on.
+STRUCTURE_BUILDERS = {"cli.py", "catalog.py", "linalg.py"}
+
+
+def _structure_constructions(tree):
+    """Lines of a call RealStructure(...) or <expr>.RealStructure(...)."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Call)
+                   and getattr(node.func, "id",
+                               getattr(node.func, "attr", None))
+                   == "RealStructure"})
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES
+                                  if p.name not in STRUCTURE_BUILDERS],
+                         ids=lambda p: p.name)
+def test_no_real_structure_built_below_the_input(path):
+    lines = _structure_constructions(ast.parse(path.read_text()))
+    assert lines == [], f"{path.name}: RealStructure built on lines " \
+                        f"{lines} (take the caller's structure)"
+
+
+@pytest.mark.parametrize("source", [
+    "real = RealStructure(nsigma, tower)",
+    "pres = build_presentation(basis, RealStructure(n, t))",
+    "r = linalg.RealStructure(m, tower)",
+    "return RealStructure(mmul(g, self.nsigma), self.tower).gamma(x)",
+])
+def test_real_structure_construction_is_found(source):
+    assert _structure_constructions(ast.parse(source)) != []
+
+
+@pytest.mark.parametrize("source", [
+    "def f(real: RealStructure): pass", "x = isinstance(r, RealStructure)",
+    "real.inner(g)", "from .linalg import RealStructure",
+    "g.real.gamma(x)", "make(RealStructures)",
+])
+def test_other_uses_of_real_structure_are_not_constructions(source):
+    assert _structure_constructions(ast.parse(source)) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -650,6 +650,6 @@ def test_singular_witness_is_refused_at_each_solver_site(monkeypatch):
     classify = nonconnected._ComponentClass.classify
     with monkeypatch.context() as m:
         m.setattr(nonconnected._ComponentClass, "classify",
-                  lambda cc, t, w: (classify(cc, t, w)[0], zero_like(w)))
+                  lambda cc, w: (classify(cc, w)[0], zero_like(w)))
         assert solve_code(lambda: solve_problem2_nonconnected(
             o3.group, rep)) == "no-equivalent-class"

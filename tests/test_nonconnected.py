@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from realcoh.field import FieldTower
-from realcoh.linalg import mat_from_ints, meq, meye, minverse, mmul
+from realcoh.linalg import (RealStructure, mat_from_ints, meq, meye,
+                            minverse, mmul)
 from realcoh.nonconnected import (
     NonConnectedError,
     build_nonconnected,
@@ -18,17 +19,17 @@ Z2_ID = [0, 1]
 
 def mu2(tower):
     return build_nonconnected(
-        [], meye(tower, 1),
+        [], RealStructure(meye(tower, 1), tower),
         [mat_from_ints(tower, [[1]]), mat_from_ints(tower, [[-1]])],
-        Z2_TABLE, Z2_ID, tower)
+        Z2_TABLE, Z2_ID)
 
 
 def o2(tower):
     rot = mat_from_ints(tower, [[0, 1], [-1, 0]])
     refl = mat_from_ints(tower, [[1, 0], [0, -1]])
-    return build_nonconnected([rot], meye(tower, 2),
+    return build_nonconnected([rot], RealStructure(meye(tower, 2), tower),
                               [meye(tower, 2), refl],
-                              Z2_TABLE, Z2_ID, tower)
+                              Z2_TABLE, Z2_ID)
 
 
 def so3_basis(tower):
@@ -42,17 +43,17 @@ def so3_basis(tower):
 def o3(tower):
     basis = so3_basis(tower)
     minus = mat_from_ints(tower, [[-1, 0, 0], [0, -1, 0], [0, 0, -1]])
-    return build_nonconnected(basis, meye(tower, 3),
+    return build_nonconnected(basis, RealStructure(meye(tower, 3), tower),
                               [meye(tower, 3), minus],
-                              Z2_TABLE, Z2_ID, tower)
+                              Z2_TABLE, Z2_ID)
 
 
 def torus_normalizer_split(tower):
     # diagonal torus of the 2x2 special linear group plus the quarter turn
     h = mat_from_ints(tower, [[1, 0], [0, -1]])
     w = mat_from_ints(tower, [[0, 1], [-1, 0]])
-    return build_nonconnected([h], meye(tower, 2), [meye(tower, 2), w],
-                              Z2_TABLE, Z2_ID, tower)
+    return build_nonconnected([h], RealStructure(meye(tower, 2), tower),
+                              [meye(tower, 2), w], Z2_TABLE, Z2_ID)
 
 
 def torus_normalizer_compact(tower):
@@ -60,8 +61,8 @@ def torus_normalizer_compact(tower):
     # form; N conj(N) = -1 is central)
     h = mat_from_ints(tower, [[1, 0], [0, -1]])
     w = mat_from_ints(tower, [[0, 1], [-1, 0]])
-    return build_nonconnected([h], w, [meye(tower, 2), w],
-                              Z2_TABLE, Z2_ID, tower)
+    return build_nonconnected([h], RealStructure(w, tower),
+                              [meye(tower, 2), w], Z2_TABLE, Z2_ID)
 
 
 # -- class counts ------------------------------------------------------------------
@@ -97,8 +98,8 @@ def test_o3_four_classes():
 def test_connected_group_reduces_to_torus_pipeline():
     tower = FieldTower()
     rot = mat_from_ints(tower, [[0, 1], [-1, 0]])
-    g = build_nonconnected([rot], meye(tower, 2), [meye(tower, 2)],
-                           [[0]], [0], tower)
+    g = build_nonconnected([rot], RealStructure(meye(tower, 2), tower),
+                           [meye(tower, 2)], [[0]], [0])
     res = h1_nonconnected(g)
     assert res.order() == 2  # the circle group has two classes
 
@@ -132,7 +133,7 @@ def test_shortcut_real_involution_lifts_as_is():
     tower = FieldTower()
     rot = mat_from_ints(tower, [[0, 1], [-1, 0]])
     refl = mat_from_ints(tower, [[1, 0], [0, -1]])
-    out = torus_shortcut([rot], meye(tower, 2), refl, tower)
+    out = torus_shortcut([rot], RealStructure(meye(tower, 2), tower), refl)
     assert out is not None
     ghat, s = out
     assert meq(s, meye(tower, 2)) and meq(ghat, refl)
@@ -142,7 +143,7 @@ def test_shortcut_quarter_turn_lifts_in_split_form():
     tower = FieldTower()
     h = mat_from_ints(tower, [[1, 0], [0, -1]])
     w = mat_from_ints(tower, [[0, 1], [-1, 0]])
-    out = torus_shortcut([h], meye(tower, 2), w, tower)
+    out = torus_shortcut([h], RealStructure(meye(tower, 2), tower), w)
     assert out is not None
     ghat, _ = out
     gg = mmul(ghat, [[x.conj() for x in row] for row in ghat])
@@ -153,7 +154,7 @@ def test_shortcut_blocked_in_compact_form():
     tower = FieldTower()
     h = mat_from_ints(tower, [[1, 0], [0, -1]])
     w = mat_from_ints(tower, [[0, 1], [-1, 0]])
-    assert torus_shortcut([h], w, w, tower) is None
+    assert torus_shortcut([h], RealStructure(w, tower), w) is None
 
 
 # -- equivalence -------------------------------------------------------------------
@@ -223,9 +224,9 @@ def test_rejects_inconsistent_table():
     refl = mat_from_ints(tower, [[1, 0], [0, -1]])
     # table claims the reflection squares to the reflection's component
     with pytest.raises(Exception):
-        build_nonconnected([rot], meye(tower, 2),
+        build_nonconnected([rot], RealStructure(meye(tower, 2), tower),
                            [meye(tower, 2), refl],
-                           [[0, 1], [1, 1]], Z2_ID, tower)
+                           [[0, 1], [1, 1]], Z2_ID)
 
 
 def test_rejects_non_normalizing_representative():
@@ -233,8 +234,8 @@ def test_rejects_non_normalizing_representative():
     rot = mat_from_ints(tower, [[0, 1], [-1, 0]])
     bad = mat_from_ints(tower, [[1, 1], [0, 1]])
     with pytest.raises(NonConnectedError) as err:
-        build_nonconnected([rot], meye(tower, 2),
+        build_nonconnected([rot], RealStructure(meye(tower, 2), tower),
                            [meye(tower, 2), bad],
-                           Z2_TABLE, Z2_ID, tower)
+                           Z2_TABLE, Z2_ID)
     assert err.value.code in ("representative-does-not-normalize",
                               "pi0-data-inconsistent")

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from realcoh.field import FieldTower
-from realcoh.linalg import mat_from_ints, meq, meye, minverse, mmul
+from realcoh.linalg import (RealStructure, mat_from_ints, meq, meye,
+                            minverse, mmul)
 from realcoh.nonreductive import (
     NonReductiveError,
     build_levi_split,
@@ -18,7 +19,7 @@ def affine_gm(tower):
     # {[[t, a], [0, 1]]}: multiplicative group acting on the affine line
     d = mat_from_ints(tower, [[1, 0], [0, 0]])
     e = mat_from_ints(tower, [[0, 1], [0, 0]])
-    return build_levi_split([d, e], meye(tower, 2), tower)
+    return build_levi_split([d, e], RealStructure(meye(tower, 2), tower))
 
 
 def sl2_semidirect(tower):
@@ -28,7 +29,8 @@ def sl2_semidirect(tower):
     y = mat_from_ints(tower, [[0, 0, 0], [1, 0, 0], [0, 0, 0]])
     e1 = mat_from_ints(tower, [[0, 0, 1], [0, 0, 0], [0, 0, 0]])
     e2 = mat_from_ints(tower, [[0, 0, 0], [0, 0, 1], [0, 0, 0]])
-    return build_levi_split([h, x, y, e1, e2], meye(tower, 3), tower)
+    return build_levi_split([h, x, y, e1, e2],
+                            RealStructure(meye(tower, 3), tower))
 
 
 def translation(tower, a, b):

@@ -16,6 +16,7 @@ from realcoh.liealg import (
     span_eq,
 )
 from realcoh.linalg import (
+    RealStructure,
     echelon_reduce,
     left_kernel,
     mat_from_ints,
@@ -52,7 +53,7 @@ def sl2r(tower):
     h = mat_from_ints(tower, [[1, 0], [0, -1]])
     e = mat_from_ints(tower, [[0, 1], [0, 0]])
     f = mat_from_ints(tower, [[0, 0], [1, 0]])
-    return build_reductive([h, e, f], meye(tower, 2), tower)
+    return build_reductive([h, e, f], RealStructure(meye(tower, 2), tower))
 
 
 def iota(m, tower):
@@ -79,7 +80,7 @@ def su2(tower):
     for j in range(2):
         nsig[j][2 + j] = one
         nsig[2 + j][j] = one
-    return build_reductive(basis, nsig, tower)
+    return build_reductive(basis, RealStructure(nsig, tower))
 
 
 def so23_basis(tower):
@@ -97,7 +98,8 @@ def so23_basis(tower):
 
 
 def so23(tower):
-    return build_reductive(so23_basis(tower), meye(tower, 5), tower)
+    return build_reductive(so23_basis(tower),
+                           RealStructure(meye(tower, 5), tower))
 
 
 # -- structure --------------------------------------------------------------------
@@ -149,7 +151,7 @@ def test_rejects_non_theta_stable_algebra():
         [[0, 0, 0], [0, 0, 1], [0, -1, 0]],
     )]
     with pytest.raises(ReductiveError) as err:
-        build_reductive(basis, meye(tower, 3), tower)
+        build_reductive(basis, RealStructure(meye(tower, 3), tower))
     assert err.value.code == "cartan-decomposition-unavailable"
 
 
@@ -165,7 +167,7 @@ def test_rejects_theta_not_preserving_real_form():
         [[1, 0], [0, -1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]])]
     nsigma = [[one, i + i], [zero, one]]
     with pytest.raises(ReductiveError) as err:
-        build_reductive(basis, nsigma, tower)
+        build_reductive(basis, RealStructure(nsigma, tower))
     assert err.value.code == "cartan-decomposition-unavailable"
 
 
@@ -206,7 +208,7 @@ def test_so23_count_independent_of_cartan_choice():
     tower = FieldTower()
     basis = so23_basis(tower)
     basis[7], basis[8] = basis[8], basis[7]
-    g = build_reductive(basis, meye(tower, 5), tower)
+    g = build_reductive(basis, RealStructure(meye(tower, 5), tower))
     default = so23(tower)
 
     def t0_span(group):
@@ -400,7 +402,8 @@ def test_t0_check_rejects_a_split_torus(monkeypatch):
 
     monkeypatch.setattr(reductive, "cartan_decomposition", swapped)
     with pytest.raises(ReductiveError) as err:
-        build_reductive(entry.lie_basis, entry.nsigma, entry.tower)
+        build_reductive(entry.lie_basis,
+                        RealStructure(entry.nsigma, entry.tower))
     assert err.value.code == "t0-not-compact"
 
 
@@ -515,7 +518,8 @@ def test_cartan_check_rejects_a_torus_smaller_than_its_centralizer(
 
     monkeypatch.setattr(SCAlgebra, "centralizer", t0_as_t)
     with pytest.raises(LieError) as err:
-        build_reductive(entry.lie_basis, entry.nsigma, entry.tower)
+        build_reductive(entry.lie_basis,
+                        RealStructure(entry.nsigma, entry.tower))
     assert err.value.code == "cartan-failed"
     assert replaced == [1]
 
@@ -527,7 +531,7 @@ def test_so55_unequal_rank_count():
     # count, signatures (10 - q', q') with q' odd
     tower = FieldTower()
     basis = catalog._sopq_data(5, 5, tower)
-    g = build_reductive(basis, meye(tower, 10), tower)
+    g = build_reductive(basis, RealStructure(meye(tower, 10), tower))
     res = h1_connected_reductive(g)
     assert res.order() == 5
     for z in res.representatives:

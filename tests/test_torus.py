@@ -8,7 +8,8 @@ import realcoh.torus as torus
 from realcoh import catalog
 from realcoh.field import FieldError, FieldTower, parse_element
 from realcoh.gammacoh import tate
-from realcoh.linalg import mat_from_ints, meq, meye, minverse, mmul
+from realcoh.linalg import (RealStructure, mat_from_ints, meq, meye,
+                            minverse, mmul)
 from realcoh.torus import (
     QuasiTorusDatum,
     TorusError,
@@ -29,13 +30,13 @@ from realcoh.torus import (
 def split_gm(tower):
     # {diag(t, 1/t)}: split one dimensional torus, real structure trivial
     basis = [mat_from_ints(tower, [[1, 0], [0, -1]])]
-    return build_presentation(basis, meye(tower, 2), tower)
+    return build_presentation(basis, RealStructure(meye(tower, 2), tower))
 
 
 def compact_gm(tower):
     # SO(2, C) with entrywise conjugation: real points U(1)
     basis = [mat_from_ints(tower, [[0, 1], [-1, 0]])]
-    return build_presentation(basis, meye(tower, 2), tower)
+    return build_presentation(basis, RealStructure(meye(tower, 2), tower))
 
 
 def induced_gm(tower):
@@ -44,8 +45,8 @@ def induced_gm(tower):
         mat_from_ints(tower, [[1, 0], [0, 0]]),
         mat_from_ints(tower, [[0, 0], [0, 1]]),
     ]
-    return build_presentation(basis, mat_from_ints(tower, [[0, 1], [1, 0]]),
-                              tower)
+    return build_presentation(
+        basis, RealStructure(mat_from_ints(tower, [[0, 1], [1, 0]]), tower))
 
 
 def _random_invertible(rng, tower, n):
@@ -106,8 +107,8 @@ def test_simultaneous_diagonalize_equal_diagonal_entries():
 def test_non_semisimple_basis_is_rejected(basis):
     tower = FieldTower()
     with pytest.raises(TorusError) as err:
-        build_presentation([mat_from_ints(tower, basis)], meye(tower, 2),
-                           tower)
+        build_presentation([mat_from_ints(tower, basis)],
+                           RealStructure(meye(tower, 2), tower))
     assert err.value.code == "not-semisimple"
 
 
@@ -163,7 +164,7 @@ def test_product_torus_counts():
             for j in range(2):
                 mat2[pos + i][pos + j] = blk_save[i][j]
         basis.append(mat_from_ints(tower, mat2))
-    t = build_presentation(basis, meye(tower, 6), tower)
+    t = build_presentation(basis, RealStructure(meye(tower, 6), tower))
     assert (t.k, t.l, t.r) == (2, 1, 0)
     assert h1_torus(t).order() == 4
 
@@ -260,8 +261,8 @@ def test_normalizer_action_inverts_a_rank_one_torus(make, n):
 ], ids=["not-diagonal", "not-a-cocharacter", "displacement-outside-T"])
 def test_normalizer_action_rejects_a_non_normalizer(basis, n, message):
     tower = FieldTower()
-    t = build_presentation([mat_from_ints(tower, basis)], meye(tower, 2),
-                           tower)
+    t = build_presentation([mat_from_ints(tower, basis)],
+                           RealStructure(meye(tower, 2), tower))
     n = [[parse_element(x, tower) for x in row] for row in n]
     with pytest.raises(TorusError) as err:
         normalizer_action(t, n, minverse(n, tower))
@@ -556,7 +557,7 @@ def test_invalid_real_structure_rejected():
     basis = [mat_from_ints(tower, [[1, 0], [0, 0]])]
     swap = mat_from_ints(tower, [[0, 1], [1, 0]])
     with pytest.raises(TorusError) as err:
-        build_presentation(basis, swap, tower)
+        build_presentation(basis, RealStructure(swap, tower))
     assert err.value.code == "invalid-real-structure"
 
 
