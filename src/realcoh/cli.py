@@ -101,10 +101,11 @@ def _load_object(path: str) -> dict:
     return data
 
 
-def _parse_nsigma(data: dict, tower: FieldTower) -> list:
+def _parse_real(data: dict, tower: FieldTower) -> RealStructure:
+    """The real structure given by the matrix N_sigma of a group file."""
     if "N_sigma" not in data:
         raise CliError("bad-input", "missing N_sigma")
-    return _parse_mat(data["N_sigma"], tower)
+    return RealStructure(_parse_mat(data["N_sigma"], tower), tower)
 
 
 def _build_from_data(data: dict, tower: FieldTower) -> CatalogEntry:
@@ -112,12 +113,11 @@ def _build_from_data(data: dict, tower: FieldTower) -> CatalogEntry:
     if kind not in ("torus", "reductive", "nonreductive", "nonconnected"):
         raise CliError("bad-input", f"unknown kind {kind!r}")
     name = data.get("name", "<file>")
-    nsig = _parse_nsigma(data, tower)
-    n = len(nsig)
+    real = _parse_real(data, tower)
+    n = len(real.nsigma)
     basis = _parse_mats(data, "lie_basis", tower, n)
     hint = (_parse_mat(data["conjugator_hint"], tower, n)
             if data.get("conjugator_hint") else None)
-    real = RealStructure(nsig, tower)
     if kind == "torus":
         group = build_presentation(basis, real)
     elif kind == "reductive":
@@ -130,7 +130,7 @@ def _build_from_data(data: dict, tower: FieldTower) -> CatalogEntry:
                                    data.get("pi0_gamma"),
                                    conjugator_hint=hint)
     return CatalogEntry(name=name, kind=kind, tower=tower, lie_basis=basis,
-                        nsigma=nsig, conjugator_hint=hint, group=group)
+                        nsigma=real.nsigma, conjugator_hint=hint, group=group)
 
 
 def load_job(spec: str, tower: FieldTower) -> CatalogEntry:
@@ -279,12 +279,12 @@ def _equiv_report(entry: CatalogEntry, z: list) -> dict:
 
 def _h2_report(spec: str, tower: FieldTower) -> dict:
     data = _load_object(spec)
-    nsig = _parse_nsigma(data, tower)
-    basis = _parse_mats(data, "lie_basis", tower, len(nsig))
+    real = _parse_real(data, tower)
+    basis = _parse_mats(data, "lie_basis", tower, len(real.nsigma))
     chars = data.get("characters")
     if not isinstance(chars, list):
         raise CliError("bad-input", "missing character exponent rows")
-    pres = build_presentation(basis, RealStructure(nsig, tower))
+    pres = build_presentation(basis, real)
     if not all(isinstance(row, list) and len(row) == pres.d
                and all(type(x) is int for x in row) for row in chars):
         raise CliError("bad-input", "each character must be a list of "

@@ -300,8 +300,7 @@ def _proportionality(v: list, w: list):
 
 
 def _sqrt_in_torus(pres: TorusPresentation, z: list):
-    """Square root of z inside the torus, fixed by its real structure, or
-    None."""
+    """Square root of z inside the torus, fixed by pres.real, or None."""
     tower = pres.tower
     coords = pres.lambda_inverse(z)
     if coords is None:
@@ -357,10 +356,9 @@ def _twisted_real_correction(pres: TorusPresentation, c1_coords: list):
 
 def _real_square_root(group: ReductiveRealGroup, pres: TorusPresentation,
                       z: list):
-    """t with t^2 = z, fixed by the real structure of pres, searched in the
-    torus and its normalizer."""
+    """t with t^2 = z, fixed by pres.real, searched in the torus and its
+    normalizer."""
     tower = group.tower
-    real = pres.real
     t = _sqrt_in_torus(pres, z)
     if t is not None:
         return t
@@ -384,14 +382,14 @@ def _real_square_root(group: ReductiveRealGroup, pres: TorusPresentation,
             continue
         base = mmul(n, pres.lam(sol))
         candidates = [base]
-        c1 = mmul(minverse(base, tower), real.gamma(base))
+        c1 = mmul(minverse(base, tower), pres.real.gamma(base))
         c1c = pres.lambda_inverse(c1)
         if c1c is not None:
             k = _twisted_real_correction(pres, c1c)
             if k is not None:
                 candidates.append(mmul(base, k))
         for t in candidates:
-            if meq(mmul(t, t), z) and real.fixes(t):
+            if meq(mmul(t, t), z) and pres.real.fixes(t):
                 return t
     return None
 

@@ -84,11 +84,11 @@ def mmul(a: list, b: list) -> list:
 
 def _diagonal_of(c: list, mat: list):
     """The diagonal entries of D = C^-1 * mat * C, or None when D is not
-    diagonal, for a C whose every column has a unit leading entry (an rref
-    row, as liealg.joint_eigenspaces gives them).
+    diagonal.
 
-    D is read from mat * C = C * D with one product: column j of mat * C
-    holds D_j at the leading entry of column j of C, and every other entry
+    D is read from mat * C = C * D with one product.  Every column of C is
+    an rref row (liealg.joint_eigenspaces), so its first nonzero entry is a
+    unit pivot, and column j of mat * C holds D_j there; every other entry
     of that column must be exactly D_j times the entry of C.  C^-1 is not
     used."""
     mc = mmul(mat, c)
