@@ -7,7 +7,7 @@ Families:
                    (restriction of scalars), e.g. torus:fe
   * so(p,q)        special orthogonal algebra of the diagonal form with p
                    plus signs and q minus signs, p+q <= 9
-  * sl(n,r)        special linear algebra over the reals, n <= 4
+  * sl(n,r)        special linear algebra over the reals, n <= 8
   * su(p,q)        special unitary algebra, p+q <= 3, realized through the
                    block embedding g -> diag(g, transpose-inverse) so the
                    real structure is conjugation by a matrix
@@ -157,9 +157,7 @@ def _sopq_entry(p: int, q: int, tower: FieldTower) -> CatalogEntry:
                             meye(tower, p + q))
 
 
-def _slnr_entry(n: int, tower: FieldTower) -> CatalogEntry:
-    if not 2 <= n <= 4:
-        raise CatalogError("unknown-name", f"sl({n},r) out of range")
+def _slnr_data(n: int, tower: FieldTower) -> list:
     basis = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -175,7 +173,14 @@ def _slnr_entry(n: int, tower: FieldTower) -> CatalogEntry:
         d[i][i] = tower.one()
         d[i + 1][i + 1] = tower.from_rational(-1)
         basis.append(d)
-    return _reductive_entry(f"sl({n},r)", tower, basis, meye(tower, n))
+    return basis
+
+
+def _slnr_entry(n: int, tower: FieldTower) -> CatalogEntry:
+    if not 2 <= n <= 8:
+        raise CatalogError("unknown-name", f"sl({n},r) out of range")
+    return _reductive_entry(f"sl({n},r)", tower, _slnr_data(n, tower),
+                            meye(tower, n))
 
 
 def _su_basis(p: int, q: int, tower: FieldTower) -> list:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from math import factorial
 
 from .field import (
@@ -1023,11 +1023,14 @@ def _sandwich(cols: list, entries, rows: list) -> dict:
 
 
 def root_system(datum: LieAlgebraDatum, cartan_mats: list, c: list,
-                cinv: list) -> RootDatum:
+                cinv: list, t0_coords: list) -> RootDatum:
     """Root data of g with respect to t = span(cartan_mats), read off a
     matrix C for which every C^-1 t_m C is diagonal (checked with one
     product each, linalg._diagonal_of: the columns of C have unit leading
-    entries).
+    entries).  A root is positive when the first nonzero one of its values
+    on the rows t0_coords (elements of t, in coordinates on cartan_mats),
+    then on cartan_mats, is: theta keeps the positive roots positive when
+    t0_coords span t_0, where theta is 1, and no root vanishes on t_0.
 
     With d_m the diagonal of C^-1 t_m C, the matrix unit E_ij has weight
     (d_mi - d_mj)_m under ad(t) on gl(n).  g is ad(t)-stable, so its weight
@@ -1096,21 +1099,14 @@ def root_system(datum: LieAlgebraDatum, cartan_mats: list, c: list,
         if j is None:
             raise LieError("roots-not-symmetric")
         neg.append(j)
-    positive = [i for i, tup in enumerate(roots) if _tuple_positive(tup)]
+    positive = [i for i, r in enumerate(roots) if _tuple_positive(
+        vmat(r, mtranspose(t0_coords)) + r)]
     sums = {tuple(a + b for a, b in zip(roots[j], roots[k]))
             for j in positive for k in positive}
-    simple = [i for i in positive if tuple(roots[i]) not in sums]
     # canonical order: lexicographic on the eigenvalue tuples
-    order = list(simple)
-    for i in range(1, len(order)):
-        key = order[i]
-        j = i - 1
-        while j >= 0 and _tuple_positive(
-                [a - b for a, b in zip(roots[order[j]], roots[key])]):
-            order[j + 1] = order[j]
-            j -= 1
-        order[j + 1] = key
-    simple = order
+    simple = sorted((i for i in positive if tuple(roots[i]) not in sums),
+                    key=cmp_to_key(lambda i, j: 1 if _tuple_positive(
+                        [a - b for a, b in zip(roots[i], roots[j])]) else -1))
     x_rows, y_rows, h_rows = [], [], []
     for i in simple:
         x = vectors[i]

@@ -299,12 +299,12 @@ def charpoly(a: list, tower: FieldTower) -> list:
 class RealStructure:
     """The anti-regular map gamma(g) = N * conj(g) * N^-1 given by N = N_sigma.
 
-    N is checked to be invertible once, by its rank, on first use; its
-    inverse is formed only where gamma or twist needs it.  is_cocycle and
-    carries check their identities in the inverse-free forms
-    z * N * conj(z) = N and s * rep * N = z * N * conj(s).  N * conj(N) may
-    differ from 1 (see defect), as for structures twisted by a component
-    representative; the identities below are exact."""
+    N is checked to be invertible once, on first use: by its rank, or by
+    its inverse if gamma or twist formed it first.  is_cocycle and carries
+    check their identities in the inverse-free forms z * N * conj(z) = N
+    and s * rep * N = z * N * conj(s).  N * conj(N) may differ from 1 (see
+    defect), as for structures twisted by a component representative; the
+    identities below are exact."""
 
     def __init__(self, nsigma: list, tower: FieldTower):
         self.nsigma = nsigma
@@ -312,8 +312,8 @@ class RealStructure:
 
     @cached_property
     def _size(self) -> int:
-        """The size n of N; a singular N raises FieldError("singular")."""
-        if not _is_invertible(self.nsigma):
+        """n = size of N, checked invertible by rank or a prior minverse."""
+        if "_inverse" not in self.__dict__ and not _is_invertible(self.nsigma):
             raise FieldError("singular")
         return len(self.nsigma)
 

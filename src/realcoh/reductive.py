@@ -17,8 +17,10 @@ as the eigenspaces of theta(X) = -conj(X)^T.  From these we construct:
     Cartan subalgebra,
   * normalizer representatives of the simple reflections of the Weyl group
     W, keyed by their permutations of the roots, and generators of the
-    subgroup W_0 that stabilizes the Cartan subalgebra of k; W is never
-    listed.
+    subgroup W_0 that stabilizes the Cartan subalgebra of k: the centralizer
+    of theta in W.  Positivity reads the values on Lie(T_0) first, so theta
+    permutes the simple roots, and each theta-orbit of them gives one
+    generator: s_a, s_a s_b (orthogonal) or s_a s_b s_a (adjacent).
 
 H^1(R, G) is the set of W_0-orbits on the sign-pattern classes of
 H^1(R, T).  Each generator of W_0 acts in the coordinates of T: an integer
@@ -162,6 +164,13 @@ def _split_center(datum: LieAlgebraDatum, z_rows: list) -> tuple:
     return zc, zs
 
 
+def _theta(datum: LieAlgebraDatum, v: list) -> list:
+    """Coordinates of theta(X) = -conj(X)^T for X with coordinate row v."""
+    n = datum.n
+    return datum.entry_coords({(t % n) * n + t // n: -x.conj()
+                               for t, x in datum.entries(v).items()})
+
+
 def cartan_decomposition(datum: LieAlgebraDatum, s_rows: list) -> tuple:
     """(k_rows, p_rows): the +1 and -1 eigenspaces of theta(X) = -conj(X)^T
     on the derived algebra with rref_rows basis s_rows.
@@ -172,19 +181,15 @@ def cartan_decomposition(datum: LieAlgebraDatum, s_rows: list) -> tuple:
     definite.  Raises cartan-decomposition-unavailable when theta does not
     map the derived algebra into itself, or does not map its real points
     (real coordinates, the basis being gamma-fixed) to real points; then
-    the eigenspaces are not gamma-fixed.  theta of each row of s_rows is
-    formed from the nonzero entries of its matrix: the entry at (i, j)
-    goes to (j, i), conjugated and negated.  The general case is Dietrich,
+    the eigenspaces are not gamma-fixed.  The general case is Dietrich,
     Faccin and de Graaf, J. Symbolic Comput. 56, 2013.
     """
     tower = datum.tower
-    n = datum.n
     theta = []
     for v in s_rows:
         try:
-            image = datum.entry_coords({(t % n) * n + t // n: -x.conj()
-                                        for t, x in datum.entries(v).items()})
-            theta.append(span_coords(image, s_rows, "not-invariant"))
+            theta.append(span_coords(_theta(datum, v), s_rows,
+                                     "not-invariant"))
         except LieError:
             raise ReductiveError("cartan-decomposition-unavailable",
                                  "theta(X) = -conj(X)^T does not map the "
@@ -254,54 +259,47 @@ def build_reductive(lie_basis: list,
         d = _diagonal_of(torus.c, m)
         if d is None or any(not x.real_part().is_zero() for x in d):
             raise ReductiveError("t0-not-compact")
-    root = root_system(datum, t_mats, torus.c, torus.cinv)
+    t0_coords = [echelon_reduce(v, t_rows)[0] for v in t0_rows]
+    root = root_system(datum, t_mats, torus.c, torus.cinv, t0_coords)
+    if any(all(x.is_zero() for x in vmat(r, mtranspose(t0_coords)))
+           for r in root.roots):
+        raise ReductiveError("real-root", "a root vanishes on t0")
 
     root_index = {tuple(r): i for i, r in enumerate(root.roots)}
-    simple, actions = [], []
+    simple = []
     for i, (x, y) in enumerate(zip(root.x_gens, root.y_gens)):
         n = mmul(mmul(exp_nilpotent(x, tower),
                       exp_nilpotent(mscale(-tower.one(), y), tower)),
                  exp_nilpotent(x, tower))
         ninv = minverse(n, tower)
-        action = []
-        for m in t_mats:
-            sol, rest = echelon_reduce(datum.coords(mmul(mmul(n, m), ninv)),
-                                       t_rows)
-            if any(not c.is_zero() for c in rest):
-                raise ReductiveError("not-normalizer")
-            action.append(sol)
+        action = [echelon_reduce(datum.coords(mmul(mmul(n, m), ninv)),
+                                 t_rows) for m in t_mats]
         # a reflection is its own inverse on t, so the root with values b
         # on the basis of t goes to the root with values action * b
-        cols = mtranspose(action)
+        cols = mtranspose([sol for sol, _ in action])
         perm = tuple(root_index.get(tuple(vmat(b, cols))) for b in root.roots)
-        if None in perm:
+        if None in perm or any(not c.is_zero() for _, r in action for c in r):
             raise ReductiveError("not-normalizer")
         simple.append(WeylElement([i], n, perm))
         simple[-1].n_inv = ninv   # seeds the cached inverse
-        actions.append(action)
 
-    # W_0, the stabilizer of that0 in W, is generated by the Schreier
-    # generators u_q^-1 s u_p of the orbit of that0 with a transversal u
-    # (Seress, Permutation Group Algorithms, ch. 4).  u_p is a word in the
-    # simple reflections, each its own inverse in W, so u_q^-1 is reversed.
-    def point(rows):
-        return tuple(tuple(v) for v in rref_rows(rows))
-
-    orbit = [point([echelon_reduce(v, t_rows)[0] for v in that0_rows])]
-    transversal = {orbit[0]: []}
-    w0, seen = [], {tuple(range(len(root.roots)))}
-    for p in orbit:
-        for i, a in enumerate(actions):
-            q = point([vmat(v, a) for v in p])
-            if q not in transversal:
-                transversal[q] = [i] + transversal[p]
-                orbit.append(q)
-                continue
-            word = transversal[q][::-1] + [i] + transversal[p]
-            w = reduce(_product, [simple[j] for j in word])
-            if w.perm not in seen:
-                seen.add(w.perm)
-                w0.append(w)
+    # W_0, the centralizer of theta in W, is generated by the longest element
+    # of each theta-orbit of simple roots (Steinberg, Mem. AMS 80, 1968,
+    # 11.1).  theta maps the root space of x_i (leading coefficient 1) onto
+    # another; C-linear on g(C), it is _theta at the conjugate coordinates
+    x_index = {tuple(datum.coords(x)): j for j, x in enumerate(root.x_gens)}
+    w0 = []
+    for i, v in enumerate(x_index):
+        image = _theta(datum, [x.conj() for x in v])
+        lead = next(x for x in image if not x.is_zero()).inverse()
+        j = x_index.get(tuple(x * lead for x in image))
+        if j is None:
+            raise ReductiveError("theta-not-diagram")
+        if j == i:
+            w0.append(simple[i])
+        elif j > i:
+            word = [i, j] if root.cartan_matrix[i][j] == 0 else [i, j, i]
+            w0.append(reduce(_product, [simple[k] for k in word]))
 
     return ReductiveRealGroup(
         tower=tower, datum=datum, real=real,

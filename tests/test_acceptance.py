@@ -168,6 +168,22 @@ def test_criterion_01_stretch_so_6_9():
     _report(1, f"stretch so(6,9)={res.order()}")
 
 
+def test_criterion_01_stretch_sl_12_r():
+    # rank 11 with t0 != t, outside the catalog range; W_0, of type C6,
+    # has 6 generators: about 1 s on a 2-core x86-64 host with Python 3.11
+    t0 = time.perf_counter()
+    tower = FieldTower()
+    basis = catalog._slnr_data(12, tower)
+    from realcoh.reductive import build_reductive
+    group = build_reductive(basis, RealStructure(meye(tower, 12), tower))
+    res = h1_connected_reductive(group)
+    dt = time.perf_counter() - t0
+    assert res.order() == 1
+    assert group.real.is_cocycle(res.representatives[0])
+    assert dt < 10, f"sl(12,r) took {dt:.1f}s (budget 10s)"
+    _report(1, f"stretch sl(12,r)={res.order()} in {dt:.1f}s")
+
+
 # -- criterion 2 --------------------------------------------------------------------
 
 

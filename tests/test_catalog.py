@@ -109,6 +109,23 @@ def test_su_cover_center_order():
     assert len(chevalley_cover(get("su(2,0)").group)) == 2
 
 
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_widened_sl_n_r_has_one_class(n):
+    # H^1(R, SL_n) = 1; N_sigma = 1, so the representative z is a cocycle
+    # exactly when z * conj(z) = 1, checked here with dense products
+    entry = get(f"sl({n},r)")
+    res = h1_connected_reductive(entry.group)
+    assert res.order() == 1
+    z = res.representatives[0]
+    assert meq(mmul(z, mconj(z)), meye(entry.tower, n))
+
+
+def test_sl_n_r_range_ends_at_8():
+    with pytest.raises(CatalogError) as err:
+        get("sl(9,r)")
+    assert err.value.code == "unknown-name"
+
+
 def test_torus_expected_orders():
     for word in ("fe", "d", "fd", "ffd", "eef"):
         assert class_count(get(f"torus:{word}")) == 2 ** word.count("f")

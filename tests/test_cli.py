@@ -36,6 +36,16 @@ def test_h1_catalog_so23(capsys):
     assert data["classes"][0]["representative"][0][0] == "1"
 
 
+def test_h1_catalog_sl8r(capsys):
+    # the largest sl(n,r) in the catalog: W_0 has 4 generators, where W has
+    # 40 320 elements
+    code, out = run(capsys, "h1", "catalog:sl(8,r)")
+    assert code == 0
+    data = json.loads(out)
+    assert data["order"] == 1
+    assert data["verified"] is True
+
+
 def test_h1_deterministic_bytes(capsys):
     _, out1 = run(capsys, "h1", "catalog:o(2)")
     _, out2 = run(capsys, "h1", "catalog:o(2)")

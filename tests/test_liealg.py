@@ -482,7 +482,8 @@ def test_reductive_projection_semidirect():
 def test_root_system_sl2():
     tw = tower()
     datum = sl2(tw)
-    rd = root_system(datum, [datum.basis[0]], meye(tw, 2), meye(tw, 2))
+    rd = root_system(datum, [datum.basis[0]], meye(tw, 2), meye(tw, 2),
+                     meye(tw, 1))
     assert len(rd.roots) == 2
     assert len(rd.x_gens) == 1
     assert rd.cartan_matrix == [[2]]
@@ -506,7 +507,7 @@ def _check_cartan_matrix(datum, rd):
 def test_root_system_sl3():
     tw = tower()
     datum, h1, h2 = sl3(tw)
-    rd = root_system(datum, [h1, h2], meye(tw, 3), meye(tw, 3))
+    rd = root_system(datum, [h1, h2], meye(tw, 3), meye(tw, 3), meye(tw, 2))
     assert len(rd.roots) == 6
     assert len(rd.x_gens) == 2
     cm = rd.cartan_matrix
@@ -518,7 +519,7 @@ def test_root_system_sl3():
 def test_root_system_so5():
     tw = tower()
     datum, h1, h2 = split_so5(tw)
-    rd = root_system(datum, [h1, h2], meye(tw, 5), meye(tw, 5))
+    rd = root_system(datum, [h1, h2], meye(tw, 5), meye(tw, 5), meye(tw, 2))
     assert len(rd.roots) == 8
     assert len(rd.x_gens) == 2
     cm = rd.cartan_matrix
@@ -550,7 +551,7 @@ def test_root_system_error_codes(units, diag, code):
     datum, h = _diag_units(tw, units, diag)
     n = len(diag)
     with pytest.raises(LieError) as err:
-        root_system(datum, [h], meye(tw, n), meye(tw, n))
+        root_system(datum, [h], meye(tw, n), meye(tw, n), meye(tw, 1))
     assert err.value.code == code
 
 
@@ -559,7 +560,7 @@ def test_root_system_needs_a_diagonalizing_matrix():
     datum = sl2(tw)
     c = mat_from_ints(tw, [[1, 1], [0, 1]])
     with pytest.raises(LieError) as err:
-        root_system(datum, [datum.basis[0]], c, minverse(c, tw))
+        root_system(datum, [datum.basis[0]], c, minverse(c, tw), meye(tw, 1))
     assert err.value.code == "not-diagonalized"
 
 

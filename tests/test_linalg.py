@@ -603,6 +603,51 @@ def test_singular_structure_and_shapes_are_coded_errors():
         assert err.value.code == "shape-mismatch"
 
 
+def _count_reductions(monkeypatch):
+    calls = []
+    reduce_rows = linalg.row_reduce
+
+    def counted(a):
+        calls.append(len(a))
+        return reduce_rows(a)
+
+    monkeypatch.setattr(linalg, "row_reduce", counted)
+    return calls
+
+
+def test_structure_inverted_first_is_not_reduced_again(monkeypatch):
+    """gamma inverts N; a later check reads the invertibility of N off that
+    inverse and reduces N no more.  A check first still reduces N twice,
+    once by rank and once to invert it."""
+    tower = FieldTower()
+    nsigma = mat_from_ints(tower, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    z = mat_from_ints(tower, [[0, 1, 0], [1, 0, 0], [0, 0, -1]])
+    calls = _count_reductions(monkeypatch)
+    real = RealStructure(nsigma, tower)
+    real.gamma(z)
+    assert real.is_cocycle(z)
+    assert real.carries(meye(tower, 3), z, z)
+    # one reduction of N, plus carries' rank check of its witness
+    assert len(calls) == 2
+    calls.clear()
+    real = RealStructure(nsigma, tower)
+    assert real.is_cocycle(z)
+    real.gamma(z)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("first", ["gamma", "check"])
+def test_singular_structure_is_refused_in_either_order(first):
+    tower = FieldTower()
+    one = meye(tower, 2)
+    real = RealStructure(mat_from_ints(tower, [[1, 0], [0, 0]]), tower)
+    calls = [lambda: real.gamma(one), lambda: real.is_cocycle(one)]
+    for call in calls if first == "gamma" else calls[::-1]:
+        with pytest.raises(FieldError) as err:
+            call()
+        assert err.value.code == "singular"
+
+
 def test_singular_witness_is_refused_at_each_solver_site(monkeypatch):
     """A zero witness passes the inverse-free identity; each solver's own
     check refuses it by rank, with that solver's error code, where the

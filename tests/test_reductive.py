@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,11 +21,16 @@ from realcoh.linalg import (
     echelon_reduce,
     left_kernel,
     mat_from_ints,
+    mconj,
     meq,
     meye,
     minverse,
     mmul,
+    mscale,
+    msub,
     mtranspose,
+    mzeros,
+    solve_left,
     vmat,
 )
 from realcoh.reductive import (
@@ -263,8 +269,40 @@ def catalog_reductive(name):
     return entry.group if entry.kind == "reductive" else entry.group.reductive
 
 
-def _action_key(action):
-    return tuple(format_element(x) for row in action for x in row)
+# groups with t0 != t, by name, with (|W|, |W_0|): W_0 is the fixed group of
+# the diagram flip, of type B(r - 1) for so(p,q) of rank r with p and q odd,
+# and C(n // 2) for sl(n,r).  so(p,q) with p + q > 9 is built from its basis
+UNEQUAL_RANK = {"sl(3,r)": (6, 2), "sl(4,r)": (24, 8), "sl(5,r)": (120, 8),
+                "sl(6,r)": (720, 48), "sl(7,r)": (5040, 48),
+                "sl(8,r)": (40320, 384), "so(1,3)": (4, 2),
+                "so(1,5)": (24, 8), "so(3,3)": (24, 8), "so(3,5)": (192, 48),
+                "so(5,5)": (1920, 384), "so(3,7)": (1920, 384),
+                "so(5,7)": (23040, 3840)}
+
+
+def closed_form_order(name):
+    """|H^1(R, G)| from the classification: 1 for SL_n and Sp_2n; for
+    SO(p,q) the quadratic forms of dimension p + q, and for SU(p,q) the
+    hermitian forms of rank p + q, with the discriminant of (p, q):
+    signatures (p + q - q', q') with q' = q (mod 2)."""
+    if name.startswith(("sl(", "sp(")):
+        return 1
+    p, q = (int(x) for x in name[3:-1].split(","))
+    return sum(1 for qq in range(p + q + 1) if qq % 2 == q % 2)
+
+
+W_ENUMERATION_LIMIT = 10000
+
+
+def listed_group(name):
+    """A catalog group, or so(p,q) past the catalog range from its basis."""
+    if name.startswith("so("):
+        p, q = (int(x) for x in name[3:-1].split(","))
+        if p + q > 9:
+            tower = FieldTower()
+            return build_reductive(catalog._sopq_data(p, q, tower),
+                                   RealStructure(meye(tower, p + q), tower))
+    return catalog_reductive(name)
 
 
 def _action(g, n):
@@ -276,50 +314,77 @@ def _action(g, n):
             for m in g.datum.rows_to_mats(g.t_rows)]
 
 
+def _root_perm(g):
+    """The map from a matrix a on t, as _action gives it, to its
+    permutation of g.root.roots: alpha goes to the root a * alpha.  W acts
+    faithfully on the roots, so it keys the elements of W."""
+    index = {tuple(r): i for i, r in enumerate(g.root.roots)}
+    return lambda a: tuple(index[tuple(vmat(r, mtranspose(a)))]
+                           for r in g.root.roots)
+
+
 def _generated(g, elements):
     """The group generated by the given Weyl elements, enumerated on the
-    test side: action key -> (action on t, normalizer representative),
-    closed under right multiplication by the generators."""
-    ident = meye(g.tower, len(g.t_rows))
-    out = {_action_key(ident): (ident, meye(g.tower, g.datum.n))}
-    gens = [(_action(g, e.n), e.n) for e in elements]
-    frontier = list(out.values())
+    test side: root permutation -> (action on t, word), closed under right
+    multiplication by the generators; the product of the representatives of
+    elements[i] for i in word represents the element (_representative).
+    The action of an element is formed only when it is new."""
+    perm = _root_perm(g)
+    start = tuple(range(len(g.root.roots)))
+    out = {start: (meye(g.tower, len(g.t_rows)), [])}
+    gens = [(a, perm(a)) for a in (_action(g, e.n) for e in elements)]
+    frontier = [start]
     while frontier:
         nxt = []
-        for a, n in frontier:
-            for sa, sn in gens:
-                b = mmul(sa, a)
-                k = _action_key(b)
+        for key in frontier:
+            a, word = out[key]
+            for i, (sa, sp) in enumerate(gens):
+                k = tuple(sp[j] for j in key)
                 if k not in out:
-                    out[k] = (b, mmul(n, sn))
-                    nxt.append(out[k])
+                    out[k] = (mmul(sa, a), word + [i])
+                    nxt.append(k)
         frontier = nxt
     return out
 
 
-def _stabilizer(g):
-    """The elements of the test-side W that map t0 onto itself.  W fixes
-    the center pointwise, so they are the ones that map that0, the part of
-    t0 in the derived algebra, onto itself."""
+def _representative(g, elements, word):
+    n = meye(g.tower, g.datum.n)
+    for i in word:
+        n = mmul(n, elements[i].n)
+    return n
+
+
+def _in_w0(g):
+    """The test whether the element with a given action on t maps t0 onto
+    itself."""
     t0 = [echelon_reduce(v, g.t_rows)[0] for v in g.t0_rows]
     span = rref_rows(t0)
-    return {k: v for k, v in _generated(g, g.weyl).items()
-            if all(in_span(vmat(u, v[0]), span) for u in t0)}
+    return lambda action: all(in_span(vmat(u, action), span) for u in t0)
 
 
-def _reference_orbits(g):
+def _stabilizer(g):
+    """The elements of the test-side W that map t0 onto itself, as root
+    permutation -> representative.  W fixes the center pointwise, so they
+    are the ones that map that0, the part of t0 in the derived algebra,
+    onto itself."""
+    in_w0 = _in_w0(g)
+    return {k: _representative(g, g.weyl, word)
+            for k, (a, word) in _generated(g, g.weyl).items() if in_w0(a)}
+
+
+def _reference_orbits(g, w0):
     """W_0-orbits of the H^1(T) patterns, each orbit read off by twisting
-    one representative by every element of the test-side W_0."""
+    one representative by every element of the test-side W_0, given as
+    root permutation -> representative."""
     res = h1_torus(g.torus)
     index_of = {tuple(p): i for i, p in enumerate(res.sign_patterns)}
-    w0 = [(minverse(n, g.tower), g.real.gamma(n))
-          for _, n in _stabilizer(g).values()]
+    twists = [(minverse(n, g.tower), g.real.gamma(n)) for n in w0.values()]
     orbits, done = [], set()
     for i, z in enumerate(res.representatives):
         if i in done:
             continue
         orbit = set()
-        for ninv, gn in w0:
+        for ninv, gn in twists:
             zt = mmul(mmul(ninv, z), gn)
             orbit.add(index_of[tuple(trivialize_cocycle(g.torus, zt)[1])])
         orbits.append(sorted(orbit))
@@ -327,14 +392,127 @@ def _reference_orbits(g):
     return orbits
 
 
-@pytest.mark.parametrize("name", REDUCTIVE_NAMES + REDUCTIVE_PART_NAMES)
+@pytest.mark.parametrize("name", REDUCTIVE_NAMES + REDUCTIVE_PART_NAMES
+                         + [n for n in UNEQUAL_RANK if n not in
+                            REDUCTIVE_NAMES])
 def test_w0_generators_give_the_w0_orbits(name):
-    g = catalog_reductive(name)
+    """The generators read off theta generate the test-side W_0, and their
+    orbits on H^1(T) are the ones of that W_0.  W is enumerated where it has
+    at most W_ENUMERATION_LIMIT elements; past that, the group the
+    generators give lies in W_0 and has the order of W_0.  No case takes
+    more than 3 s on a 2-core x86-64 host with Python 3.11; the budget is
+    60 s."""
+    start = time.perf_counter()
+    g = listed_group(name)
     assert g is not None
-    assert _generated(g, g.w0).keys() == _stabilizer(g).keys()
+    assert len(g.w0) <= len(g.root.x_gens)
+    order_w, order_w0 = UNEQUAL_RANK.get(name, (None, None))
     table = weyl_action(g)
     assert len(table.perms) == len(g.w0)
-    assert table.orbits == _reference_orbits(g)
+    if order_w is None or order_w <= W_ENUMERATION_LIMIT:
+        w0 = _stabilizer(g)
+        assert _generated(g, g.w0).keys() == w0.keys()
+        assert order_w0 in (None, len(w0))
+        assert table.orbits == _reference_orbits(g, w0)
+    else:
+        generated = _generated(g, g.w0)
+        assert len(generated) == order_w0
+        assert all(map(_in_w0(g), (a for a, _ in generated.values())))
+    if name in REDUCTIVE_NAMES or name in UNEQUAL_RANK:
+        assert len(table.orbits) == closed_form_order(name)
+    assert time.perf_counter() - start < 60
+
+
+@pytest.mark.parametrize("name", [n for n in REDUCTIVE_NAMES
+                                  + REDUCTIVE_PART_NAMES
+                                  if n not in [*UNEQUAL_RANK, "gm-affine"]])
+def test_equal_rank_w0_is_the_simple_reflections(name):
+    # t0 = t: W_0 = W, and its generators are the simple reflections
+    # themselves, in their order (gm-affine, a split torus, has no roots)
+    g = catalog_reductive(name)
+    assert len(g.t0_rows) == len(g.t_rows)
+    assert len(g.w0) == len(g.weyl)
+    assert all(a is b for a, b in zip(g.w0, g.weyl))
+
+
+@pytest.mark.parametrize("code", ["theta-not-diagram", "real-root"])
+def test_positive_system_theta_does_not_keep_is_refused(monkeypatch, code):
+    """so(3,3) with the roots ordered by their values on t alone, where
+    theta does not map the simple roots to simple roots; and with a root
+    that vanishes on t0 (a zero one) added to its roots."""
+    root_system = reductive.root_system
+
+    def patched(datum, t_mats, c, cinv, t0_coords):
+        k = len(t_mats)
+        if code == "theta-not-diagram":
+            return root_system(datum, t_mats, c, cinv, meye(datum.tower, k))
+        rd = root_system(datum, t_mats, c, cinv, t0_coords)
+        return dataclasses.replace(
+            rd, roots=rd.roots + [[datum.tower.zero()] * k])
+
+    monkeypatch.setattr(reductive, "root_system", patched)
+    with pytest.raises(ReductiveError) as err:
+        listed_group("so(3,3)")
+    assert err.value.code == code
+
+
+def _theta_c(g, m):
+    """The C-linear extension to g(C) of theta(X) = -conj(X)^T on the real
+    Lie algebra, at m: theta of each gamma-fixed basis matrix, combined with
+    the coordinates of m."""
+    out = mzeros(g.tower, g.datum.n, g.datum.n)
+    for c, x in zip(g.datum.coords(m), g.datum.basis):
+        if not c.is_zero():
+            out = msub(out, mscale(c, mtranspose(mconj(x))))
+    return out
+
+
+def _weight(a, b):
+    """c with a = c * b, for a nonzero b, or None."""
+    i, j = next((i, j) for i, row in enumerate(b)
+                for j, x in enumerate(row) if not x.is_zero())
+    c = a[i][j] / b[i][j]
+    return c if meq(a, mscale(c, b)) else None
+
+
+def _proportional(a, b):
+    """a = c * b for a nonzero c."""
+    c = _weight(a, b)
+    return c is not None and not c.is_zero()
+
+
+@pytest.mark.parametrize("name", REDUCTIVE_NAMES + REDUCTIVE_PART_NAMES
+                         + [n for n in UNEQUAL_RANK if n not in
+                            REDUCTIVE_NAMES])
+def test_theta_permutes_the_simple_roots(name):
+    """theta maps each simple root space onto a simple root space, and the
+    positive roots (the roots with nonnegative coordinates on the simple
+    roots) onto themselves; its action on t is read on the test side."""
+    g = listed_group(name)
+    root = g.root
+    if not root.roots:   # a torus, whose center theta need not preserve
+        return
+    images = [_theta_c(g, x) for x in root.x_gens]
+    targets = [[j for j, y in enumerate(root.x_gens) if _proportional(im, y)]
+               for im in images]
+    assert sorted(t for t, in targets) == list(range(len(root.x_gens)))
+    theta_t = [echelon_reduce(g.datum.coords(_theta_c(g, m)), g.t_rows)
+               for m in g.datum.rows_to_mats(g.t_rows)]
+    assert all(all(x.is_zero() for x in rest) for _, rest in theta_t)
+    cols = mtranspose([sol for sol, _ in theta_t])
+    # the simple roots: the weights of x_i, [t_m, x_i] = alpha_i(t_m) x_i
+    t_mats = g.datum.rows_to_mats(g.t_rows)
+    simple = [[_weight(_dense_bracket(t, x), x) for t in t_mats]
+              for x in root.x_gens]
+    positive = set()
+    for r in root.roots:
+        rats = [x.as_rational() for x in solve_left(simple, r, g.tower)]
+        assert all(x.denominator == 1 for x in rats)
+        assert all(x >= 0 for x in rats) or all(x <= 0 for x in rats)
+        if all(x >= 0 for x in rats):
+            positive.add(tuple(r))
+    assert len(positive) * 2 == len(root.roots)
+    assert {tuple(vmat(list(r), cols)) for r in positive} == positive
 
 
 @pytest.mark.parametrize("name", REDUCTIVE_NAMES + REDUCTIVE_PART_NAMES)
@@ -527,8 +705,8 @@ def test_cartan_check_rejects_a_torus_smaller_than_its_centralizer(
 def test_so55_unequal_rank_count():
     # so(5,5): rank so(5) + rank so(5) = 4 < 5 = rank so(10), so only 3 of
     # the 5 simple reflections lie in W_0 and they do not generate it (the
-    # count would be 9); the Schreier generators give the quadratic-form
-    # count, signatures (10 - q', q') with q' odd
+    # count would be 9); the generators read off theta give the
+    # quadratic-form count, signatures (10 - q', q') with q' odd
     tower = FieldTower()
     basis = catalog._sopq_data(5, 5, tower)
     g = build_reductive(basis, RealStructure(meye(tower, 10), tower))
@@ -543,7 +721,8 @@ def test_weyl_walk_visits_w_once_in_breadth_first_order():
     walk = list(weyl_walk(g))
     assert walk[0].word == []
     assert [len(e.word) for e in walk] == sorted(len(e.word) for e in walk)
-    keys = {_action_key(_action(g, e.n)) for e in walk}
+    perm = _root_perm(g)
+    keys = {perm(_action(g, e.n)) for e in walk}
     assert len(walk) == len(keys) == 8
     assert keys == _generated(g, g.weyl).keys()
 
