@@ -5,9 +5,11 @@ a positive real element of the preceding subtower.  Elements are stored in a
 unique normal form: a Q-linear combination of monomials i^b * prod sqrt(r_k),
 b in {0,1}, over square-free subsets of the generators, held as integer
 numerators over one positive common denominator with no common factor.  The
-arithmetic runs on Python ints; fractions.Fraction appears only where
-rationals enter or leave.  Zero testing is exact (no numerators), so all
-downstream identity checks are zero tolerance.
+numerators of 1 and i are two int slots, so Q(i) arithmetic builds no dict;
+only the monomials that carry a generator sit in a dict.  The arithmetic runs
+on Python ints; fractions.Fraction appears only where rationals enter or
+leave.  Every zero is the tower's one zero object, so a zero test is an
+identity test, and all downstream identity checks are zero tolerance.
 
 Square roots are total on nonzero elements: perfect squares are recognised
 inside the tower, real positive radicands extend the tower, negative reals go
@@ -71,9 +73,9 @@ class FieldTower:
     def __init__(self):
         self.gens: list[FieldElement] = []  # radicands, real positive
         self._sqrt_cache: dict = {}
-        # the one zero of the tower: no method writes to an element's
-        # _num or _den after construction, so every zero entry can share it
-        self._zero = FieldElement(self, {})
+        # the one zero of the tower: every zero result is this object, and
+        # no method writes to an element's normal form after construction
+        self._zero = FieldElement(self)
 
     # -- element constructors -------------------------------------------------
 
@@ -81,9 +83,8 @@ class FieldTower:
         if type(q) is not int:
             q = Fraction(q)
             if q:
-                return FieldElement(self, {_ONE_MONO: q.numerator},
-                                    q.denominator)
-        return FieldElement(self, {_ONE_MONO: q}) if q else self._zero
+                return FieldElement(self, q.numerator, 0, None, q.denominator)
+        return FieldElement(self, q) if q else self._zero
 
     def zero(self) -> "FieldElement":
         return self._zero
@@ -92,11 +93,11 @@ class FieldTower:
         return self.from_rational(1)
 
     def i(self) -> "FieldElement":
-        return FieldElement(self, {_I_MONO: 1})
+        return FieldElement(self, 0, 1)
 
     def gen_element(self, k: int) -> "FieldElement":
         """The element sqrt(r_k)."""
-        return FieldElement(self, {(0, 1 << k): 1})
+        return FieldElement(self, 0, 0, {(0, 1 << k): 1})
 
     def coerce(self, x) -> "FieldElement":
         if isinstance(x, FieldElement):
@@ -113,8 +114,7 @@ class FieldTower:
         x = self.coerce(x)
         if x.is_zero():
             return self.zero()
-        key = x._key()
-        hit = self._sqrt_cache.get(key)
+        hit = self._sqrt_cache.get(x)
         if hit is not None:
             return hit
         r = self._sqrt_inner(x)
@@ -123,7 +123,7 @@ class FieldTower:
                              "the computed root does not square to x")
         r = _canonical_sign(r)
         if len(self._sqrt_cache) < _SQRT_CACHE_LIMIT:
-            self._sqrt_cache[key] = r
+            self._sqrt_cache[x] = r
         return r
 
     def _sqrt_inner(self, x: "FieldElement") -> "FieldElement":
@@ -188,8 +188,7 @@ class FieldTower:
 
     def _sqrt_gaussian(self, x: "FieldElement") -> Optional["FieldElement"]:
         """Square root inside Q(i), or None."""
-        a = x._rat_coeff(0, 0)
-        b = x._rat_coeff(1, 0)
+        a, b = x._gaussian_parts()
         if b == 0:
             r = _rat_sqrt(a)
             if r is not None:
@@ -233,64 +232,96 @@ def _canonical_sign(r: "FieldElement") -> "FieldElement":
 
 
 def _reduced(tower: FieldTower, num: dict, den: int) -> "FieldElement":
-    """The element num/den in normal form, for num with no zero value and
-    den > 0: one gcd divides out the common factor.  An empty num gives the
+    """The element num/den in normal form, for num ({monomial: int}, which
+    is consumed) with no zero value and den > 0.  An empty num gives the
     tower's zero."""
-    if not num:
+    re, im = num.pop(_ONE_MONO, 0), num.pop(_I_MONO, 0)
+    return _normal(tower, re, im, num, den)
+
+
+def _normal(tower: FieldTower, re: int, im: int, rad: dict,
+            den: int) -> "FieldElement":
+    """(re + im*i + sum(rad))/den in normal form, for rad a dict of nonzero
+    ints on monomials with a generator and den > 0: one gcd divides out the
+    common factor."""
+    if not rad:
+        return _gaussian(tower, re, im, den)
+    if den != 1:
+        g = gcd(den, re, im, *rad.values())
+        if g != 1:
+            re, im, den = re // g, im // g, den // g
+            rad = {m: c // g for m, c in rad.items()}
+    return FieldElement(tower, re, im, rad, den)
+
+
+def _gaussian(tower: FieldTower, re: int, im: int, den: int) -> "FieldElement":
+    """(re + im*i)/den in normal form, for den > 0."""
+    if not (re or im):
         return tower._zero
     if den != 1:
-        g = gcd(den, *num.values())
+        g = gcd(re, im, den)
         if g != 1:
-            num = {m: c // g for m, c in num.items()}
-            den //= g
-    return FieldElement(tower, num, den)
+            re, im, den = re // g, im // g, den // g
+    return FieldElement(tower, re, im, None, den)
 
 
 class FieldElement:
-    """Element of a FieldTower in normal form num/den.
+    """Element of a FieldTower in normal form (re + im*i + sum(rad))/den.
 
-    _num maps monomials (i_bit, generator_mask) to nonzero Python ints and
-    _den is a positive int with gcd(_den, *_num.values()) == 1; zero is {}
-    over 1.  The form is unique, so _key() identifies the element.  The
-    arithmetic runs on ints; Fraction appears only at the boundaries
-    (from_rational, _rat_coeff, coords, parsing).
+    _re and _im are the int numerators of 1 and i; _rad is None, or a
+    non-empty dict mapping the monomials (i_bit, generator_mask) with a
+    nonzero mask to nonzero ints; _den is a positive int, and gcd 1 holds
+    over _den and every numerator.  Zero is the tower's one zero object
+    (0, 0, None over 1), so is_zero is an identity test.  The form is
+    unique, so == and hash compare it.  The arithmetic runs on ints;
+    Fraction appears only at the boundaries (from_rational, coords,
+    _gaussian_parts, parsing).
     """
 
-    __slots__ = ("tower", "_num", "_den")
+    __slots__ = ("tower", "_re", "_im", "_rad", "_den")
 
-    def __init__(self, tower: FieldTower, num: dict, den: int = 1):
+    def __init__(self, tower: FieldTower, re: int = 0, im: int = 0,
+                 rad: Optional[dict] = None, den: int = 1):
         self.tower = tower
-        self._num = num
+        self._re = re
+        self._im = im
+        self._rad = rad
         self._den = den
 
     @property
     def coords(self) -> dict:
         """Read-only view: monomial -> nonzero Fraction coefficient."""
-        return {m: Fraction(c, self._den) for m, c in self._num.items()}
+        return {m: Fraction(c, self._den) for m, c in self._terms().items()}
 
     # -- helpers --------------------------------------------------------------
 
-    def _key(self):
-        return frozenset(self._num.items()), self._den
+    def _terms(self) -> dict:
+        """A new dict of every numerator: monomial -> nonzero int."""
+        out = dict(self._rad) if self._rad else {}
+        if self._re:
+            out[_ONE_MONO] = self._re
+        if self._im:
+            out[_I_MONO] = self._im
+        return out
 
     def __hash__(self):
-        return hash(self._key())
+        rad = self._rad
+        return hash((self._re, self._im, self._den,
+                     rad and frozenset(rad.items())))
 
-    def _rat_coeff(self, ib: int, mask: int) -> Fraction:
-        return Fraction(self._num.get((ib, mask), 0), self._den)
+    def _gaussian_parts(self) -> tuple:
+        """(a, b) with a + b*i the Q(i) part, as Fractions."""
+        return Fraction(self._re, self._den), Fraction(self._im, self._den)
 
     def _top_gen(self) -> int:
-        top = -1
-        for (_, mask) in self._num:
-            if mask:
-                top = max(top, mask.bit_length() - 1)
-        return top
+        return max((mask.bit_length() - 1 for _, mask in self._rad or ()),
+                   default=-1)
 
     def _split(self, k: int):
         """Write self = p + q*sqrt(r_k); returns (p, q)."""
         bit = 1 << k
         p, q = {}, {}
-        for (ib, mask), c in self._num.items():
+        for (ib, mask), c in self._terms().items():
             if mask & bit:
                 q[(ib, mask ^ bit)] = c
             else:
@@ -299,20 +330,20 @@ class FieldElement:
                 _reduced(self.tower, q, self._den))
 
     def is_rational(self) -> bool:
-        return all(m == (0, 0) for m in self._num)
+        return not self._im and self._rad is None
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise FieldError("not-rational")
-        return self._rat_coeff(0, 0)
+        return Fraction(self._re, self._den)
 
     def is_gaussian(self) -> bool:
-        return all(mask == 0 for (_, mask) in self._num)
+        return self._rad is None
 
     # -- ring structure -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._num
+        return self is self.tower._zero
 
     def __eq__(self, other) -> bool:
         """Equal normal forms: the form is unique, so no difference is
@@ -322,50 +353,63 @@ class FieldElement:
             if not isinstance(other, (FieldElement, int, Fraction)):
                 return NotImplemented
             other = self.tower.coerce(other)
-        return self._den == other._den and self._num == other._num
+        return self._re == other._re and self._im == other._im and \
+            self._den == other._den and self._rad == other._rad
 
     def _plus(self, other: "FieldElement", sign: int) -> "FieldElement":
         """self + sign*other, over the least common denominator."""
-        a, b = self._num, other._num
-        if not b:
+        tower = self.tower
+        if other is tower._zero:
             return self
-        if not a:
+        if self is tower._zero:
             return other if sign > 0 else -other
         den = self._den
         if den == other._den:
-            out = dict(a)
+            scale = 1
         else:
             g = gcd(den, other._den)
             scale = other._den // g
-            out = {m: c * scale for m, c in a.items()}
             sign *= den // g
             den *= scale
-        for m, c in b.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = sign * c
+        re = self._re * scale + other._re * sign
+        im = self._im * scale + other._im * sign
+        if self._rad is None and other._rad is None:
+            return _gaussian(tower, re, im, den)
+        out = {} if self._rad is None else dict(self._rad) if scale == 1 \
+            else {m: c * scale for m, c in self._rad.items()}
+        for m, c in (other._rad or {}).items():
+            s = out.get(m, 0) + sign * c
+            if s:
+                out[m] = s
             else:
-                s += sign * c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return _reduced(self.tower, out, den)
+                del out[m]
+        return _normal(tower, re, im, out, den)
 
     def __add__(self, other) -> "FieldElement":
         if type(other) is not FieldElement or other.tower is not self.tower:
             other = self.tower.coerce(other)
+        if self._rad is None and other._rad is None and \
+                self._den == other._den:
+            return _gaussian(self.tower, self._re + other._re,
+                             self._im + other._im, self._den)
         return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.tower, {m: -c for m, c in self._num.items()},
-                            self._den)
+        if self is self.tower._zero:
+            return self
+        rad = self._rad
+        return FieldElement(self.tower, -self._re, -self._im,
+                            rad and {m: -c for m, c in rad.items()}, self._den)
 
     def __sub__(self, other) -> "FieldElement":
         if type(other) is not FieldElement or other.tower is not self.tower:
             other = self.tower.coerce(other)
+        if self._rad is None and other._rad is None and \
+                self._den == other._den:
+            return _gaussian(self.tower, self._re - other._re,
+                             self._im - other._im, self._den)
         return self._plus(other, -1)
 
     def __rsub__(self, other) -> "FieldElement":
@@ -374,79 +418,75 @@ class FieldElement:
     def __mul__(self, other) -> "FieldElement":
         if type(other) is not FieldElement or other.tower is not self.tower:
             other = self.tower.coerce(other)
+        if self._rad is None and other._rad is None:
+            # (p + qi)(r + si) = (pr - qs) + (ps + qr)i
+            p, q, r, s = self._re, self._im, other._re, other._im
+            return _gaussian(self.tower, p * r - q * s, p * s + q * r,
+                             self._den * other._den)
+        if other._rad is None:
+            return self._scaled(other)
+        if self._rad is None:
+            return other._scaled(self)
         tower = self.tower
-        a, b = self._num, other._num
-        if not a or not b:
-            return tower._zero
         den = self._den * other._den
-        if len(a) == 1 and len(b) == 1:
-            ((m1, c1),) = a.items()
-            ((m2, c2),) = b.items()
+        if len(self._rad) == 1 == len(other._rad) and not (
+                self._re or self._im or other._re or other._im):
+            ((m1, c1),) = self._rad.items()
+            ((m2, c2),) = other._rad.items()
             # disjoint generator masks: no radicand to multiply in
             if not m1[1] & m2[1]:
                 coeff = -c1 * c2 if m1[0] and m2[0] else c1 * c2
                 mono = (m1[0] ^ m2[0], m1[1] | m2[1])
-                return _reduced(tower, {mono: coeff}, den)
-        if len(b) == 1 and _ONE_MONO in b:
-            q = b[_ONE_MONO]
-            return _reduced(tower, {m: c * q for m, c in a.items()}, den)
-        if len(a) == 1 and _ONE_MONO in a:
-            q = a[_ONE_MONO]
-            return _reduced(tower, {m: c * q for m, c in b.items()}, den)
-        if self.is_gaussian() and other.is_gaussian():
-            # (p + qi)(r + si) = (pr - qs) + (ps + qr)i
-            p, q = a.get(_ONE_MONO, 0), a.get(_I_MONO, 0)
-            r, s = b.get(_ONE_MONO, 0), b.get(_I_MONO, 0)
-            out = {}
-            re, im = p * r - q * s, p * s + q * r
-            if re:
-                out[_ONE_MONO] = re
-            if im:
-                out[_I_MONO] = im
-            return _reduced(tower, out, den)
-        # one dict of numerators over den for the whole sum; monomials that
-        # share a generator multiply its radicand in, and are summed apart
-        out = {}
-        shared = None
+                return _normal(tower, 0, 0, {mono: coeff}, den)
+        a, b = self._terms(), other._terms()
+        # the numerators of the products, grouped by the generators the two
+        # monomials share; each group is multiplied by those radicands once
+        groups = {}
         for m1, c1 in a.items():
             for m2, c2 in b.items():
                 coeff = -c1 * c2 if m1[0] and m2[0] else c1 * c2
                 mono = (m1[0] ^ m2[0], m1[1] ^ m2[1])
-                common = m1[1] & m2[1]
-                if common:
-                    term = FieldElement(tower, {mono: coeff})
-                    k = 0
-                    while common:
-                        if common & 1:
-                            term = term * tower.gens[k]
-                        k += 1
-                        common >>= 1
-                    shared = term if shared is None else shared + term
-                else:
-                    s = out.get(mono)
-                    out[mono] = coeff if s is None else s + coeff
-        prod = _reduced(tower, {m: c for m, c in out.items() if c}, den)
-        if shared is None:
-            return prod
-        return prod + _reduced(tower, shared._num, shared._den * den)
+                out = groups.setdefault(m1[1] & m2[1], {})
+                out[mono] = out.get(mono, 0) + coeff
+        prod = tower._zero
+        for common, out in groups.items():
+            term = _reduced(tower, {m: c for m, c in out.items() if c}, den)
+            k = 0
+            while common:
+                if common & 1:
+                    term = term * tower.gens[k]
+                k += 1
+                common >>= 1
+            prod = prod + term
+        return prod
 
     __rmul__ = __mul__
 
+    def _scaled(self, g: "FieldElement") -> "FieldElement":
+        """self*g for g in Q(i): every numerator times the two of g."""
+        p, q = g._re, g._im
+        if not (p or q):
+            return self.tower._zero
+        if q:
+            rad = {}
+            for (ib, mask), c in self._rad.items():
+                rad[ib, mask] = rad.get((ib, mask), 0) + c * p
+                rad[ib ^ 1, mask] = rad.get((ib ^ 1, mask), 0) + \
+                    (-c * q if ib else c * q)
+            rad = {m: c for m, c in rad.items() if c}
+        else:
+            rad = {m: c * p for m, c in self._rad.items()}
+        return _normal(self.tower, self._re * p - self._im * q,
+                       self._re * q + self._im * p, rad, self._den * g._den)
+
     def inverse(self) -> "FieldElement":
-        if self.is_zero():
+        if self is self.tower._zero:
             raise FieldError("division-by-zero")
-        top = self._top_gen()
-        if top < 0:
+        if self._rad is None:
             # (a + bi)/d -> d(a - bi)/(a^2 + b^2)
-            a = self._num.get(_ONE_MONO, 0)
-            b = self._num.get(_I_MONO, 0)
-            d = self._den
-            out = {}
-            if a:
-                out[_ONE_MONO] = d * a
-            if b:
-                out[_I_MONO] = -d * b
-            return _reduced(self.tower, out, a * a + b * b)
+            a, b, d = self._re, self._im, self._den
+            return _gaussian(self.tower, d * a, -d * b, a * a + b * b)
+        top = self._top_gen()
         p, q = self._split(top)
         g = self.tower.gens[top]
         denom = p * p - q * q * g
@@ -485,35 +525,34 @@ class FieldElement:
     # -- involution and real/imaginary structure ------------------------------
 
     def conj(self) -> "FieldElement":
-        return FieldElement(
-            self.tower,
-            {m: (-c if m[0] else c) for m, c in self._num.items()},
-            self._den,
-        )
+        rad = self._rad
+        if not self._im and rad is None:
+            return self
+        return FieldElement(self.tower, self._re, -self._im,
+                            rad and {m: (-c if m[0] else c)
+                                     for m, c in rad.items()}, self._den)
 
     def real_part(self) -> "FieldElement":
-        return _reduced(
-            self.tower, {m: c for m, c in self._num.items() if m[0] == 0},
-            self._den,
-        )
+        rad = self._rad or {}
+        return _normal(self.tower, self._re, 0,
+                       {m: c for m, c in rad.items() if m[0] == 0}, self._den)
 
     def imag_part(self) -> "FieldElement":
         """The real element y with self = real_part + i*y."""
-        return _reduced(
-            self.tower,
-            {(0, m[1]): c for m, c in self._num.items() if m[0] == 1},
-            self._den,
-        )
+        rad = self._rad or {}
+        return _normal(self.tower, self._im, 0,
+                       {(0, m[1]): c for m, c in rad.items() if m[0] == 1},
+                       self._den)
 
     def is_real(self) -> bool:
-        return all(m[0] == 0 for m in self._num)
+        return not self._im and all(m[0] == 0 for m in self._rad or ())
 
     def _real_interval(self, prec: int):
         """Rigorous enclosure of a real element."""
         iv = mpmath.iv
         with mpmath.workprec(prec):
             total = iv.mpf(0)
-            for (ib, mask), c in self._num.items():
+            for (ib, mask), c in self._terms().items():
                 if ib:
                     raise FieldError("not-real",
                                      "real enclosure of a non-real element")
@@ -533,11 +572,9 @@ class FieldElement:
         numerator, any other's by interval refinement."""
         if not self.is_real():
             raise FieldError("not-real")
-        if self.is_zero():
-            return False
-        if len(self._num) == 1 and _ONE_MONO in self._num:
+        if self._rad is None:
             # a rational: _den > 0 in the normal form
-            return self._num[_ONE_MONO] > 0
+            return self._re > 0
         prec = 64
         while True:
             box = self._real_interval(prec)
@@ -577,7 +614,7 @@ def format_element(x: FieldElement) -> str:
     tower = x.tower
     den = x._den
     parts = []
-    for (ib, mask), c in sorted(x._num.items()):
+    for (ib, mask), c in sorted(x._terms().items()):
         factors = []
         if abs(c) != den or (ib == 0 and mask == 0):
             g = gcd(c, den)
@@ -784,7 +821,7 @@ def _sympy_order(f: list):
     the coefficients from the top down, each as its ANP representation
     [b, a] for a + b*i ([a] when b = 0, [] for 0)."""
     def rep(c):
-        a, b = c._rat_coeff(0, 0), c._rat_coeff(1, 0)
+        a, b = c._gaussian_parts()
         return [b, a] if b else ([a] if a else [])
 
     return len(f), [rep(c) for c in reversed(f)]
@@ -803,13 +840,12 @@ def _strip_gaussian_roots(p: list, tower: FieldTower):
     """
     n = poly_degree(p)
     den = 1
-    for c in p:
-        den = lcm(den, c._rat_coeff(0, 0).denominator,
-                  c._rat_coeff(1, 0).denominator)
+    parts = [c._gaussian_parts() for c in p]
+    for a, b in parts:
+        den = lcm(den, a.denominator, b.denominator)
     try:
-        g = [complex(c._rat_coeff(0, 0) * den ** (n - k),
-                     c._rat_coeff(1, 0) * den ** (n - k))
-             for k, c in enumerate(p)]
+        g = [complex(a * den ** (n - k), b * den ** (n - k))
+             for k, (a, b) in enumerate(parts)]
         approx = _approx_roots(g)
     except (OverflowError, ZeroDivisionError):
         approx = []
@@ -865,8 +901,7 @@ def _factor_sympy(p: list, tower: FieldTower) -> list:
     x = sympy.Symbol("x")
     expr = 0
     for k, c in enumerate(p):
-        a = c._rat_coeff(0, 0)
-        b = c._rat_coeff(1, 0)
+        a, b = c._gaussian_parts()
         expr += (sympy.Rational(a.numerator, a.denominator)
                  + sympy.I * sympy.Rational(b.numerator, b.denominator)) * x ** k
     poly = sympy.Poly(expr, x, extension=[sympy.I])

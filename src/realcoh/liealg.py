@@ -172,17 +172,24 @@ class SCAlgebra:
 
     def product_space(self, a: list, b: list) -> list:
         """rref_rows basis of [span(a), span(b)]; the nonzero entries of each
-        vector are read once and zero brackets are dropped."""
+        vector are read once and zero brackets are dropped.  The brackets of
+        one element of a are added at a time; once there are enough vectors
+        to span the whole algebra they are reduced, and the search stops if
+        they do span it.  The rref of a span is unique."""
         b_nz = [_nonzero(y) for y in b]
         zero = self.tower.zero()
-        vecs = []
+        rows, vecs = [], []
         for x in a:
             x_nz = _nonzero(x)
             for y_nz in b_nz:
                 acc = self._bracket_terms(x_nz, y_nz)
-                if any(not v.is_zero() for v in acc.values()):
+                if any(v is not zero for v in acc.values()):
                     vecs.append([acc.get(c, zero) for c in range(self.dim)])
-        return rref_rows(vecs)
+            if len(rows) + len(vecs) >= self.dim:
+                rows, vecs = rref_rows(rows + vecs), []
+                if len(rows) == self.dim:
+                    break
+        return rref_rows(rows + vecs) if vecs else rows
 
     def derived_series(self, a: list) -> list:
         series = [rref_rows(a)]
@@ -247,7 +254,14 @@ class SCAlgebra:
         return rref_rows([vmat(k, a) for k in left_kernel(system, self.tower)])
 
     def center_of(self, a: list) -> list:
-        return self.centralizer(a, a)
+        """The centralizer of span(a) in itself, shrunk one element of a at
+        a time; it stops once it is empty."""
+        c = rref_rows(a)
+        for y in a:
+            if not c:
+                break
+            c = self.centralizer(c, [y])
+        return c
 
     # -- quotients and subalgebras ---------------------------------------------
 
@@ -1048,14 +1062,14 @@ def root_system(datum: LieAlgebraDatum, cartan_mats: list, c: list,
     diags = [_diagonal_of(c, m) for m in cartan_mats]
     if None in diags:
         raise LieError("not-diagonalized")
-    # the weight of each matrix unit, keyed by the normal forms of its values
+    # the weight of each matrix unit, keyed by its values, which hash by
+    # their normal forms
     cell_key, weights = {}, {}
     for i in range(n):
         for j in range(n):
-            w = [d[i] - d[j] for d in diags]
-            key = tuple(x._key() for x in w)
+            key = tuple(d[i] - d[j] for d in diags)
             cell_key[i, j] = key
-            weights.setdefault(key, w)
+            weights.setdefault(key, list(key))
     c_rows = [_nonzero(row) for row in c]
     c_cols = [_nonzero(col) for col in mtranspose(c)]
     cinv_rows = [_nonzero(row) for row in cinv]
@@ -1095,7 +1109,7 @@ def root_system(datum: LieAlgebraDatum, cartan_mats: list, c: list,
     # closure under negation
     neg = []
     for tup in roots:
-        j = index.get(tuple((-x)._key() for x in tup))
+        j = index.get(tuple(-x for x in tup))
         if j is None:
             raise LieError("roots-not-symmetric")
         neg.append(j)

@@ -41,7 +41,10 @@ def mscale(c, a: list) -> list:
 
 def _nonzero(row: list) -> list:
     """The (column, entry) pairs of the nonzero entries of a row."""
-    return [(j, x) for j, x in enumerate(row) if not x.is_zero()]
+    if not row:
+        return []
+    zero = row[0].tower.zero()
+    return [(j, x) for j, x in enumerate(row) if x is not zero]
 
 
 def _check_shape(m: list, rows: int, cols: int) -> None:
@@ -59,7 +62,7 @@ def _row_combination(v: list, m: list, pairs: list, cols: int) -> list:
     zero = m[0][0].tower.zero()
     out = [None] * cols
     for k, x in enumerate(v):
-        if x.is_zero():
+        if x is zero:
             continue
         row = pairs[k]
         if row is None:
@@ -92,13 +95,14 @@ def _diagonal_of(c: list, mat: list):
     of that column must be exactly D_j times the entry of C.  C^-1 is not
     used."""
     mc = mmul(mat, c)
+    zero = c[0][0].tower.zero() if c else None
     out = []
     for j in range(len(c)):
         dj = None
         for i, row in enumerate(c):
             x = row[j]
-            if x.is_zero():
-                if not mc[i][j].is_zero():
+            if x is zero:
+                if mc[i][j] is not zero:
                     return None
             elif dj is None:
                 dj = mc[i][j]
@@ -182,7 +186,7 @@ def row_reduce(a: list) -> tuple:
     if not n:
         return [[] for _ in a], []
     zero, one = a[0][0].tower.zero(), a[0][0].tower.one()
-    rows = [{j: x for j, x in enumerate(row) if not x.is_zero()} for row in a]
+    rows = [{j: x for j, x in enumerate(row) if x is not zero} for row in a]
     pivots = []
     r = 0
     for c in range(n):
@@ -200,7 +204,7 @@ def row_reduce(a: list) -> tuple:
             f = row.pop(c)
             for j, y in scaled:
                 d = row.get(j, zero) - f * y
-                if d.is_zero():
+                if d is zero:
                     del row[j]
                 else:
                     row[j] = d

@@ -239,8 +239,7 @@ def build_reductive(lie_basis: list,
     zc_rows, zs_rows = _split_center(datum, z_rows)
 
     def weight(v):
-        return sum(not x.is_zero() for row in datum.from_coords(v)
-                   for x in row)
+        return sum(not x.is_zero() for x in datum.entries(v).values())
 
     that0_rows, c = [], k_rows
     while len(c) > len(that0_rows):

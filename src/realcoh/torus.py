@@ -205,9 +205,9 @@ def _lambda_lattice(diag_entries: list, n: int) -> list:
     """Integral e with sum_i e_i * diag_i(a) = 0 for all basis matrices."""
     columns = []
     for diags in diag_entries:
-        keys = sorted({key for x in diags for key in x._num})
-        for key in keys:
-            col = [x._rat_coeff(*key) for x in diags]
+        coords = [x.coords for x in diags]
+        for key in sorted({key for c in coords for key in c}):
+            col = [c.get(key, Fraction(0)) for c in coords]
             denom = lcm(*(q.denominator for q in col))
             columns.append([int(q * Fraction(denom)) for q in col])
     if not columns:

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 from sympy.polys.domains import QQ, QQ_I
 
 from realcoh import field
@@ -168,7 +168,8 @@ def test_pow_takes_no_spare_multiplication(tower, monkeypatch):
 
 
 def test_shared_zero_stays_zero(tower):
-    """Every zero() is one object, and no arithmetic writes to it."""
+    """Every zero() is one object, every zero result is that object, and no
+    arithmetic writes to it."""
     zero = tower.zero()
     assert tower.zero() is zero
     assert tower.from_rational(0) is zero
@@ -185,7 +186,9 @@ def test_shared_zero_stays_zero(tower):
             results.append(zero / x)
         assert all(isinstance(y, field.FieldElement) for y in results)
         assert results[0] == x and results[2] == -x and results[4] == 0
-        assert zero == 0 and zero._num == {} and zero._den == 1
+        assert all(y is zero for y in results if y == 0)
+        assert zero == 0 and (zero._re, zero._im, zero._rad, zero._den) == \
+            (0, 0, None, 1)
     assert zero * tower.sqrt(5) is zero
 
 
@@ -434,7 +437,7 @@ def _kernel_pairs(draw):
 
 
 def _to_qq_i(x):
-    a, b = x._rat_coeff(0, 0), x._rat_coeff(1, 0)
+    a, b = (x.coords.get(m, Fraction(0)) for m in ((0, 0), (1, 0)))
     return QQ_I(QQ(a.numerator, a.denominator),
                 QQ(b.numerator, b.denominator))
 
@@ -475,10 +478,17 @@ def _format_over_coords(x):
 
 
 def _assert_integer_normal_form(z):
+    """(re + im*i + sum(rad))/den: int slots, a radical dict that is None or
+    holds only nonzero ints on monomials with a generator, den > 0, gcd 1
+    over every numerator, and zero only as the tower's zero."""
+    rad = z._rad
+    assert rad is None or (type(rad) is dict and rad)
+    assert all(mask and type(c) is int and c != 0
+               for (_, mask), c in (rad or {}).items())
+    assert type(z._re) is int and type(z._im) is int
     assert type(z._den) is int and z._den > 0
-    assert all(type(c) is int and c != 0 for c in z._num.values())
-    assert gcd(z._den, *z._num.values()) == 1
-    assert z._num or z._den == 1
+    assert gcd(z._den, z._re, z._im, *(rad or {}).values()) == 1
+    assert (z._re or z._im or rad) or z is z.tower.zero()
 
 
 @given(_kernel_pairs())
@@ -496,10 +506,110 @@ def test_kernel_integer_normal_form(data):
     if not y.is_zero():
         same.append((x * y * y.inverse(), x))
     for u, v in same:
-        assert u._key() == v._key() and hash(u) == hash(v)
+        assert (u._re, u._im, u._rad, u._den) == \
+            (v._re, v._im, v._rad, v._den) and hash(u) == hash(v)
     if gaussian and not x.is_zero():
         assert x.inverse().is_gaussian()
         assert _to_qq_i(x.inverse()) == QQ_I.revert(_to_qq_i(x))
+
+
+def _pair(z):
+    """(a, b) with z = a + b*i, read off coords; z must lie in Q(i)."""
+    assert set(z.coords) <= {(0, 0), (1, 0)}
+    return z.coords.get((0, 0), Fraction(0)), z.coords.get((1, 0), Fraction(0))
+
+
+def _pair_mul(u, v):
+    return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+
+def _pair_inverse(u):
+    n = u[0] * u[0] + u[1] * u[1]
+    return u[0] / n, -u[1] / n
+
+
+def _coords_from_text(text, tower):
+    """{monomial: Fraction} read off the textual form of an element: terms
+    joined by " + " or " - ", each an optional rational, an optional i and
+    the square roots of generators, joined by "*".  The generators must be
+    written without spaces, as rationals are."""
+    if text == "0":
+        return {}
+    roots = {f"sqrt({format_element(r)})": k
+             for k, r in enumerate(tower.gens)}
+    tokens = text.split(" ")
+    out = {}
+    for sign, term in zip(["+"] + tokens[1::2], tokens[::2]):
+        if term.startswith("-"):
+            sign, term = "-", term[1:]
+        coeff, ib, mask = Fraction(1), 0, 0
+        for factor in term.split("*"):
+            if factor == "i":
+                ib = 1
+            elif factor in roots:
+                mask |= 1 << roots[factor]
+            else:
+                coeff = Fraction(factor)
+        out[ib, mask] = -coeff if sign == "-" else coeff
+    return out
+
+
+@st.composite
+def _gaussian_cases(draw):
+    """Two Gaussian rationals, as elements and as Fraction pairs, in one
+    tower with sqrt(2) and sqrt(3) adjoined; y is sometimes x, -x or
+    conj(x), so that results cancel to zero."""
+    tower = FieldTower()
+    r2, r3 = tower.sqrt(2), tower.sqrt(3)
+    u = (draw(_sparse), draw(_sparse))
+    v = draw(st.sampled_from([u, (-u[0], -u[1]), (u[0], -u[1]), None]))
+    if v is None:
+        v = (draw(_sparse), draw(_sparse))
+    x, y = (tower.from_rational(a) + tower.from_rational(b) * tower.i()
+            for a, b in (u, v))
+    return tower, (x, u), (y, v), (r2, r3), draw(st.integers(-3, 3))
+
+
+@seed(20261022)
+@given(_gaussian_cases())
+@settings(max_examples=200, deadline=None)
+def test_gaussian_arithmetic_matches_fraction_pairs(data):
+    tower, (x, u), (y, v), (r2, r3), e = data
+    zero = tower.zero()
+    cases = [(x + y, (u[0] + v[0], u[1] + v[1])),
+             (x - y, (u[0] - v[0], u[1] - v[1])),
+             (x * y, _pair_mul(u, v)), (x.conj(), (u[0], -u[1])), (-x, (-u[0], -u[1]))]
+    if y != 0:
+        cases += [(x / y, _pair_mul(u, _pair_inverse(v))),
+                  (y.inverse(), _pair_inverse(v))]
+    if x != 0 or e >= 0:
+        want = (Fraction(1), Fraction(0))
+        for _ in range(abs(e)):
+            want = _pair_mul(want, u if e > 0 else _pair_inverse(u))
+        cases.append((x ** e, want))
+    # radical arithmetic whose value lies in Q(i)
+    cases += [((x + r2) - r2, u), (x * r3 * r3 / 3, u),
+              ((r2 + y) * (r2 - y) + y * y, (Fraction(2), Fraction(0))),
+              (r2 * x - x * r2, (Fraction(0), Fraction(0)))]
+    for z, want in cases:
+        assert _pair(z) == want
+        assert z._rad is None
+        _assert_integer_normal_form(z)
+        if z == 0:
+            assert z is zero and z.is_zero()
+        else:
+            assert not z.is_zero()
+    # equal values built in different ways have equal hashes, in Q(i) and
+    # with radicals
+    w = x + r2 * y - r3
+    same = [(x, (x * r2) / r2), (w, (w + r3) - r3 + (r3 - r3)),
+            (w, w * (r2 * r2) / 2), (w * w, w ** 2),
+            (tower.from_rational(2), r2 * r2)]
+    for a, b in same:
+        assert a == b and hash(a) == hash(b)
+        _assert_integer_normal_form(b)
+    for z in [x, y, w, w * y, w.conj(), w.inverse() if w != 0 else w]:
+        assert z.coords == _coords_from_text(format_element(z), tower)
 
 
 def test_sqrt_wrong_root_is_coded_error(tower, monkeypatch):

@@ -5,7 +5,8 @@ reads, outside a short list of entry points kept for the acceptance
 criteria and the reference checks, no instance attribute that is set and
 never read, no dataclass field that is never read, no parameter that its
 function never reads, no write to a field element's normal form after
-its constructor, no witness check that compares a twisted matrix
+its constructor, no read of a field element's normal form outside
+field.py, no witness check that compares a twisted matrix
 (RealStructure.carries checks the same identity without an inverse), and
 no RealStructure built below the input boundary."""
 
@@ -42,15 +43,16 @@ def test_no_assert_statements(path):
 
 
 # FieldTower.zero() hands out one shared element, so the normal form of an
-# element must never change after FieldElement.__init__ has set it.
-_NORMAL_FORM = {"_num", "_den"}
+# element must never change after FieldElement.__init__ has set it.  _num
+# is the slot of the earlier dict form, kept so that it cannot come back.
+_NORMAL_FORM = {"_re", "_im", "_rad", "_den", "_num"}
 _DICT_WRITES = {"clear", "pop", "popitem", "setdefault", "update"}
 
 
 def _normal_form_stores(tree):
-    """Lines that assign, augment or delete `._num` or `._den`, or an item
-    of them, or call a writing dict method on them, outside
-    FieldElement.__init__."""
+    """Lines that assign, augment or delete a normal-form slot (`._re`,
+    `._im`, `._rad`, `._den`, `._num`) or an item of one, or call a writing
+    dict method on one, outside FieldElement.__init__."""
     exempt = {id(node) for cls in tree.body
               if isinstance(cls, ast.ClassDef) and cls.name == "FieldElement"
               for fn in cls.body
@@ -79,7 +81,7 @@ def _normal_form_stores(tree):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_store_to_normal_form(path):
     lines = _normal_form_stores(ast.parse(path.read_text()))
-    assert lines == [], f"{path.name}: _num or _den written on lines {lines}"
+    assert lines == [], f"{path.name}: normal form written on lines {lines}"
 
 
 @pytest.mark.parametrize("source", [
@@ -87,6 +89,9 @@ def test_no_store_to_normal_form(path):
     "x._den += 1", "del x._num[m]", "del x._num", "x._num.update(d)",
     "x._num.pop(m)", "(a, x._den) = (1, 2)", "for x._den in r: pass",
     "class FieldElement:\n    def other(self):\n        self._num = {}",
+    "x._re = 1", "x._im -= 2", "x._rad[m] = 3", "del x._rad[m]",
+    "x._rad.update(d)", "x._rad.setdefault(m, 1)", "(x._re, x._im) = (0, 1)",
+    "class FieldElement:\n    def other(self):\n        self._rad = None",
 ])
 def test_normal_form_store_is_found(source):
     assert _normal_form_stores(ast.parse(source)) != []
@@ -100,8 +105,53 @@ def test_normal_form_reads_are_not_stores():
               "y = x._num.get(m, 0) + x._den\n"
               "z = {k: c for k, c in x._num.items()}\n"
               "w = dict(x._num)\n"
-              "w[m] = 1\n")
+              "w[m] = 1\n"
+              "v = (x._re, x._im, dict(x._rad or {}), x._den)\n")
     assert _normal_form_stores(ast.parse(source)) == []
+
+
+# Outside field.py an element is read through its methods and `coords`:
+# its slots and its private readers may change with the normal form.
+_FIELD_SLOTS = {"_re", "_im", "_rad", "_den", "_num"}
+_FIELD_READERS = {"_key", "_rat_coeff", "_terms", "_gaussian_parts"}
+
+
+def _field_internal_reads(tree):
+    """Lines that read a normal-form slot or call a private reader of a
+    field element."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and node.attr in _FIELD_SLOTS
+                   or isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Attribute)
+                   and node.func.attr in _FIELD_READERS})
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES
+                                  if p.name != "field.py"],
+                         ids=lambda p: p.name)
+def test_no_field_internals_outside_field(path):
+    lines = _field_internal_reads(ast.parse(path.read_text()))
+    assert lines == [], f"{path.name}: field element internals read on " \
+                        f"lines {lines} (use coords or a public method)"
+
+
+@pytest.mark.parametrize("source", [
+    "y = x._re", "z = x._im + 1", "for m in x._rad: pass", "d = x._den",
+    "keys = sorted(x._num)", "k = x._key()",
+    "t = tuple(v._key() for v in w)", "c = x._rat_coeff(0, 0)",
+    "n = x._terms()", "a, b = x._gaussian_parts()",
+])
+def test_field_internal_read_is_found(source):
+    assert _field_internal_reads(ast.parse(source)) != []
+
+
+@pytest.mark.parametrize("source", [
+    "c = x.coords", "x.is_zero()", "y = x.real_part()", "row = self._terms[a]",
+    "self._terms = [[]]", "k = key(x)", "r = self._rows",
+])
+def test_other_reads_are_not_field_internals(source):
+    assert _field_internal_reads(ast.parse(source)) == []
 
 
 def _twisted_comparisons(tree):

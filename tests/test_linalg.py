@@ -43,7 +43,7 @@ def _rand_matrix(rng, pool, rows, cols, density):
 
 
 def _to_sympy(x):
-    a, b = x._rat_coeff(0, 0), x._rat_coeff(1, 0)
+    a, b = (x.coords.get(m, Fraction(0)) for m in ((0, 0), (1, 0)))
     return sympy.Rational(a.numerator, a.denominator) \
         + sympy.I * sympy.Rational(b.numerator, b.denominator)
 
